@@ -13,11 +13,24 @@ Conventions used throughout the package:
 - sheets and branch points are numbered from 1;
 - permutations compose left to right: ``(k)(s * t) == ((k)s)t``;
 - transpositions are stored with the smaller sheet first.
+
+Packed encoding.  The hot paths (the braid action, orbit search,
+classification, restriction) run on tuples of ints.  On ``d`` sheets the
+transposition ``(a b)`` with ``a < b`` is packed as its position in the
+lexicographic list ``(1 2), (1 3), ..., (d-1 d)`` of all pairs, and a sequence
+as the tuple of its packed entries.  Pair order is dataclass order, so packed
+tuples sort as the sequences they encode.  The tables of one degree
+(``_tables``, a bounded cache) are filled one entry at a time on first lookup,
+so their size follows the transpositions met, not the degree.  The public
+types validate whatever a caller builds; the package builds its results, from
+validated values only, with the unchecked constructor ``_trusted``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Iterator
 
 
@@ -139,9 +152,6 @@ class Transposition:
     def is_disjoint_from(self, other: "Transposition") -> bool:
         return self.a != other.a and self.a != other.b and self.b != other.a and self.b != other.b
 
-    def shares_one_sheet_with(self, other: "Transposition") -> bool:
-        return len({self.a, self.b} & {other.a, other.b}) == 1
-
     def as_permutation(self, degree: int) -> Permutation:
         if self.b > degree:
             raise ValueError(f"({self.a} {self.b}) does not act on {degree} sheets")
@@ -217,10 +227,8 @@ class MonodromySequence:
         """Apply a sheet renumbering to every entry simultaneously."""
         if relabel.degree != self.degree:
             raise ValueError("relabelling permutation degree mismatch")
-        return MonodromySequence(
-            self.degree,
-            tuple(Transposition(relabel(t.a), relabel(t.b)) for t in self.entries),
-        )
+        index, images = _tables(self.degree).index, relabel.images
+        return _unpack(self.degree, tuple([index(images[t.a - 1], images[t.b - 1]) for t in self.entries]))
 
     def is_connected(self) -> bool:
         return len(components(self).blocks) == 1
@@ -241,9 +249,6 @@ class ComponentSignature:
     @property
     def count(self) -> int:
         return len(self.blocks)
-
-    def sheet_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sheets for sheets, _ in self.blocks)
 
     def singleton_sheets(self) -> tuple[int, ...]:
         return tuple(sheets[0] for sheets, _ in self.blocks if len(sheets) == 1)
@@ -278,16 +283,7 @@ def total_monodromy(seq: MonodromySequence) -> Permutation:
     >>> total_monodromy(MonodromySequence.from_pairs(3, [(1, 2), (2, 3)])).images
     (3, 1, 2)
     """
-    # Build the product incrementally.  Post-composing by (a b) swaps the
-    # entries at the current preimages of a and b, so one pass is O(n + d).
-    d = seq.degree
-    images = list(range(1, d + 1))
-    pos = list(range(d))  # pos[v - 1] = index k with images[k] == v
-    for t in seq.entries:
-        pa, pb = pos[t.a - 1], pos[t.b - 1]
-        images[pa], images[pb] = t.b, t.a
-        pos[t.a - 1], pos[t.b - 1] = pb, pa
-    return Permutation(tuple(images))
+    return _product(seq.degree, _pack(seq))
 
 
 def omega_class(seq: MonodromySequence) -> CycleType:
@@ -299,25 +295,13 @@ def omega_class(seq: MonodromySequence) -> CycleType:
 def components(seq: MonodromySequence) -> ComponentSignature:
     """Partition the sheets into orbits of the subgroup generated by the
     entries, counting the branch points supported in each block."""
-    parent = list(range(seq.degree + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for t in seq.entries:
-        ra, rb = find(t.a), find(t.b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    root = _union_find(seq.degree + 1, (t.sheets for t in seq.entries))
     blocks: dict[int, list[int]] = {}
     for sheet in range(1, seq.degree + 1):
-        blocks.setdefault(find(sheet), []).append(sheet)
+        blocks.setdefault(root[sheet], []).append(sheet)
     counts = dict.fromkeys(blocks, 0)
     for t in seq.entries:
-        counts[find(t.a)] += 1
+        counts[root[t.a]] += 1
     return ComponentSignature(
         tuple((tuple(sheets), counts[root]) for root, sheets in sorted(blocks.items()))
     )
@@ -454,3 +438,110 @@ def conjugating_permutation(source: Permutation, target: Permutation) -> Permuta
         for a, b in zip(src, dst):
             images[a - 1] = b
     return Permutation(tuple(images))
+
+
+# --- the packed encoding and the helpers shared by the hot paths -------------
+
+def _trusted(cls, **fields):
+    """An instance of a validated frozen dataclass built without its checks,
+    for field values derived from validated ones only."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _Lazy(dict):
+    """A dict that fills a missing key with ``make(key)`` on its first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Tables:
+    """Lookup tables of the packed encoding on one degree.
+
+    The tables are filled one entry at a time on first lookup, so they grow
+    with the transpositions a caller meets, not with the ``d(d-1)/2`` pairs:
+    ``pairs[t]`` is the pair ``(a, b)``, ``interned[t]`` its one
+    ``Transposition``, and ``conj[t][u]`` is t conjugated by u, the swap of
+    ``u(a)`` and ``u(b)``.  Renumbering sheets by u is conjugating by u.
+    """
+
+    def __init__(self, degree: int) -> None:
+        self.degree = degree
+        self.pairs = _Lazy(self._pair)
+        self.interned = _Lazy(lambda t: _trusted(Transposition, a=self.pairs[t][0], b=self.pairs[t][1]))
+        self.conj = _Lazy(lambda t: _Lazy(lambda u: self._conj(t, u)))
+
+    def index(self, a: int, b: int) -> int:
+        """The packed transposition (a b) of two distinct sheets."""
+        if a > b:
+            a, b = b, a
+        return (a - 1) * (2 * self.degree - a) // 2 + b - a - 1
+
+    def _pair(self, t: int) -> tuple[int, int]:
+        # The k(k+1)/2 last pairs are those whose first sheet exceeds d - 1 - k.
+        from_end = self.degree * (self.degree - 1) // 2 - 1 - t
+        a = self.degree - 1 - (isqrt(8 * from_end + 1) - 1) // 2
+        return a, t - self.index(a, a + 1) + a + 1
+
+    def _conj(self, t: int, u: int) -> int:
+        a, b = self.pairs[t]
+        c, e = self.pairs[u]
+        swap = {c: e, e: c}
+        return self.index(swap.get(a, a), swap.get(b, b))
+
+
+@lru_cache(maxsize=16)
+def _tables(degree: int) -> _Tables:
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
+    return _Tables(degree)
+
+
+def _pack(seq: MonodromySequence) -> tuple[int, ...]:
+    index = _tables(seq.degree).index
+    return tuple([index(t.a, t.b) for t in seq.entries])
+
+
+def _unpack(degree: int, packed: tuple[int, ...]) -> MonodromySequence:
+    interned = _tables(degree).interned
+    return _trusted(MonodromySequence, degree=degree, entries=tuple(map(interned.__getitem__, packed)))
+
+
+def _product(degree: int, packed: tuple[int, ...]) -> Permutation:
+    """The left-to-right product of packed transpositions."""
+    # Pre-composing a product by (a b) swaps the images of a and b, so build
+    # it from the last entry back.
+    pairs = _tables(degree).pairs
+    images = list(range(degree + 1))
+    for t in reversed(packed):
+        a, b = pairs[t]
+        images[a], images[b] = images[b], images[a]
+    return _trusted(Permutation, images=tuple(images[1:]))
+
+
+def _union_find(size: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """The class of each of ``0 .. size - 1`` once the two ends of every edge
+    are joined, named by its least member."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in edges:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(size)]

@@ -10,11 +10,18 @@ The classical elementary move ``O_i`` on edge-ordered graphs coincides with
 the action of the inverse generator; :func:`canonicalize` produces a
 replayable certificate (sheet renumbering plus a move word) taking any
 connected sequence to its canonical form.
+
+The action runs on packed sequences: tuples of positions in the
+lexicographic pair list of :mod:`diskcovers.core`, which sort as the sequences
+they encode.  One kernel, ``_act_packed``, turns the packed pair ``t, u`` into
+``u, conj[t][u]`` for ``x_i`` and into ``conj[u][t], t`` for its inverse.  The
+public functions check their input, pack it once and build one result on the
+way out with core's trusted constructor.  ``_orbit_search`` is the one
+breadth-first orbit search; canonicalization and :mod:`diskcovers.orbit` use it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +30,9 @@ from .core import (
     DisconnectedCoveringError,
     MonodromySequence,
     Permutation,
+    _pack,
+    _tables,
+    _unpack,
     canonical_target,
     conjugating_permutation,
     omega_class,
@@ -34,6 +44,14 @@ INVERSE = "inverse"
 
 #: A sequence of elementary moves: pairs (position, FORWARD | INVERSE).
 MoveWord = tuple[tuple[int, str], ...]
+
+
+class CapExceeded(RuntimeError):
+    """An enumeration grew past the caller's cap."""
+
+    def __init__(self, message: str, cap: int):
+        super().__init__(message)
+        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -59,6 +77,12 @@ class BraidWord:
     def identity(cls, strands: int) -> "BraidWord":
         return cls(strands, ())
 
+    @staticmethod
+    def generator_letters(strands: int) -> tuple[int, ...]:
+        """Every generator and its inverse, in the order searches try them:
+        ``1, -1, 2, -2, ..., strands - 1, 1 - strands``."""
+        return tuple(s * i for i in range(1, strands) for s in (1, -1))
+
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise ValueError("cannot concatenate words on different strand counts")
@@ -77,13 +101,30 @@ class BraidWord:
 
     def reduced(self) -> "BraidWord":
         """Freely reduce, cancelling adjacent letters ``e, -e``."""
-        stack: list[int] = []
-        for e in self.letters:
-            if stack and stack[-1] == -e:
-                stack.pop()
-            else:
-                stack.append(e)
-        return BraidWord(self.strands, tuple(stack))
+        return BraidWord(self.strands, _free_reduce(self.letters))
+
+
+def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+    stack: list[int] = []
+    for e in letters:
+        if stack and stack[-1] == -e:
+            stack.pop()
+        else:
+            stack.append(e)
+    return tuple(stack)
+
+
+def _act_packed(conj, packed: tuple[int, ...], letters) -> tuple[int, ...]:
+    """The braid action on a packed sequence, letters left to right."""
+    entries = list(packed)
+    for e in letters:
+        if e > 0:
+            t, u = entries[e - 1], entries[e]
+            entries[e - 1], entries[e] = u, conj[t][u]
+        else:
+            t, u = entries[-e - 1], entries[-e]
+            entries[-e - 1], entries[-e] = conj[u][t], t
+    return tuple(entries)
 
 
 def act(seq: MonodromySequence, word: BraidWord) -> MonodromySequence:
@@ -93,45 +134,67 @@ def act(seq: MonodromySequence, word: BraidWord) -> MonodromySequence:
     """
     if word.strands != seq.length:
         raise ValueError(f"braid on {word.strands} strands cannot act on {seq.length} entries")
-    entries = list(seq.entries)
-    for e in word.letters:
-        i = abs(e) - 1
-        t, u = entries[i], entries[i + 1]
-        if e > 0:
-            entries[i], entries[i + 1] = u, t.image_under(u)
-        else:
-            entries[i], entries[i + 1] = u.image_under(t), t
-    return MonodromySequence(seq.degree, tuple(entries))
+    return _unpack(seq.degree, _act_packed(_tables(seq.degree).conj, _pack(seq), word.letters))
 
 
 def elementary_move(seq: MonodromySequence, position: int, direction: str = FORWARD) -> MonodromySequence:
     """The elementary move ``O_i`` on the edge-ordered graph, or its inverse.
 
     Forward: adjacent equal or disjoint entries swap; entries sharing exactly
-    one sheet, say (a b), (b c), become (a c), (a b).  The forward move agrees
-    with ``act`` by the inverse generator.
+    one sheet, say (a b), (b c), become (a c), (a b).  The forward move is
+    ``act`` by the inverse generator ``-i``, the inverse move ``act`` by ``+i``,
+    and both are computed that way.
     """
-    if direction not in (FORWARD, INVERSE):
-        raise ValueError(f"unknown move direction {direction!r}")
-    if not 1 <= position <= seq.length - 1:
-        raise ValueError(f"move position {position} out of range for {seq.length} entries")
-    entries = list(seq.entries)
-    t, u = entries[position - 1], entries[position]
-    if t == u or t.is_disjoint_from(u):
-        entries[position - 1], entries[position] = u, t
-    elif direction == FORWARD:
-        # t = (a b), u = (b c) with b the shared sheet: result (a c), (a b).
-        entries[position - 1], entries[position] = u.image_under(t), t
-    else:
-        # t = (a c), u = (a b) with a the shared sheet: result (a b), (b c).
-        entries[position - 1], entries[position] = u, t.image_under(u)
-    return MonodromySequence(seq.degree, tuple(entries))
+    return apply_moves(seq, ((position, direction),))
 
 
 def apply_moves(seq: MonodromySequence, moves: MoveWord) -> MonodromySequence:
+    """Apply elementary moves in order, all checked before the first."""
+    letters = []
     for position, direction in moves:
-        seq = elementary_move(seq, position, direction)
-    return seq
+        if direction not in (FORWARD, INVERSE):
+            raise ValueError(f"unknown move direction {direction!r}")
+        if not 1 <= position <= seq.length - 1:
+            raise ValueError(f"move position {position} out of range for {seq.length} entries")
+        letters.append(-position if direction == FORWARD else position)
+    return act(seq, BraidWord(seq.length, tuple(letters)))
+
+
+def _orbit_search(degree: int, root: tuple[int, ...], cap: int | None = None):
+    """Breadth-first closure of a packed sequence under the braid action,
+    trying letters in the order of :meth:`BraidWord.generator_letters`.
+
+    Returns the elements in discovery order, their positions, and per position
+    ``(parent position, letter)``: the letter takes the parent there.
+    """
+    conj = _tables(degree).conj
+    letters = [(e,) for e in BraidWord.generator_letters(len(root))]
+    elements = [root]
+    position = {root: 0}
+    parents = [(0, 0)]  # the root has no parent; keeps positions aligned
+    cursor = 0
+    while cursor < len(elements):
+        current = elements[cursor]
+        for letter in letters:
+            image = _act_packed(conj, current, letter)
+            if image in position:
+                continue
+            if cap is not None and len(elements) >= cap:
+                raise CapExceeded(f"orbit exceeds cap {cap}", cap)
+            position[image] = len(elements)
+            elements.append(image)
+            parents.append((cursor, letter[0]))
+        cursor += 1
+    return elements, position, parents
+
+
+def _tree_words(parents: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The spanning-tree word of every position of an orbit search: acting on
+    the root by it reaches the element."""
+    words: list[tuple[int, ...]] = [()]
+    for parent, letter in parents[1:]:
+        words.append(words[parent] + (letter,))
+    return words
 
 
 @dataclass(frozen=True)
@@ -155,26 +218,19 @@ def replay_certificate(seq: MonodromySequence, result: CanonicalizationResult) -
 
 
 @lru_cache(maxsize=None)
-def _words_from_target(degree: int, length: int, parts: tuple[int, ...]) -> dict[MonodromySequence, tuple[int, ...]]:
+def _words_from_target(
+    degree: int, length: int, parts: tuple[int, ...]
+) -> tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]:
     """Breadth-first transport words from the canonical target to every
     sequence with the same entry product.
 
     Every connected sequence whose product equals the canonical representative
-    permutation appears as a key; the value transports the target to it.
+    permutation appears, packed, as a key of the map to discovery positions;
+    the word at that position transports the target to it.
     """
     target = canonical_target(degree, length, CycleType(parts, degree))
-    letters = [s * i for i in range(1, length) for s in (1, -1)]
-    words: dict[MonodromySequence, tuple[int, ...]] = {target: ()}
-    queue: deque[MonodromySequence] = deque([target])
-    while queue:
-        current = queue.popleft()
-        word = words[current]
-        for e in letters:
-            image = act(current, BraidWord(length, (e,)))
-            if image not in words:
-                words[image] = word + (e,)
-                queue.append(image)
-    return words
+    _, position, parents = _orbit_search(degree, _pack(target))
+    return position, _tree_words(parents)
 
 
 def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
@@ -190,9 +246,8 @@ def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
     omega = omega_class(seq)
     target = canonical_target(seq.degree, seq.length, omega)
     relabel = conjugating_permutation(total_monodromy(seq), total_monodromy(target))
-    relabelled = seq.renumber_sheets(relabel)
-    reach = _words_from_target(seq.degree, seq.length, omega.parts)
-    from_target = reach[relabelled]
+    position, words = _words_from_target(seq.degree, seq.length, omega.parts)
+    from_target = words[position[_pack(seq.renumber_sheets(relabel))]]
     # Invert the transport word; the inverse generator realises the forward move.
     moves = tuple(
         (abs(e), FORWARD if e > 0 else INVERSE) for e in reversed(from_target)

@@ -282,20 +282,7 @@ def systems_liftable_equivalent(
                 for base in (START, END)
             )
         )
-    sig_first, sig_second = signatures
-    # Fast path: with at most one nontrivial component each and identical
-    # trivial sheets, the signatures agree automatically.
-    start_first, start_second = sig_first[0], sig_second[0]
-    nontrivial_first = [b for b in start_first.blocks if len(b[0]) > 1]
-    nontrivial_second = [b for b in start_second.blocks if len(b[0]) > 1]
-    if (
-        len(nontrivial_first) <= 1
-        and len(nontrivial_second) <= 1
-        and start_first.singleton_sheets() == start_second.singleton_sheets()
-        and sig_first[1].singleton_sheets() == sig_second[1].singleton_sheets()
-    ):
-        return True
-    return sig_first == sig_second
+    return signatures[0] == signatures[1]
 
 
 def count_regular_bases(seq: MonodromySequence, word: BraidWord) -> int:
@@ -316,7 +303,7 @@ def liftable_interval_powers(seq: MonodromySequence, max_word_length: int = 3) -
     generators once the word length reaches ``n - 2``.
     """
     n = seq.length
-    letters = [s * i for i in range(1, n) for s in (1, -1)]
+    letters = BraidWord.generator_letters(n)
     out: dict[tuple[int, ...], BraidWord] = {}
     for base in range(1, n):
         for length in range(max_word_length + 1):

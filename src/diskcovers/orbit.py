@@ -10,23 +10,24 @@ for the stabilizer.
 ``classify_all`` is the brute-force classification oracle: it partitions all
 sequences of a given size into classes under the action together with
 simultaneous sheet renumbering.
+
+Both run on packed sequences (see :mod:`diskcovers.core`).  ``classify_all``
+enumerates them in lexicographic pair order, which is the order of the
+sequences they encode, so a class's first member is its least.  Public objects
+are built on the way out only, with core's trusted constructor;
+:class:`OrbitTable` builds its elements on first access, so
+``stabilizer_index`` builds none.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
-from .core import CycleType, MonodromySequence, Transposition, omega_class
-from .hurwitz import BraidWord, act
-
-
-class CapExceeded(RuntimeError):
-    """An enumeration grew past the caller's cap."""
-
-    def __init__(self, message: str, cap: int):
-        super().__init__(message)
-        self.cap = cap
+from .core import CycleType, MonodromySequence, _pack, _tables, _trusted, _union_find, _unpack, omega_class
+from .hurwitz import BraidWord, CapExceeded, _act_packed, _free_reduce, _orbit_search, _tree_words
 
 
 def enumeration_bound(degree: int, length: int) -> int:
@@ -35,35 +36,47 @@ def enumeration_bound(degree: int, length: int) -> int:
     return (degree * (degree - 1) // 2) ** length
 
 
-@dataclass
 class OrbitTable:
     """A breadth-first orbit with its spanning tree.
 
     ``elements`` lists the orbit in discovery order starting at ``root``;
     ``tree`` maps each non-root element to ``(parent, letter)`` where acting
-    on the parent by the single-letter word reaches the element.
+    on the parent by the single-letter word reaches the element.  Both are
+    built from the packed search on first access.
     """
 
-    root: MonodromySequence
-    elements: tuple[MonodromySequence, ...]
-    tree: dict[MonodromySequence, tuple[MonodromySequence, int]] = field(repr=False)
-    cap: int
+    def __init__(self, root: MonodromySequence, cap: int, packed, position, parents) -> None:
+        """``packed, position, parents`` are ``hurwitz._orbit_search`` of the root."""
+        self.root, self.cap = root, cap
+        self._packed, self._position, self._parents = packed, position, parents
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._packed)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, seq: MonodromySequence) -> bool:
-        return seq in self.tree or seq == self.root
+        return seq.degree == self.root.degree and _pack(seq) in self._position
+
+    @cached_property
+    def elements(self) -> tuple[MonodromySequence, ...]:
+        degree = self.root.degree
+        return (self.root,) + tuple(_unpack(degree, p) for p in self._packed[1:])
+
+    @cached_property
+    def tree(self) -> dict[MonodromySequence, tuple[MonodromySequence, int]]:
+        elements = self.elements
+        return {elements[k]: (elements[p], e) for k, (p, e) in enumerate(self._parents) if k}
 
     def word_to(self, element: MonodromySequence) -> BraidWord:
         """The spanning-tree word transporting the root to ``element``."""
+        if element not in self:
+            raise KeyError(element)
+        k = self._position[_pack(element)]
         letters: list[int] = []
-        current = element
-        while current != self.root:
-            current, letter = self.tree[current]
+        while k:
+            k, letter = self._parents[k]
             letters.append(letter)
         return BraidWord(self.root.length, tuple(reversed(letters)))
 
@@ -80,24 +93,7 @@ def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:
         cap = enumeration_bound(seq.degree, seq.length)
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    letters = [s * i for i in range(1, seq.length) for s in (1, -1)]
-    elements = [seq]
-    tree: dict[MonodromySequence, tuple[MonodromySequence, int]] = {}
-    seen = {seq}
-    cursor = 0
-    while cursor < len(elements):
-        current = elements[cursor]
-        cursor += 1
-        for e in letters:
-            image = act(current, BraidWord(seq.length, (e,)))
-            if image in seen:
-                continue
-            if len(seen) >= cap:
-                raise CapExceeded(f"orbit exceeds cap {cap}", cap)
-            seen.add(image)
-            tree[image] = (current, e)
-            elements.append(image)
-    return OrbitTable(root=seq, elements=tuple(elements), tree=tree, cap=cap)
+    return OrbitTable(seq, cap, *_orbit_search(seq.degree, _pack(seq), cap))
 
 
 def stabilizer_index(seq: MonodromySequence, cap: int | None = None) -> int:
@@ -105,12 +101,10 @@ def stabilizer_index(seq: MonodromySequence, cap: int | None = None) -> int:
     return len(hurwitz_orbit(seq, cap))
 
 
-def _dedup_key(word: BraidWord) -> tuple:
+def _dedup_key(letters: tuple[int, ...]) -> tuple:
     """Identify a word with its inverse, preferring the fewer-negatives form."""
-    inv = word.inverse()
-    mine = (sum(1 for e in word.letters if e < 0), word.letters)
-    theirs = (sum(1 for e in inv.letters if e < 0), inv.letters)
-    return min(mine, theirs)
+    inverse = tuple(-e for e in reversed(letters))
+    return min((sum(e < 0 for e in letters), letters), (sum(e < 0 for e in inverse), inverse))
 
 
 def schreier_generators(seq: MonodromySequence, cap: int | None = None) -> list[BraidWord]:
@@ -123,19 +117,18 @@ def schreier_generators(seq: MonodromySequence, cap: int | None = None) -> list[
     """
     table = hurwitz_orbit(seq, cap)
     n = seq.length
-    letters = [s * i for i in range(1, n) for s in (1, -1)]
-    words: dict[tuple, BraidWord] = {}
-    tree_words = {element: table.word_to(element) for element in table.elements}
-    for element in table.elements:
-        for e in letters:
-            image = act(element, BraidWord(n, (e,)))
-            candidate = (
-                tree_words[element] * BraidWord(n, (e,)) * tree_words[image].inverse()
-            ).reduced()
-            if not candidate.letters:
-                continue
-            words.setdefault(_dedup_key(candidate), candidate)
-    return [words[key] for key in words]
+    conj = _tables(seq.degree).conj
+    position = table._position
+    tree_words = _tree_words(table._parents)
+    inverses = [tuple(-e for e in reversed(word)) for word in tree_words]
+    words: dict[tuple, tuple[int, ...]] = {}
+    for k, element in enumerate(table._packed):
+        for e in BraidWord.generator_letters(n):
+            image = position[_act_packed(conj, element, (e,))]
+            candidate = _free_reduce(tree_words[k] + (e,) + inverses[image])
+            if candidate:
+                words.setdefault(_dedup_key(candidate), candidate)
+    return [_trusted(BraidWord, strands=n, letters=letters) for letters in words.values()]
 
 
 @dataclass(frozen=True)
@@ -148,18 +141,15 @@ class OrbitClass:
     connected: bool
 
 
+def _packed_sequences(degree: int, length: int) -> list[tuple[int, ...]]:
+    """Every packed sequence of the given size, in lexicographic order."""
+    return list(itertools.product(range(degree * (degree - 1) // 2), repeat=length))
+
+
 def all_sequences(degree: int, length: int) -> list[MonodromySequence]:
     """Every length-``n`` transposition sequence on ``d`` sheets, in
     lexicographic order."""
-    swaps = [
-        Transposition(a, b)
-        for a in range(1, degree + 1)
-        for b in range(a + 1, degree + 1)
-    ]
-    return [
-        MonodromySequence(degree, entries)
-        for entries in itertools.product(swaps, repeat=length)
-    ]
+    return [_unpack(degree, p) for p in _packed_sequences(degree, length)]
 
 
 def classify_all(degree: int, length: int, cap: int | None = None) -> list[OrbitClass]:
@@ -175,42 +165,33 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     total = enumeration_bound(degree, length)
     if total > cap:
         raise CapExceeded(f"{total} sequences exceed cap {cap}", cap)
-    sequences = all_sequences(degree, length)
-    ids = {seq: i for i, seq in enumerate(sequences)}
-    parent = list(range(len(sequences)))
+    sequences = _packed_sequences(degree, length)
+    if not sequences:  # no pairs to choose from: fewer than two sheets
+        return []
+    ids = {p: i for i, p in enumerate(sequences)}
+    tables = _tables(degree)
+    conj = tables.conj
+    # Renumbering by the swap (k k+1) is conjugation by that transposition.
+    swaps = [tables.index(k, k + 1) for k in range(1, degree)]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def edges():
+        for i, p in enumerate(sequences):
+            for g in range(1, length):
+                yield i, ids[_act_packed(conj, p, (g,))]
+            for swap in swaps:
+                yield i, ids[tuple([conj[t][swap] for t in p])]
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    relabels = [
-        Transposition(k, k + 1).as_permutation(degree) for k in range(1, degree)
-    ]
-    for seq, i in ids.items():
-        for g in range(1, length):
-            union(i, ids[act(seq, BraidWord(length, (g,)))])
-        for relabel in relabels:
-            union(i, ids[seq.renumber_sheets(relabel)])
-
-    members: dict[int, list[MonodromySequence]] = {}
-    for seq, i in ids.items():
-        members.setdefault(find(i), []).append(seq)
+    # Each class is named by its least position, which holds its least member.
+    counts = Counter(_union_find(len(sequences), edges()))
     classes = []
-    for group in members.values():
-        representative = min(group)
+    for root in sorted(counts):
+        representative = _unpack(degree, sequences[root])
         classes.append(
             OrbitClass(
                 representative=representative,
-                count=len(group),
+                count=counts[root],
                 omega=omega_class(representative),
                 connected=representative.is_connected(),
             )
         )
-    return sorted(classes, key=lambda c: c.representative)
+    return classes

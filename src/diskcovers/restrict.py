@@ -24,9 +24,11 @@ from .core import (
     ComponentSignature,
     MonodromySequence,
     Permutation,
-    Transposition,
+    _pack,
+    _product,
+    _tables,
+    _unpack,
     components,
-    total_monodromy,
 )
 
 START = "start"
@@ -60,22 +62,23 @@ class RestrictionSpec:
 def restrict(seq: MonodromySequence, spec: RestrictionSpec) -> MonodromySequence:
     """The monodromy sequence of the covering restricted to the cut disk."""
     spec.validate_for(seq)
-    removed = spec.indices
-    entries: list[Transposition] = []
-    for j in range(1, seq.length + 1):
-        if j in removed:
-            continue
-        t = seq.entries[j - 1]
-        if spec.base == START:
-            conjugators = [i for i in removed if i < j]
-            for i in reversed(conjugators):  # nearest removed curve first
-                t = t.image_under(seq.entries[i - 1])
+    tables = _tables(seq.degree)
+    packed = _pack(seq)
+    # Walk away from the base point.  image[s] is sheet s under the removed
+    # entries passed so far, the nearest applied first: passing one more, r,
+    # composes it in front, which swaps the images of r's two sheets.
+    image = list(range(seq.degree + 1))
+    positions = range(seq.length) if spec.base == START else range(seq.length - 1, -1, -1)
+    kept: list[int] = []
+    for j in positions:
+        a, b = tables.pairs[packed[j]]
+        if j + 1 in spec.indices:
+            image[a], image[b] = image[b], image[a]
         else:
-            conjugators = [i for i in removed if i > j]
-            for i in conjugators:  # nearest removed curve first
-                t = t.image_under(seq.entries[i - 1])
-        entries.append(t)
-    return MonodromySequence(seq.degree, tuple(entries))
+            kept.append(tables.index(image[a], image[b]))
+    if spec.base == END:
+        kept.reverse()
+    return _unpack(seq.degree, tuple(kept))
 
 
 def restricted_total_monodromy(seq: MonodromySequence, spec: RestrictionSpec) -> Permutation:
@@ -86,11 +89,9 @@ def restricted_total_monodromy(seq: MonodromySequence, spec: RestrictionSpec) ->
     order followed by the total monodromy.
     """
     spec.validate_for(seq)
-    product = Permutation.identity(seq.degree)
-    for i in reversed(spec.indices):
-        product = product * seq.entries[i - 1].as_permutation(seq.degree)
-    omega = total_monodromy(seq)
-    return omega * product if spec.base == START else product * omega
+    packed = _pack(seq)
+    removed = tuple([packed[i - 1] for i in reversed(spec.indices)])
+    return _product(seq.degree, packed + removed if spec.base == START else removed + packed)
 
 
 def restriction_signature(seq: MonodromySequence, spec: RestrictionSpec) -> ComponentSignature:

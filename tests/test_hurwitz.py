@@ -133,12 +133,32 @@ def test_elementary_move_validation():
         elementary_move(seq(3, (1, 2), (2, 3)), 1, "sideways")
 
 
+def graph_move(s, i, direction):
+    """The elementary move O_i by its own rule on the edge-ordered graph:
+    equal or disjoint entries swap; forward, (a b), (b c) become (a c), (a b);
+    inverse, (a c), (a b) become (a b), (b c)."""
+    pairs = list(s.pairs())
+    t, u = pairs[i - 1], pairs[i]
+    shared = set(t) & set(u)
+    if t == u or not shared:
+        pairs[i - 1], pairs[i] = u, t
+    elif direction == FORWARD:
+        (a,), (c,) = set(t) - shared, set(u) - shared
+        pairs[i - 1], pairs[i] = (a, c), t
+    else:
+        (c,), (b,) = set(t) - shared, set(u) - shared
+        pairs[i - 1], pairs[i] = u, (b, c)
+    return MonodromySequence.from_pairs(s.degree, pairs)
+
+
 def test_elementary_move_equals_inverse_generator_action():
     for degree in (2, 3, 4):
         for s in all_sequences(degree, 4):
             for i in (1, 2, 3):
-                assert elementary_move(s, i, FORWARD) == act(s, word(4, -i))
-                assert elementary_move(s, i, INVERSE) == act(s, word(4, i))
+                for direction, letter in ((FORWARD, -i), (INVERSE, i)):
+                    expected = graph_move(s, i, direction)
+                    assert elementary_move(s, i, direction) == expected
+                    assert act(s, word(4, letter)) == expected
 
 
 def test_elementary_moves_invert_each_other():

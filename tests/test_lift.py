@@ -6,7 +6,7 @@ import random
 import pytest
 
 from diskcovers.core import MonodromySequence, Transposition, disk_covering
-from diskcovers.hurwitz import BraidWord
+from diskcovers.hurwitz import BraidWord, act
 from diskcovers.lift import (
     CurveRef,
     IntervalRef,
@@ -29,6 +29,7 @@ from diskcovers.lift import (
     transport_interval,
     twisted_interval,
 )
+from diskcovers.restrict import END, START, RestrictionSpec, restriction_signature
 
 
 def word(strands, *letters):
@@ -254,6 +255,41 @@ def test_systems_equivalence_examples():
     system = [standard_curve(3, 1), standard_curve(3, 2)]
     assert systems_liftable_equivalent(p3, system, system)
     assert not systems_liftable_equivalent(p3, [standard_curve(3, 1)], [standard_curve(3, 2)])
+
+
+def test_systems_equivalence_is_monodromy_and_signature_equality():
+    """The criterion, spelt out: matched monodromies and equal restriction
+    signatures at both base points, over seeded random systems.  Half of the
+    second systems are the first carried by a liftable interval power, so
+    that the signature comparison decides."""
+    rng = random.Random(20)
+
+    def signatures(seq, system):
+        transported = act(seq, system[0].word)
+        indices = tuple(sorted(c.base for c in system))
+        return [restriction_signature(transported, RestrictionSpec(indices, b)) for b in (START, END)]
+
+    outcomes = set()
+    for _ in range(1500):
+        degree, n = rng.randint(2, 5), rng.randint(2, 6)
+        seq = MonodromySequence.from_pairs(degree, [rng.sample(range(1, degree + 1), 2) for _ in range(n)])
+        letters = BraidWord.generator_letters(n)
+        bases = rng.sample(range(1, n + 1), rng.randint(1, n))
+        first_word = word(n, *(rng.choice(letters) for _ in range(rng.randint(0, 4))))
+        first = [CurveRef(base, first_word) for base in bases]
+        if rng.random() < 0.5:
+            interval = IntervalRef(rng.randint(1, n - 1), word(n, *(rng.choice(letters) for _ in range(2))))
+            carrier = interval_braid(interval, interval_type(seq, interval))
+            second = [transport_curve(c, carrier) for c in first]
+        else:
+            second_word = word(n, *(rng.choice(letters) for _ in range(rng.randint(0, 4))))
+            second = [CurveRef(base, second_word) for base in rng.sample(range(1, n + 1), len(bases))]
+        expected = all(
+            curve_monodromy(seq, a) == curve_monodromy(seq, b) for a, b in zip(first, second)
+        ) and signatures(seq, first) == signatures(seq, second)
+        assert systems_liftable_equivalent(seq, first, second) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_systems_equivalence_validates_input():
