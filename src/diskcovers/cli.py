@@ -45,7 +45,7 @@ from .orbit import (
     hurwitz_orbit,
     schreier_generators,
 )
-from .restrict import RestrictionSpec, restrict, restricted_total_monodromy, restriction_signature
+from .restrict import RestrictionSpec, restrict, restricted_total_monodromy
 
 COMMANDS = (
     "invariants",
@@ -85,7 +85,7 @@ def parse_covering(text: str) -> MonodromySequence:
     """Parse a covering document, normalizing each pair to ascending order."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"covering document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"degree", "monodromy"}:
         raise ValueError('covering document must have exactly the keys "degree" and "monodromy"')
@@ -113,9 +113,18 @@ def parse_covering(text: str) -> MonodromySequence:
 
 def _load_text(value: str) -> str:
     path = Path(value)
-    if path.is_file():
-        return path.read_text(encoding="utf-8")
-    return value
+    try:
+        is_file = path.is_file()
+    except OSError:  # not a usable file name, e.g. a long inline document
+        is_file = False
+    return path.read_text(encoding="utf-8") if is_file else value
+
+
+def _load_json(value: str) -> Any:
+    try:
+        return json.loads(_load_text(value))
+    except RecursionError as exc:  # nested deeper than the parser follows
+        raise ValueError(f"JSON document nested too deeply: {exc}") from exc
 
 
 def _covering_arg(value: str) -> MonodromySequence:
@@ -142,17 +151,15 @@ def _word_doc(doc: Any, strands: int, kind: str) -> tuple[int, BraidWord]:
 
 
 def _curve_arg(value: str, strands: int) -> CurveRef:
-    base, word = _word_doc(json.loads(_load_text(value)), strands, "curve")
-    return CurveRef(base, word)
+    return CurveRef(*_word_doc(_load_json(value), strands, "curve"))
 
 
 def _interval_arg(value: str, strands: int) -> IntervalRef:
-    base, word = _word_doc(json.loads(_load_text(value)), strands, "interval")
-    return IntervalRef(base, word)
+    return IntervalRef(*_word_doc(_load_json(value), strands, "interval"))
 
 
 def _curve_list_arg(value: str, strands: int) -> list[CurveRef]:
-    doc = json.loads(_load_text(value))
+    doc = _load_json(value)
     if not isinstance(doc, list):
         raise ValueError("a curve system must be a JSON list of curve documents")
     return [CurveRef(*_word_doc(item, strands, "curve")) for item in doc]
@@ -168,13 +175,6 @@ def _indices_arg(value: str) -> tuple[int, ...]:
 def _omega_arg(value: str) -> tuple[int, ...]:
     parts = tuple(int(tok) for tok in value.split(",") if tok.strip() != "")
     return tuple(sorted(parts, reverse=True))
-
-
-def _signature_payload(signature) -> list[dict[str, Any]]:
-    return [
-        {"sheets": list(sheets), "branch_points": count}
-        for sheets, count in signature.blocks
-    ]
 
 
 # --- command handlers -------------------------------------------------------
@@ -262,7 +262,10 @@ def _cmd_restrict(args: argparse.Namespace) -> dict[str, Any]:
     restricted = restrict(seq, spec)
     return {
         "covering": covering_document(restricted),
-        "components": _signature_payload(restriction_signature(seq, spec)),
+        "components": [
+            {"sheets": list(sheets), "branch_points": count}
+            for sheets, count in components(restricted).blocks
+        ],
         "total_monodromy": list(restricted_total_monodromy(seq, spec).images),
     }
 

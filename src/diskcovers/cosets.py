@@ -9,6 +9,13 @@ genuine permutation action on the cosets and the coset count is the
 subgroup's index; past the coset cap the enumeration is abandoned as
 inconclusive, which is all one can say for a possibly-infinite index.
 
+One scan closes the table.  A merge keeps the smaller coset and new cosets
+are numbered past the scan, so every coset live at the end was live, with
+every relator closed and every column filled, when the scan reached it.  A
+merge is a quotient: it keeps closed relators closed and defined entries
+defined.  Subgroup words are closed at coset 0 before the scan, and coset 0
+is never merged away.
+
 The end-to-end verifier cross-checks the two independent index computations:
 a subgroup of liftable braids has index equal to the orbit size of the
 monodromy sequence, so catalogued generators generate the whole liftable
@@ -180,26 +187,6 @@ def todd_coxeter(
                     for d in range(cols):
                         follow(scan, d)
             scan += 1
-
-        # Stabilize: every live row is complete, so re-tracing defines nothing
-        # but may still surface coincidences; repeat until consistent.
-        while True:
-            merged = False
-            for c in range(len(parent)):
-                if find(c) != c:
-                    continue
-                for relator in presentation.relators:
-                    end = trace(c, relator)
-                    if end != find(c):
-                        merge(end, find(c))
-                        merged = True
-            for word in subgroup_words:
-                end = trace(find(0), word.letters)
-                if end != find(0):
-                    merge(end, find(0))
-                    merged = True
-            if not merged:
-                break
     except Inconclusive as exc:
         _, exc.table = snapshot(CAPPED)
         raise

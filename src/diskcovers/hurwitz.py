@@ -17,7 +17,8 @@ they encode.  One kernel, ``_act_packed``, turns the packed pair ``t, u`` into
 ``u, conj[t][u]`` for ``x_i`` and into ``conj[u][t], t`` for its inverse.  The
 public functions check their input, pack it once and build one result on the
 way out with core's trusted constructor.  ``_orbit_search`` is the one
-breadth-first orbit search; canonicalization and :mod:`diskcovers.orbit` use it.
+breadth-first orbit search; canonicalization and :mod:`diskcovers.orbit` use it
+and read spanning-tree words off its parents with ``_tree_path``.
 """
 
 from __future__ import annotations
@@ -188,13 +189,12 @@ def _orbit_search(degree: int, root: tuple[int, ...], cap: int | None = None):
     return elements, position, parents
 
 
-def _tree_words(parents: list[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """The spanning-tree word of every position of an orbit search: acting on
-    the root by it reaches the element."""
-    words: list[tuple[int, ...]] = [()]
-    for parent, letter in parents[1:]:
-        words.append(words[parent] + (letter,))
-    return words
+def _tree_path(parents: list[tuple[int, int]], k: int):
+    """The letters of the spanning-tree word to position ``k``, last letter
+    first, read by walking the parents back to the root."""
+    while k:
+        k, letter = parents[k]
+        yield letter
 
 
 @dataclass(frozen=True)
@@ -217,20 +217,22 @@ def replay_certificate(seq: MonodromySequence, result: CanonicalizationResult) -
     return apply_moves(seq.renumber_sheets(result.relabel), result.moves)
 
 
-@lru_cache(maxsize=None)
-def _words_from_target(
+@lru_cache(maxsize=64)
+def _search_from_target(
     degree: int, length: int, parts: tuple[int, ...]
-) -> tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]:
-    """Breadth-first transport words from the canonical target to every
-    sequence with the same entry product.
+) -> tuple[dict[tuple[int, ...], int], list[tuple[int, int]]]:
+    """The breadth-first search from the canonical target: positions and
+    parents of every sequence with the same entry product.
 
     Every connected sequence whose product equals the canonical representative
     permutation appears, packed, as a key of the map to discovery positions;
-    the word at that position transports the target to it.
+    walking the parents from its position back to the target spells the
+    transport word, last letter first.  The cache holds one search per
+    (degree, length, cycle type) class, at most 64 of them.
     """
     target = canonical_target(degree, length, CycleType(parts, degree))
     _, position, parents = _orbit_search(degree, _pack(target))
-    return position, _tree_words(parents)
+    return position, parents
 
 
 def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
@@ -246,10 +248,9 @@ def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
     omega = omega_class(seq)
     target = canonical_target(seq.degree, seq.length, omega)
     relabel = conjugating_permutation(total_monodromy(seq), total_monodromy(target))
-    position, words = _words_from_target(seq.degree, seq.length, omega.parts)
-    from_target = words[position[_pack(seq.renumber_sheets(relabel))]]
-    # Invert the transport word; the inverse generator realises the forward move.
-    moves = tuple(
-        (abs(e), FORWARD if e > 0 else INVERSE) for e in reversed(from_target)
-    )
+    position, parents = _search_from_target(seq.degree, seq.length, omega.parts)
+    k = position[_pack(seq.renumber_sheets(relabel))]
+    # The walk yields the transport word last letter first; inverting each
+    # letter gives the move word, the forward move being the inverse generator.
+    moves = tuple((abs(e), FORWARD if e > 0 else INVERSE) for e in _tree_path(parents, k))
     return CanonicalizationResult(relabel=relabel, moves=moves, canonical=target)

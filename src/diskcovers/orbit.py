@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import CycleType, MonodromySequence, _pack, _tables, _trusted, _union_find, _unpack, omega_class
-from .hurwitz import BraidWord, CapExceeded, _act_packed, _free_reduce, _orbit_search, _tree_words
+from .hurwitz import BraidWord, CapExceeded, _act_packed, _free_reduce, _orbit_search, _tree_path
 
 
 def enumeration_bound(degree: int, length: int) -> int:
@@ -39,10 +39,9 @@ def enumeration_bound(degree: int, length: int) -> int:
 class OrbitTable:
     """A breadth-first orbit with its spanning tree.
 
-    ``elements`` lists the orbit in discovery order starting at ``root``;
-    ``tree`` maps each non-root element to ``(parent, letter)`` where acting
-    on the parent by the single-letter word reaches the element.  Both are
-    built from the packed search on first access.
+    ``elements`` lists the orbit in discovery order starting at ``root``,
+    built from the packed search on first access; ``word_to`` reads the
+    spanning-tree word of an element off the search's parents.
     """
 
     def __init__(self, root: MonodromySequence, cap: int, packed, position, parents) -> None:
@@ -64,21 +63,12 @@ class OrbitTable:
         degree = self.root.degree
         return (self.root,) + tuple(_unpack(degree, p) for p in self._packed[1:])
 
-    @cached_property
-    def tree(self) -> dict[MonodromySequence, tuple[MonodromySequence, int]]:
-        elements = self.elements
-        return {elements[k]: (elements[p], e) for k, (p, e) in enumerate(self._parents) if k}
-
     def word_to(self, element: MonodromySequence) -> BraidWord:
         """The spanning-tree word transporting the root to ``element``."""
         if element not in self:
             raise KeyError(element)
-        k = self._position[_pack(element)]
-        letters: list[int] = []
-        while k:
-            k, letter = self._parents[k]
-            letters.append(letter)
-        return BraidWord(self.root.length, tuple(reversed(letters)))
+        letters = tuple(_tree_path(self._parents, self._position[_pack(element)]))
+        return BraidWord(self.root.length, letters[::-1])
 
 
 def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:
@@ -119,7 +109,9 @@ def schreier_generators(seq: MonodromySequence, cap: int | None = None) -> list[
     n = seq.length
     conj = _tables(seq.degree).conj
     position = table._position
-    tree_words = _tree_words(table._parents)
+    tree_words: list[tuple[int, ...]] = [()]
+    for parent, letter in table._parents[1:]:
+        tree_words.append(tree_words[parent] + (letter,))
     inverses = [tuple(-e for e in reversed(word)) for word in tree_words]
     words: dict[tuple, tuple[int, ...]] = {}
     for k, element in enumerate(table._packed):

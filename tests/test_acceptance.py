@@ -16,7 +16,7 @@ from diskcovers.core import (
     omega_class,
     total_monodromy,
 )
-from diskcovers.cosets import Inconclusive, todd_coxeter, verify_theorem_c
+from diskcovers.cosets import todd_coxeter, verify_theorem_c
 from diskcovers.hurwitz import (
     FORWARD,
     INVERSE,
@@ -110,19 +110,11 @@ def test_criterion_2_interval_types():
 
 def test_criterion_3_generator_set_certification():
     start = time.perf_counter()
-    for n, expected in ((2, 3), (3, 16)):
+    # The disk covering with n branch points has (n + 1)^(n - 1) liftable-braid cosets.
+    for n, expected in ((2, 3), (3, 16), (4, 125), (5, 1_296), (6, 16_807)):
         result = verify_theorem_c(n)
-        assert result.passed
-        assert result.orbit_index == expected and result.tc_index == expected
-    # n = 4 attempted under a configurable cap and reported either way.
-    try:
-        result = verify_theorem_c(4, max_cosets=400_000)
-        outcome = f"n=4 orbit {result.orbit_index} = tc {result.tc_index}"
-        assert result.passed
-        assert result.orbit_index == result.tc_index == 125
-    except Inconclusive as exc:
-        outcome = f"n=4 inconclusive at cap {exc.cap}"
-    print(f"criterion 3 extra: {outcome}")
+        assert result.all_liftable and result.passed
+        assert result.orbit_index == result.tc_index == expected == (n + 1) ** (n - 1)
     report(3, "generator sets certified", start)
 
 

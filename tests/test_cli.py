@@ -1,6 +1,7 @@
 """Command-line interface: parsing, dispatch, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -246,3 +247,144 @@ def test_parser_offers_every_contracted_command():
         a for a in parser._actions if isinstance(a, type(parser._actions[-1])) and hasattr(a, "choices")
     )
     assert set(COMMANDS) <= set(subparsers.choices)
+
+
+# --- seeded fuzzing of the argument parsers ---------------------------------
+
+P3 = '{"degree": 4, "monodromy": [[1, 2], [2, 3], [3, 4]]}'
+LONG = 4096  # long inline values run past the longest path Linux accepts
+
+
+def chain_document(entries):
+    return json.dumps({"degree": entries + 1, "monodromy": [[k, k + 1] for k in range(1, entries + 1)]})
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def fuzz_cases(seed=2001):
+    """Invocations that each carry one bad value, grouped by the parser that
+    must refuse it; the other arguments are valid."""
+    rng = random.Random(seed)
+
+    def bad_token():
+        return rng.choice(["0", "3", "-3", "x", "1.5", "1e3", "--1", "0x1", "9" * 25])
+
+    def long_letters():
+        return [rng.choice([1, -1, 2, -2]) for _ in range(LONG // 2)]
+
+    cases = []
+    chain = json.loads(chain_document(400))
+    bad_chains = {
+        "extra-key": dict(chain, sheets=1),
+        "degree-string": dict(chain, degree="401"),
+        "degree-false": dict(chain, degree=False),
+    }
+    for kind, pair in (
+        ("degenerate", lambda k: [k, k]),
+        ("out-of-range", lambda k: [k, 402]),
+        ("float", lambda k: [k, k + 0.5]),
+        ("string", lambda k: [str(k), k + 1]),
+        ("triple", lambda k: [k, k + 1, k + 2]),
+    ):
+        monodromy = list(chain["monodromy"])
+        k = rng.randrange(len(monodromy))
+        monodromy[k] = pair(k + 1)
+        bad_chains[kind] = dict(chain, monodromy=monodromy)
+    for kind, doc in bad_chains.items():
+        command = rng.choice([["invariants"], ["act", "--braid", "1 -2"], ["lift", "--braid", ""]])
+        cases.append((f"covering-{kind}", [command[0], "--covering", json.dumps(doc), *command[1:]]))
+    text = chain_document(400)
+    cases.append(("covering-truncated", ["invariants", "--covering", text[: rng.randrange(LONG, len(text))]]))
+    cases.append(("covering-nested", ["canon", "--covering", nested(LONG)]))
+    cases.append(("covering-junk", ["invariants", "--covering", "x" * LONG]))
+    cases.append(("other-nested", ["equivalent", "--covering", P3, "--other", nested(LONG)]))
+
+    letters = long_letters()
+    letters.insert(rng.randrange(len(letters)), rng.choice([0, 3, -3, 1.5, "1"]))
+    word_docs = {
+        "base-high": {"base": 4, "word": []},
+        "base-zero": {"base": 0, "word": []},
+        "base-false": {"base": False, "word": []},
+        "base-string": {"base": "1", "word": []},
+        "word-bad-letter": {"base": 1, "word": letters},
+        "missing-word": {"base": 1},
+        "extra-key": {"base": 1, "word": [], "strands": 3},
+        "not-a-document": [1, [2]],
+    }
+    for name, doc in word_docs.items():
+        cases.append((f"curve-{name}", [rng.choice(["curve", "regular"]), "--covering", P3, "--curve", json.dumps(doc)]))
+    cases.append(("curve-nested", ["curve", "--covering", P3, "--curve", nested(LONG)]))
+    cases.append(("curve-truncated", ["curve", "--covering", P3, "--curve", json.dumps(word_docs["word-bad-letter"])[:LONG]]))
+    for name, doc in word_docs.items():
+        doc = {"base": 3, "word": []} if name == "base-high" else doc
+        cases.append((f"interval-{name}", ["interval-type", "--covering", P3, "--interval", json.dumps(doc)]))
+    cases.append(("interval-nested", ["interval-type", "--covering", P3, "--interval", nested(LONG)]))
+
+    good = {"base": 1, "word": long_letters()}
+    pair = [good, {"base": 2, "word": good["word"]}]
+    for name, system in (
+        ("not-a-list", good),
+        ("bad-item", [good, 7]),
+        ("shared-base", [good, dict(good)]),
+        ("mixed-words", [good, {"base": 2, "word": []}]),
+        ("bad-letter", [{"base": 1, "word": letters}]),
+        ("empty", []),
+    ):
+        other = pair if isinstance(system, list) and len(system) == 2 else [good]
+        argv = ["systems", "--covering", P3, "--curves-a", json.dumps(system), "--curves-b", json.dumps(other)]
+        cases.append((f"system-{name}", argv))
+    cases.append(("system-nested", ["systems", "--covering", P3, "--curves-a", "[]", "--curves-b", nested(LONG)]))
+
+    for name, indices in (
+        ("token", f"1,{bad_token()}"),
+        ("zero", "0"),
+        ("high", "4"),
+        ("unsorted", "2,1"),
+        ("repeated", "1,1"),
+        ("long", ",".join(str(k) for k in range(1, LONG // 3))),
+        ("long-token", ",".join(["1"] * (LONG // 2) + [bad_token()])),
+    ):
+        cases.append((f"indices-{name}", ["restrict", "--covering", P3, "--indices", indices]))
+
+    for name, braid in (
+        ("token", f"1 {bad_token()}"),
+        ("long-token", " ".join(map(str, long_letters() + [bad_token()] + long_letters()))),
+    ):
+        cases.append((f"braid-{name}", [rng.choice(["act", "lift"]), "--covering", P3, "--braid", braid]))
+    return cases
+
+
+#: JSON ``true`` is read as the integer 1 wherever 1 is valid; a listed defect
+#: of the benchmark, fixed together with it.
+BOOLEAN_CASES = [
+    ("covering-degree-true", ["invariants", "--covering", '{"degree": true, "monodromy": []}']),
+    ("covering-pair-true", ["invariants", "--covering", '{"degree": 3, "monodromy": [[true, 2]]}']),
+    ("curve-base-true", ["curve", "--covering", P3, "--curve", '{"base": true, "word": []}']),
+    ("interval-word-true", ["interval-type", "--covering", P3, "--interval", '{"base": 1, "word": [true]}']),
+]
+
+FUZZ = [pytest.param(argv, id=name) for name, argv in fuzz_cases()] + [
+    pytest.param(argv, id=name, marks=pytest.mark.xfail(strict=True, reason="JSON booleans read as integers"))
+    for name, argv in BOOLEAN_CASES
+]
+
+
+@pytest.mark.parametrize("argv", FUZZ)
+def test_fuzzed_bad_values_exit_1(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "invalid-input" and report["error"]
+
+
+def test_long_inline_covering_is_read_inline(capsys):
+    document = chain_document(398)
+    assert len(document) > LONG
+    code, out = run(capsys, "invariants", "--covering", document)
+    assert code == 0
+    assert payload(out) == {"chi": 1, "boundary": 1, "omega": [399], "components": 1, "disk": True}
+    code, out = run(capsys, "act", "--covering", document, "--braid", "1 -1")
+    assert code == 0
+    assert payload(out) == {"covering": json.loads(document)}

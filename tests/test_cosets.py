@@ -53,16 +53,60 @@ def test_trivial_subgroup_is_inconclusive():
         assert info.value.table is not None and info.value.table.status == "capped"
 
 
-def test_table_is_a_permutation_action():
-    _, table = todd_coxeter(3, theorem_c_generators(3))
+def braid_relators(strands):
+    """The braid relators, written out independently of the enumerator."""
+    relators = []
+    for i in range(1, strands - 1):
+        relators.append((i, i + 1, i, -(i + 1), -i, -(i + 1)))
+    for i in range(1, strands):
+        relators.extend((i, j, -i, -j) for j in range(i + 2, strands))
+    return relators
+
+
+def assert_closed_action(table, subgroup_words):
+    """The coset table is a permutation action of the braid group in which
+    every subgroup word fixes coset 0."""
     size = len(table.rows)
-    for column in range(2 * (table.strands - 1)):
-        images = [row[column] for row in table.rows]
-        assert sorted(images) == list(range(size))
-    # generator and inverse columns are mutually inverse actions
+
+    def trace(c, letters):
+        for e in letters:
+            c = table.rows[c][2 * (abs(e) - 1) + (0 if e > 0 else 1)]
+        return c
+
     for c, row in enumerate(table.rows):
+        assert len(row) == 2 * (table.strands - 1)
+        assert all(0 <= image < size for image in row), (c, row)
         for g in range(table.strands - 1):
             assert table.rows[row[2 * g]][2 * g + 1] == c
+            assert table.rows[row[2 * g + 1]][2 * g] == c
+        for relator in braid_relators(table.strands):
+            assert trace(c, relator) == c, (c, relator)
+    for w in subgroup_words:
+        assert trace(0, w.letters) == 0, w.letters
+
+
+def schreier_cases():
+    rng = random.Random(41)
+    cases = [disk_covering(2), disk_covering(3)]
+    for _ in range(6):
+        degree = rng.randint(2, 4)
+        length = rng.randint(2, 4)
+        while True:
+            pairs = [tuple(rng.sample(range(1, degree + 1), 2)) for _ in range(length)]
+            s = MonodromySequence.from_pairs(degree, pairs)
+            if s.is_connected():
+                break
+        cases.append(s)
+    return cases
+
+
+def test_table_is_a_permutation_action():
+    subgroups = [(n, theorem_c_generators(n)) for n in (2, 3, 4, 5)]
+    subgroups += [(s.length, schreier_generators(s)) for s in schreier_cases()]
+    for strands, generators in subgroups:
+        _, table = todd_coxeter(strands, generators, max_cosets=200_000)
+        assert table.status == "complete" and table.strands == strands
+        assert_closed_action(table, generators)
 
 
 def test_generator_set_indexes():
@@ -102,18 +146,7 @@ def test_interval_powers_exploration():
 
 
 def test_schreier_generators_reproduce_index():
-    rng = random.Random(41)
-    cases = [disk_covering(2), disk_covering(3)]
-    for _ in range(6):
-        degree = rng.randint(2, 4)
-        length = rng.randint(2, 4)
-        while True:
-            pairs = [tuple(rng.sample(range(1, degree + 1), 2)) for _ in range(length)]
-            s = MonodromySequence.from_pairs(degree, pairs)
-            if s.is_connected():
-                break
-        cases.append(s)
-    for s in cases:
+    for s in schreier_cases():
         index = stabilizer_index(s)
         generators = schreier_generators(s)
         tc_index, _ = todd_coxeter(s.length, generators, max_cosets=200_000)

@@ -4,7 +4,10 @@
 orbit search and classifier moved to the packed encoding: Schreier words,
 canonicalization certificates, orbit sizes and the classification all depend
 on search and enumeration order, so any reordering shows up as a byte
-difference here.
+difference here.  Its Todd-Coxeter cases (two CLI reports and the coset table
+of the theorem-C generators on four strands) were captured before the
+enumerator lost its post-scan sweep; the coset numbering depends on the order
+in which cosets are defined and merged.
 """
 
 import contextlib
@@ -25,12 +28,14 @@ from diskcovers.core import (
     surface_invariants,
     total_monodromy,
 )
+from diskcovers.cosets import todd_coxeter
 from diskcovers.hurwitz import BraidWord, act, canonicalize
-from diskcovers.lift import is_liftable
+from diskcovers.lift import is_liftable, theorem_c_generators
 from diskcovers.orbit import all_sequences, classify_all, hurwitz_orbit, stabilizer_index
 from diskcovers.restrict import START, RestrictionSpec, restrict
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+DOCUMENT = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+GOLDEN = DOCUMENT["cli"]
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{case['argv'][0]}-{k}" for k, case in enumerate(GOLDEN)])
@@ -40,6 +45,14 @@ def test_cli_output_is_byte_identical(case):
         code = main(case["argv"])
     assert code == 0
     assert out.getvalue() == case["stdout"]
+
+
+def test_coset_table_is_identical():
+    (case,) = DOCUMENT["coset_tables"]
+    assert case["subgroup"] == "theorem_c_generators(4)"
+    index, table = todd_coxeter(case["strands"], theorem_c_generators(case["strands"]))
+    assert table.status == "complete" and index == len(case["rows"])
+    assert [list(row) for row in table.rows] == case["rows"]
 
 
 def test_public_constructors_reject_bad_input():
