@@ -3,7 +3,9 @@
 Coverings travel as JSON documents ``{"degree": d, "monodromy": [[a, b], ...]}``
 with 1-based sheets; braid words are whitespace-separated signed integers
 applied left to right; curves and intervals are ``{"base": j, "word": [...]}``
-documents, given inline or as a path to a JSON file.
+documents, given inline or as a path to a JSON file.  A covering has at most
+``MAX_DEGREE`` sheets: several answers build a permutation of all the sheets,
+so their memory grows with the degree.
 
 Every run prints a single report (JSON one-liner or key-per-line text) on
 stdout and exits 0 on success, 1 on invalid input, 2 when an enumeration hit
@@ -68,6 +70,10 @@ COMMANDS = (
 )
 
 
+#: The most sheets a covering document may have.
+MAX_DEGREE = 100_000
+
+
 class UsageError(ValueError):
     pass
 
@@ -92,6 +98,8 @@ def parse_covering(text: str) -> MonodromySequence:
     degree, monodromy = doc["degree"], doc["monodromy"]
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"degree must be a positive integer, got {degree!r}")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree must be at most {MAX_DEGREE}, got {degree}")
     if not isinstance(monodromy, list):
         raise ValueError("monodromy must be a list of sheet pairs")
     pairs = []
@@ -173,7 +181,10 @@ def _indices_arg(value: str) -> tuple[int, ...]:
 
 
 def _omega_arg(value: str) -> tuple[int, ...]:
-    parts = tuple(int(tok) for tok in value.split(",") if tok.strip() != "")
+    try:
+        parts = tuple(int(tok) for tok in value.split(",") if tok.strip() != "")
+    except ValueError as exc:
+        raise ValueError(f"cycle type must be comma-separated integers: {value!r}") from exc
     return tuple(sorted(parts, reverse=True))
 
 

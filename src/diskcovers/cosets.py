@@ -1,9 +1,19 @@
 """Coset enumeration over the standard braid-group presentation.
 
-A plain HLT-style Todd-Coxeter: subgroup generator words are traced at the
-first coset, then every live coset gets each relator traced through it and
-every generator column filled, with coincidences merged through a union-find
-table (cf. the exposition at https://math.berkeley.edu/~kmill/notes/todd_coxeter.html).
+Todd-Coxeter in the HLT order with Holt's scan-and-fill (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5; cf. the
+exposition at https://math.berkeley.edu/~kmill/notes/todd_coxeter.html).
+Each subgroup word is closed at the first coset; then every live coset, in
+order, has each relator closed at it and every generator column filled.  To
+close a word at a coset, scan it forward from the coset until an entry is
+unknown, then backward from the coset through the inverse columns.  Scans
+that meet end at cosets that must coincide, and the two are merged through a
+union-find table.  A gap of one letter is a deduction: that entry and its
+inverse are filled.  Only a wider gap defines a new coset, after which the
+forward scan goes on.  Defining a coset only where nothing can be deduced
+keeps the count of cosets defined (``CosetTable.defined``) close to the
+index.  The table is one flat list, indexed ``coset * columns + column``.
+
 Enumeration is deterministic for fixed inputs.  On completion the table is a
 genuine permutation action on the cosets and the coset count is the
 subgroup's index; past the coset cap the enumeration is abandoned as
@@ -12,9 +22,11 @@ inconclusive, which is all one can say for a possibly-infinite index.
 One scan closes the table.  A merge keeps the smaller coset and new cosets
 are numbered past the scan, so every coset live at the end was live, with
 every relator closed and every column filled, when the scan reached it.  A
-merge is a quotient: it keeps closed relators closed and defined entries
-defined.  Subgroup words are closed at coset 0 before the scan, and coset 0
-is never merged away.
+deduction fills an entry and its inverse together, so the table stays a
+partial permutation action, and filling an entry never opens a closed
+relator.  A merge is a quotient: it keeps closed relators closed and defined
+entries defined.  Subgroup words are closed at coset 0 before the scan, and
+coset 0 is never merged away.
 
 The end-to-end verifier cross-checks the two independent index computations:
 a subgroup of liftable braids has index equal to the orbit size of the
@@ -24,7 +36,7 @@ group exactly when the coset count matches the orbit count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import disk_covering
 from .hurwitz import BraidWord
@@ -85,6 +97,9 @@ class CosetTable:
     strands: int
     rows: tuple[tuple[int, ...], ...]
     status: str
+    #: Cosets defined during the enumeration, those later merged away
+    #: included; deterministic for fixed inputs, and not part of equality.
+    defined: int = field(default=0, compare=False)
 
     @property
     def index(self) -> int:
@@ -112,9 +127,13 @@ def todd_coxeter(
             raise ValueError("subgroup word strand count mismatch")
     presentation = braid_presentation(strands)
     cols = 2 * presentation.generators
+    relators = [tuple(_column(e) for e in relator) for relator in presentation.relators]
+    words = [tuple(_column(e) for e in word.letters) for word in subgroup_words]
 
+    blank = [-1] * cols
     parent = [0]
-    table: list[list[int]] = [[-1] * cols]
+    # Entry c * cols + d is the coset column d sends coset c to, -1 if unknown.
+    table = blank[:]
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -122,15 +141,14 @@ def todd_coxeter(
             c = parent[c]
         return c
 
-    def define(c: int, d: int) -> int:
+    def define(c: int, d: int) -> None:
         if len(parent) >= max_cosets:
             raise Inconclusive(f"no conclusion within {max_cosets} cosets", max_cosets)
         v = len(parent)
         parent.append(v)
-        table.append([-1] * cols)
-        table[c][d] = v
-        table[v][d ^ 1] = c
-        return v
+        table.extend(blank)
+        table[c * cols + d] = v
+        table[v * cols + (d ^ 1)] = c
 
     def merge(a: int, b: int) -> None:
         stack = [(a, b)]
@@ -142,50 +160,83 @@ def todd_coxeter(
             if a > b:
                 a, b = b, a
             parent[b] = a
+            ra, rb = a * cols, b * cols
             for d in range(cols):
-                nb = table[b][d]
+                nb = table[rb + d]
                 if nb == -1:
                     continue
-                if table[a][d] == -1:
-                    table[a][d] = nb
+                na = table[ra + d]
+                if na == -1:
+                    table[ra + d] = nb
                 else:
-                    stack.append((table[a][d], nb))
+                    stack.append((na, nb))
 
-    def follow(c: int, d: int) -> int:
-        c = find(c)
-        if table[c][d] == -1:
-            define(c, d)
-        return find(table[c][d])
-
-    def trace(c: int, letters: tuple[int, ...]) -> int:
-        for e in letters:
-            c = follow(c, _column(e))
-        return c
+    def scan_and_fill(c: int, word: tuple[int, ...]) -> None:
+        """Close ``word``, a tuple of columns, at coset ``c``: merge where the
+        scans meet, deduce a gap of one, define a coset in a wider gap."""
+        f = b = find(c)
+        i, j = 0, len(word) - 1
+        while True:
+            # Forward from c while entries are known ...
+            while i <= j:
+                x = table[f * cols + word[i]]
+                if x == -1:
+                    break
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                f = x
+                i += 1
+            # ... then backward from c, through the inverse columns.
+            while j >= i:
+                x = table[b * cols + (word[j] ^ 1)]
+                if x == -1:
+                    break
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                b = x
+                j -= 1
+            if j < i:
+                if f != b:
+                    merge(f, b)
+                return
+            if i == j:
+                table[f * cols + word[i]] = b
+                table[b * cols + (word[i] ^ 1)] = f
+                return
+            define(f, word[i])
 
     def snapshot(status: str) -> tuple[int, CosetTable]:
-        live_cosets = [c for c in range(len(parent)) if find(c) == c]
-        renumber = {c: i for i, c in enumerate(live_cosets)}
-        rows = tuple(
-            tuple(
-                -1 if table[c][d] == -1 else renumber[find(table[c][d])]
-                for d in range(cols)
-            )
-            for c in live_cosets
-        )
-        return len(live_cosets), CosetTable(strands=strands, rows=rows, status=status)
+        # label[c] numbers the live coset of c; a merge keeps the smaller
+        # coset, so find(c) <= c is labelled first.  The trailing -1 is
+        # label[-1], which keeps unknown entries unknown.
+        live_cosets: list[int] = []
+        label: list[int] = []
+        for c in range(len(parent)):
+            root = find(c)
+            if root == c:
+                label.append(len(live_cosets))
+                live_cosets.append(c)
+            else:
+                label.append(label[root])
+        label.append(-1)
+        rows = tuple(tuple(label[x] for x in table[c * cols : (c + 1) * cols]) for c in live_cosets)
+        return len(rows), CosetTable(strands=strands, rows=rows, status=status, defined=len(parent))
 
     try:
-        for word in subgroup_words:
-            merge(trace(0, word.letters), find(0))
+        for word in words:
+            scan_and_fill(0, word)
 
         scan = 0
         while scan < len(parent):
-            if find(scan) == scan:
-                for relator in presentation.relators:
-                    merge(trace(scan, relator), find(scan))
-                if find(scan) == scan:
+            if parent[scan] == scan:
+                for relator in relators:
+                    scan_and_fill(scan, relator)
+                if parent[scan] == scan:
                     for d in range(cols):
-                        follow(scan, d)
+                        if table[scan * cols + d] == -1:
+                            define(scan, d)
             scan += 1
     except Inconclusive as exc:
         _, exc.table = snapshot(CAPPED)

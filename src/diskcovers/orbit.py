@@ -152,6 +152,8 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     exactly the equivalence classes of coverings.  Classes are reported with
     their least member as representative, sorted by representative.
     """
+    if length < 0:
+        raise ValueError(f"branch point count n must be nonnegative, got {length}")
     if cap is None:
         cap = 10**6
     total = enumeration_bound(degree, length)

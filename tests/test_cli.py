@@ -379,6 +379,31 @@ def test_fuzzed_bad_values_exit_1(capsys, argv):
     assert report["status"] == "invalid-input" and report["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["target", "--degree", "3", "--n", "4", "--omega", "x"], "cycle type must be comma-separated integers: 'x'"),
+        (["target", "--degree", "3", "--n", "4", "--omega", "3,,1.5"], "cycle type must be comma-separated integers"),
+        (["classify", "--degree", "3", "--n", "-2"], "branch point count n must be nonnegative, got -2"),
+        (["invariants", "--covering", '{"degree": 100001, "monodromy": [[1, 2]]}'], "at most 100000, got 100001"),
+        (["canon", "--covering", '{"degree": 1000000000, "monodromy": [[1, 2]]}'], "at most 100000"),
+    ],
+    ids=["omega-letter", "omega-float", "classify-negative-n", "degree-past-bound", "degree-1e9"],
+)
+def test_bad_argument_report_names_it(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "invalid-input" and message in report["error"]
+
+
+def test_degree_bound_admits_large_coverings(capsys):
+    document = json.dumps({"degree": 20_000, "monodromy": [[1, 20_000], [1, 2]]})
+    code, out = run(capsys, "invariants", "--covering", document)
+    assert code == 0 and payload(out)["boundary"] == 19_998
+    assert parse_covering('{"degree": 100000, "monodromy": [[1, 100000]]}').degree == 100_000
+
+
 def test_long_inline_covering_is_read_inline(capsys):
     document = chain_document(398)
     assert len(document) > LONG

@@ -114,6 +114,8 @@ def test_generator_set_indexes():
     assert index == 16
     index, _ = todd_coxeter(4, theorem_c_generators(4))
     assert index == 125
+    index, table = todd_coxeter(5, theorem_c_generators(5))
+    assert index == 1296 and table.defined == 2499
 
 
 def test_verify_theorem_c_small():
@@ -124,6 +126,13 @@ def test_verify_theorem_c_small():
     report = verify_theorem_c(3)
     assert report.passed and report.orbit_index == 16 and report.tc_index == 16
     assert report.all_liftable
+
+
+@pytest.mark.slow
+def test_verify_theorem_c_at_seven_branch_points():
+    report = verify_theorem_c(7)
+    assert report.all_liftable and report.passed
+    assert report.orbit_index == report.tc_index == 262_144
 
 
 def test_verify_theorem_c_inconclusive_cap():
@@ -149,5 +158,6 @@ def test_schreier_generators_reproduce_index():
     for s in schreier_cases():
         index = stabilizer_index(s)
         generators = schreier_generators(s)
-        tc_index, _ = todd_coxeter(s.length, generators, max_cosets=200_000)
+        tc_index, table = todd_coxeter(s.length, generators, max_cosets=200_000)
         assert tc_index == index, (s.pairs(), index, tc_index)
+        assert table.defined == index, (s.pairs(), index, table.defined)

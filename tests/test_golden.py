@@ -6,8 +6,10 @@ canonicalization certificates, orbit sizes and the classification all depend
 on search and enumeration order, so any reordering shows up as a byte
 difference here.  Its Todd-Coxeter cases (two CLI reports and the coset table
 of the theorem-C generators on four strands) were captured before the
-enumerator lost its post-scan sweep; the coset numbering depends on the order
-in which cosets are defined and merged.
+enumerator lost its post-scan sweep, and the tables of the theorem-C
+generators on five strands and of the Schreier words of ``disk_covering(2)``
+before it moved from forward tracing to scan-and-fill; the coset numbering
+depends on the order in which cosets are defined and merged.
 """
 
 import contextlib
@@ -31,7 +33,7 @@ from diskcovers.core import (
 from diskcovers.cosets import todd_coxeter
 from diskcovers.hurwitz import BraidWord, act, canonicalize
 from diskcovers.lift import is_liftable, theorem_c_generators
-from diskcovers.orbit import all_sequences, classify_all, hurwitz_orbit, stabilizer_index
+from diskcovers.orbit import all_sequences, classify_all, hurwitz_orbit, schreier_generators, stabilizer_index
 from diskcovers.restrict import START, RestrictionSpec, restrict
 
 DOCUMENT = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
@@ -47,12 +49,20 @@ def test_cli_output_is_byte_identical(case):
     assert out.getvalue() == case["stdout"]
 
 
+SUBGROUPS = {
+    "theorem_c_generators(4)": lambda: theorem_c_generators(4),
+    "theorem_c_generators(5)": lambda: theorem_c_generators(5),
+    "schreier_generators(disk_covering(2))": lambda: schreier_generators(disk_covering(2)),
+}
+
+
 def test_coset_table_is_identical():
-    (case,) = DOCUMENT["coset_tables"]
-    assert case["subgroup"] == "theorem_c_generators(4)"
-    index, table = todd_coxeter(case["strands"], theorem_c_generators(case["strands"]))
-    assert table.status == "complete" and index == len(case["rows"])
-    assert [list(row) for row in table.rows] == case["rows"]
+    cases = DOCUMENT["coset_tables"]
+    assert [case["subgroup"] for case in cases] == list(SUBGROUPS)
+    for case in cases:
+        index, table = todd_coxeter(case["strands"], SUBGROUPS[case["subgroup"]]())
+        assert table.status == "complete" and index == len(case["rows"])
+        assert [list(row) for row in table.rows] == case["rows"], case["subgroup"]
 
 
 def test_public_constructors_reject_bad_input():
