@@ -106,10 +106,6 @@ class CosetTable:
         return len(self.rows)
 
 
-def _column(letter: int) -> int:
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
-
 def todd_coxeter(
     strands: int,
     subgroup_words: list[BraidWord],
@@ -127,8 +123,9 @@ def todd_coxeter(
             raise ValueError("subgroup word strand count mismatch")
     presentation = braid_presentation(strands)
     cols = 2 * presentation.generators
-    relators = [tuple(_column(e) for e in relator) for relator in presentation.relators]
-    words = [tuple(_column(e) for e in word.letters) for word in subgroup_words]
+    column = {e: d for d, e in enumerate(BraidWord.generator_letters(strands))}.__getitem__
+    relators = [tuple(map(column, relator)) for relator in presentation.relators]
+    words = [tuple(map(column, word.letters)) for word in subgroup_words]
 
     blank = [-1] * cols
     parent = [0]

@@ -102,17 +102,13 @@ class BraidWord:
 
     def reduced(self) -> "BraidWord":
         """Freely reduce, cancelling adjacent letters ``e, -e``."""
-        return BraidWord(self.strands, _free_reduce(self.letters))
-
-
-def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
-    stack: list[int] = []
-    for e in letters:
-        if stack and stack[-1] == -e:
-            stack.pop()
-        else:
-            stack.append(e)
-    return tuple(stack)
+        stack: list[int] = []
+        for e in self.letters:
+            if stack and stack[-1] == -e:
+                stack.pop()
+            else:
+                stack.append(e)
+        return BraidWord(self.strands, tuple(stack))
 
 
 def _act_packed(conj, packed: tuple[int, ...], letters) -> tuple[int, ...]:
@@ -128,13 +124,17 @@ def _act_packed(conj, packed: tuple[int, ...], letters) -> tuple[int, ...]:
     return tuple(entries)
 
 
+def _require_strands(seq: MonodromySequence, word: BraidWord) -> None:
+    if word.strands != seq.length:
+        raise ValueError(f"braid on {word.strands} strands cannot act on {seq.length} entries")
+
+
 def act(seq: MonodromySequence, word: BraidWord) -> MonodromySequence:
     """Apply a braid word to a monodromy sequence, letters left to right.
 
     The product of the entries is preserved; only the sequence changes.
     """
-    if word.strands != seq.length:
-        raise ValueError(f"braid on {word.strands} strands cannot act on {seq.length} entries")
+    _require_strands(seq, word)
     return _unpack(seq.degree, _act_packed(_tables(seq.degree).conj, _pack(seq), word.letters))
 
 

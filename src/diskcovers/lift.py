@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import MonodromySequence, Transposition, is_disk
+from .core import MonodromySequence, Transposition, _pack, _tables, is_disk
 from .restrict import END, START, RestrictionSpec, restriction_signature
-from .hurwitz import BraidWord, act
+from .hurwitz import BraidWord, _act_packed, _require_strands, act
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,9 @@ def index1_curve(branch_points: int, i: int, j: int, k: int) -> CurveRef:
 
 def is_liftable(seq: MonodromySequence, word: BraidWord) -> bool:
     """A braid is liftable exactly when its action fixes every entry."""
-    return act(seq, word) == seq
+    _require_strands(seq, word)
+    packed = _pack(seq)
+    return _act_packed(_tables(seq.degree).conj, packed, word.letters) == packed
 
 
 def curve_monodromy(seq: MonodromySequence, curve: CurveRef) -> Transposition:

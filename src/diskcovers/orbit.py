@@ -4,8 +4,8 @@ The orbit of a sequence is finite: there are at most ``(d(d-1)/2)^n``
 sequences altogether, and the stabilizer of a sequence is exactly its group
 of liftable braids, so the orbit size equals that subgroup's index in the
 braid group.  A breadth-first spanning tree provides coset representative
-words, and the classical Schreier construction turns it into a generating set
-for the stabilizer.
+words, and Schreier's construction reads a free basis of the stabilizer off
+the edges outside the tree, with no reduction and no deduplication.
 
 ``classify_all`` is the brute-force classification oracle: it partitions all
 sequences of a given size into classes under the action together with
@@ -27,7 +27,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import CycleType, MonodromySequence, _pack, _tables, _trusted, _union_find, _unpack, omega_class
-from .hurwitz import BraidWord, CapExceeded, _act_packed, _free_reduce, _orbit_search, _tree_path
+from .hurwitz import BraidWord, CapExceeded, _act_packed, _orbit_search, _tree_path
+
+#: The default cap: orbit elements searched, or sequences classified.
+DEFAULT_CAP = 10**6
 
 
 def enumeration_bound(degree: int, length: int) -> int:
@@ -76,11 +79,10 @@ def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:
 
     Generators are tried in ascending index order, the inverse right after
     the forward letter, so the spanning tree is deterministic.  Raises
-    :class:`CapExceeded` if more than ``cap`` elements appear (default: the
-    a priori bound).
+    :class:`CapExceeded` if more than ``cap`` elements appear (default:
+    ``DEFAULT_CAP``).
     """
-    if cap is None:
-        cap = enumeration_bound(seq.degree, seq.length)
+    cap = DEFAULT_CAP if cap is None else cap
     if cap < 1:
         raise ValueError("cap must be at least 1")
     return OrbitTable(seq, cap, *_orbit_search(seq.degree, _pack(seq), cap))
@@ -91,36 +93,35 @@ def stabilizer_index(seq: MonodromySequence, cap: int | None = None) -> int:
     return len(hurwitz_orbit(seq, cap))
 
 
-def _dedup_key(letters: tuple[int, ...]) -> tuple:
-    """Identify a word with its inverse, preferring the fewer-negatives form."""
-    inverse = tuple(-e for e in reversed(letters))
-    return min((sum(e < 0 for e in letters), letters), (sum(e < 0 for e in inverse), inverse))
-
-
 def schreier_generators(seq: MonodromySequence, cap: int | None = None) -> list[BraidWord]:
     """Generators of the liftable-braid group from the orbit spanning tree.
 
-    For each orbit element ``u`` with tree word ``t_u`` and each generator
-    ``g``, the word ``t_u g t_{(u)g}^-1`` fixes the root, and together these
-    words generate its stabilizer.  Words are freely reduced, trivial ones
-    dropped, and the set deduplicated up to inversion.
+    An edge ``k -> v`` of letter ``e`` gives the word ``t_k e t_v^-1``, with
+    ``t_k`` the tree word of element ``k``; its reverse gives the inverse, so
+    only the edge met first in (element, letter) order is kept: ``k < v``, or
+    ``e > 0`` on a loop.  A parent precedes its child, so the tree edges left
+    run from a parent to its child; their words are trivial and are dropped.
+    Tree words are reduced and a letter cancels at a junction only on a tree
+    edge, so no word needs reducing.  By Nielsen-Schreier the words are a free
+    basis of the stabilizer in the free group on ``n - 1`` generators, of
+    ``index * (n - 2) + 1`` words.  ``cap`` is as in :func:`hurwitz_orbit`.
     """
     table = hurwitz_orbit(seq, cap)
-    n = seq.length
     conj = _tables(seq.degree).conj
-    position = table._position
-    tree_words: list[tuple[int, ...]] = [()]
-    for parent, letter in table._parents[1:]:
+    position, parents = table._position, table._parents
+    tree_words, inverses = [()], [()]
+    for parent, letter in parents[1:]:
         tree_words.append(tree_words[parent] + (letter,))
-    inverses = [tuple(-e for e in reversed(word)) for word in tree_words]
-    words: dict[tuple, tuple[int, ...]] = {}
+        inverses.append((-letter,) + inverses[parent])
+    letters = BraidWord.generator_letters(seq.length)
+    words = []
     for k, element in enumerate(table._packed):
-        for e in BraidWord.generator_letters(n):
-            image = position[_act_packed(conj, element, (e,))]
-            candidate = _free_reduce(tree_words[k] + (e,) + inverses[image])
-            if candidate:
-                words.setdefault(_dedup_key(candidate), candidate)
-    return [_trusted(BraidWord, strands=n, letters=letters) for letters in words.values()]
+        for e in letters:
+            v = position[_act_packed(conj, element, (e,))]
+            if v < k or (v == k and e < 0) or parents[v] == (k, e):
+                continue
+            words.append(_trusted(BraidWord, strands=seq.length, letters=tree_words[k] + (e,) + inverses[v]))
+    return words
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,7 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     """
     if length < 0:
         raise ValueError(f"branch point count n must be nonnegative, got {length}")
-    if cap is None:
-        cap = 10**6
+    cap = DEFAULT_CAP if cap is None else cap
     total = enumeration_bound(degree, length)
     if total > cap:
         raise CapExceeded(f"{total} sequences exceed cap {cap}", cap)

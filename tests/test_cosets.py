@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from diskcovers.core import MonodromySequence, disk_covering
+from diskcovers.core import MonodromySequence, disk_covering, omega_class
 from diskcovers.cosets import (
     Inconclusive,
     braid_presentation,
@@ -13,7 +13,7 @@ from diskcovers.cosets import (
     verify_theorem_c,
 )
 from diskcovers.hurwitz import BraidWord
-from diskcovers.lift import theorem_c_generators
+from diskcovers.lift import is_liftable, theorem_c_generators
 from diskcovers.orbit import schreier_generators, stabilizer_index
 
 
@@ -161,3 +161,33 @@ def test_schreier_generators_reproduce_index():
         tc_index, table = todd_coxeter(s.length, generators, max_cosets=200_000)
         assert tc_index == index, (s.pairs(), index, tc_index)
         assert table.defined == index, (s.pairs(), index, table.defined)
+
+
+#: Orbit index of each class of connected coverings with d = 5, n = 6.
+FIVE_SIX = {(5,): 15_625, (3,): 9_720, (2, 2): 11_520}
+
+
+def certify_schreier_words(degree, length, omega, seed):
+    """Certify the Schreier words of one seeded covering of the class: every
+    word liftable, coset index equal to orbit index."""
+    rng = random.Random(seed)
+    while True:
+        s = MonodromySequence.from_pairs(degree, [rng.sample(range(1, degree + 1), 2) for _ in range(length)])
+        if s.is_connected() and omega_class(s).parts == omega:
+            break
+    index = stabilizer_index(s)
+    generators = schreier_generators(s)
+    assert all(is_liftable(s, w) for w in generators)
+    tc_index, _ = todd_coxeter(length, generators, max_cosets=200_000)
+    assert tc_index == index, (s.pairs(), index, tc_index)
+    return index
+
+
+def test_schreier_words_certify_a_five_six_class():
+    assert certify_schreier_words(5, 6, (3,), seed=11) == FIVE_SIX[(3,)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("omega", list(FIVE_SIX))
+def test_schreier_words_certify_every_five_six_class(omega):
+    assert certify_schreier_words(5, 6, omega, seed=11) == FIVE_SIX[omega]

@@ -9,10 +9,16 @@ of the theorem-C generators on four strands) were captured before the
 enumerator lost its post-scan sweep, and the tables of the theorem-C
 generators on five strands and of the Schreier words of ``disk_covering(2)``
 before it moved from forward tracing to scan-and-fill; the coset numbering
-depends on the order in which cosets are defined and merged.
+depends on the order in which cosets are defined and merged.  Its Schreier
+cases (the SHA-256 of the word list of each ``schreier_cases()`` covering
+and of one seeded covering of each Schreier class of the benchmark's
+certify workload) were captured from the construction that reduced every
+candidate word and deduplicated up to inversion, before it read the words
+off the non-tree edges.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -63,6 +69,16 @@ def test_coset_table_is_identical():
         index, table = todd_coxeter(case["strands"], SUBGROUPS[case["subgroup"]]())
         assert table.status == "complete" and index == len(case["rows"])
         assert [list(row) for row in table.rows] == case["rows"], case["subgroup"]
+
+
+@pytest.mark.parametrize(
+    "case", DOCUMENT["schreier_words"], ids=[case["covering"] for case in DOCUMENT["schreier_words"]]
+)
+def test_schreier_words_are_identical(case):
+    seq = MonodromySequence.from_pairs(case["degree"], case["pairs"])
+    words = [list(w.letters) for w in schreier_generators(seq)]
+    assert len(words) == case["words"]
+    assert hashlib.sha256(json.dumps(words).encode()).hexdigest() == case["sha256"]
 
 
 def test_public_constructors_reject_bad_input():

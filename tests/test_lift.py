@@ -51,6 +51,35 @@ def test_is_liftable_examples():
     assert is_liftable(p3, word(3, 2, 1, 1, -2))
 
 
+def test_is_liftable_matches_the_action():
+    rng = random.Random(59)
+    checked = liftable = 0
+    for _ in range(400):
+        degree, length = rng.randint(2, 6), rng.randint(2, 6)
+        # Public constructor: fresh, non-interned transpositions.
+        s = MonodromySequence.from_pairs(degree, [rng.sample(range(1, degree + 1), 2) for _ in range(length)])
+        u = tuple(rng.choice((1, -1)) * rng.randint(1, length - 1) for _ in range(rng.randint(0, 8)))
+        i = rng.randint(1, length - 1)
+        inverse = tuple(-e for e in reversed(u))
+        for letters in (u, u + (i,) * rng.randint(1, 6) + inverse, u + inverse):
+            w = BraidWord(length, letters)
+            assert is_liftable(s, w) == (act(s, w) == s), (s.pairs(), letters)
+            checked += 1
+            liftable += act(s, w) == s
+    assert checked == 1200 and 400 < liftable < 1200
+    orbit_element = act(disk_covering(4), word(4, 1, 2))
+    assert is_liftable(orbit_element, word(4, 1, 1, 1)) == (act(orbit_element, word(4, 1, 1, 1)) == orbit_element)
+
+
+def test_is_liftable_rejects_a_strand_mismatch_as_act_does():
+    s, w = disk_covering(3), word(4, 1)
+    with pytest.raises(ValueError) as expected:
+        act(s, w)
+    with pytest.raises(ValueError) as got:
+        is_liftable(s, w)
+    assert str(got.value) == str(expected.value) == "braid on 4 strands cannot act on 3 entries"
+
+
 def test_interval_braid_examples():
     p3 = disk_covering(3)
     x1 = standard_interval(3, 1)

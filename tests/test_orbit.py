@@ -4,10 +4,13 @@ import random
 
 import pytest
 
-from diskcovers.core import MonodromySequence, disk_covering, is_equivalent
-from diskcovers.hurwitz import act, canonicalize, replay_certificate
+from diskcovers import orbit
+from diskcovers.cli import main
+from diskcovers.core import MonodromySequence, disk_covering, is_equivalent, omega_class
+from diskcovers.hurwitz import BraidWord, act, canonicalize, replay_certificate
 from diskcovers.lift import is_liftable
 from diskcovers.orbit import (
+    DEFAULT_CAP,
     CapExceeded,
     all_sequences,
     classify_all,
@@ -85,6 +88,83 @@ def test_schreier_generators_are_liftable():
     for s in (disk_covering(3), seq(3, (1, 2), (1, 2), (2, 3)), seq(4, (1, 2), (3, 4), (1, 3))):
         for w in schreier_generators(s):
             assert is_liftable(s, w)
+
+
+def reduce_and_dedup_schreier(s):
+    """The Schreier words built candidate by candidate, as an oracle: for every
+    element ``u`` and letter ``e``, the word ``t_u e t_(u e)^-1`` freely
+    reduced; trivial words dropped; a word and its inverse identified by the
+    form with fewer negative letters, the first candidate met kept."""
+    table = hurwitz_orbit(s)
+    words = {}
+    for u in table:
+        for e in BraidWord.generator_letters(s.length):
+            letter = BraidWord(s.length, (e,))
+            candidate = (table.word_to(u) * letter * table.word_to(act(u, letter)).inverse()).reduced().letters
+            if candidate:
+                inverse = tuple(-x for x in reversed(candidate))
+                key = min((sum(x < 0 for x in w), w) for w in (candidate, inverse))
+                words.setdefault(key, candidate)
+    return list(words.values())
+
+
+def seeded_coverings(count, seed):
+    """Random sequences with d <= 5 and n <= 5, connected or not."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        degree, length = rng.randint(2, 5), rng.randint(1, 5)
+        out.append(seq(degree, *(rng.sample(range(1, degree + 1), 2) for _ in range(length))))
+    return out
+
+
+def test_schreier_words_match_the_reduce_and_dedup_oracle():
+    coverings = seeded_coverings(60, seed=71)
+    assert sum(not s.is_connected() for s in coverings) >= 10
+    for s in coverings:
+        words = schreier_generators(s)
+        assert [w.letters for w in words] == reduce_and_dedup_schreier(s), s.pairs()
+
+
+def test_schreier_words_are_a_free_basis():
+    for s in seeded_coverings(60, seed=72) + [disk_covering(n) for n in range(1, 5)]:
+        index = stabilizer_index(s)
+        words = [w.letters for w in schreier_generators(s)]
+        # Nielsen-Schreier: a subgroup of index i in the free group of rank
+        # n - 1 is free of rank i (n - 2) + 1.
+        assert len(words) == index * (s.length - 2) + 1, s.pairs()
+        assert all(w and w == BraidWord(s.length, w).reduced().letters for w in words)
+        assert all(is_liftable(s, BraidWord(s.length, w)) for w in words)
+        inverses = {tuple(-x for x in reversed(w)) for w in words}
+        assert len(set(words)) == len(words) and not inverses & set(words), s.pairs()
+
+
+def test_schreier_word_counts():
+    assert len(schreier_generators(disk_covering(5))) == 3_889
+    s = seq(5, (4, 5), (2, 4), (2, 4), (2, 5), (1, 4), (2, 3))
+    assert omega_class(s).parts == (5,)
+    assert len(schreier_generators(s)) == 62_501 == 15_625 * 4 + 1
+
+
+def test_default_cap_is_shared(monkeypatch, capsys):
+    assert DEFAULT_CAP == 10**6
+    with pytest.raises(CapExceeded) as info:
+        classify_all(5, 7)  # 10^7 sequences, refused before enumerating
+    assert info.value.cap == DEFAULT_CAP
+    assert main(["classify", "--degree", "5", "--n", "7"]) == 2
+    assert '"cap": 1000000' in capsys.readouterr().out
+    monkeypatch.setattr(orbit, "DEFAULT_CAP", 5)
+    for enumerate_ in (hurwitz_orbit, stabilizer_index, schreier_generators):
+        with pytest.raises(CapExceeded) as info:
+            enumerate_(disk_covering(3))
+        assert info.value.cap == 5
+    with pytest.raises(CapExceeded) as info:
+        classify_all(3, 2)
+    assert info.value.cap == 5
+    for command in ("orbit", "schreier"):
+        assert main([command, "--covering", '{"degree": 4, "monodromy": [[1, 2], [2, 3], [3, 4]]}']) == 2
+        out = capsys.readouterr().out
+        assert '"cap": 5' in out and "exceeds cap 5" in out
 
 
 def test_classify_examples():
