@@ -49,27 +49,6 @@ from .orbit import (
 )
 from .restrict import RestrictionSpec, restrict, restricted_total_monodromy
 
-COMMANDS = (
-    "invariants",
-    "canon",
-    "target",
-    "equivalent",
-    "act",
-    "lift",
-    "interval-type",
-    "tcgens",
-    "curve",
-    "regular",
-    "systems",
-    "restrict",
-    "orbit",
-    "schreier",
-    "classify",
-    "todd-coxeter",
-    "verify-theorem-c",
-)
-
-
 #: The most sheets a covering document may have.
 MAX_DEGREE = 100_000
 
@@ -173,19 +152,11 @@ def _curve_list_arg(value: str, strands: int) -> list[CurveRef]:
     return [CurveRef(*_word_doc(item, strands, "curve")) for item in doc]
 
 
-def _indices_arg(value: str) -> tuple[int, ...]:
+def _int_list_arg(value: str, noun: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in value.split(",") if tok.strip() != "")
     except ValueError as exc:
-        raise ValueError(f"indices must be comma-separated integers: {value!r}") from exc
-
-
-def _omega_arg(value: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(tok) for tok in value.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise ValueError(f"cycle type must be comma-separated integers: {value!r}") from exc
-    return tuple(sorted(parts, reverse=True))
+        raise ValueError(f"{noun} must be comma-separated integers: {value!r}") from exc
 
 
 # --- command handlers -------------------------------------------------------
@@ -215,7 +186,7 @@ def _cmd_canon(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_target(args: argparse.Namespace) -> dict[str, Any]:
-    seq = canonical_target(args.degree, args.n, _omega_arg(args.omega))
+    seq = canonical_target(args.degree, args.n, _int_list_arg(args.omega, "cycle type"))
     return {"covering": covering_document(seq)}
 
 
@@ -269,7 +240,7 @@ def _cmd_systems(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_restrict(args: argparse.Namespace) -> dict[str, Any]:
     seq = _covering_arg(args.covering)
-    spec = RestrictionSpec(_indices_arg(args.indices), args.base)
+    spec = RestrictionSpec(_int_list_arg(args.indices, "indices"), args.base)
     restricted = restrict(seq, spec)
     return {
         "covering": covering_document(restricted),
@@ -315,8 +286,7 @@ def _cmd_todd_coxeter(args: argparse.Namespace) -> dict[str, Any]:
         for part in args.words.split(";")
         if part.strip() != ""
     ]
-    kwargs = {} if args.cap is None else {"max_cosets": args.cap}
-    index, _table = todd_coxeter(args.n, words, **kwargs)
+    index, _table = todd_coxeter(args.n, words, args.cap)
     return {"index": index}
 
 
@@ -349,6 +319,8 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], dict[str, Any]]] = {
     "todd-coxeter": _cmd_todd_coxeter,
     "verify-theorem-c": _cmd_verify_theorem_c,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,16 +19,19 @@ classification, restriction) run on tuples of ints.  On ``d`` sheets the
 transposition ``(a b)`` with ``a < b`` is packed as its position in the
 lexicographic list ``(1 2), (1 3), ..., (d-1 d)`` of all pairs, and a sequence
 as the tuple of its packed entries.  Pair order is dataclass order, so packed
-tuples sort as the sequences they encode.  The tables of one degree
-(``_tables``, a bounded cache) are filled one entry at a time on first lookup,
-so their size follows the transpositions met, not the degree.  The public
-types validate whatever a caller builds; the package builds its results, from
-validated values only, with the unchecked constructor ``_trusted``.
+tuples sort as the sequences they encode.  Every ``MonodromySequence`` carries
+its packed tuple as ``_packed``: the public constructor packs the entries in
+the pass that validates them, and ``_unpack`` keeps the tuple it is given, so
+no sequence is packed twice.  The tables of one degree (``_tables``, a bounded
+cache) are filled one entry at a time on first lookup, so their size follows
+the transpositions met, not the degree.  The public types validate whatever a
+caller builds; the package builds its results, from validated values only,
+with the unchecked constructor ``_trusted``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator
@@ -199,18 +202,24 @@ class MonodromySequence:
     ``degree`` counts the sheets; ``entries`` lists, in order, the
     transposition read off around each branch point.  Instances are immutable
     and hashable, so they can serve as dictionary keys during orbit
-    enumeration.
+    enumeration.  Each carries its packed entries, set once when it is built
+    and left out of ``repr``, equality, hashing and order.
     """
 
     degree: int
     entries: tuple[Transposition, ...]
+    _packed: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError(f"degree must be at least 1, got {self.degree}")
+        index = _tables(self.degree).index
+        packed = []
         for t in self.entries:
             if t.b > self.degree:
                 raise ValueError(f"entry ({t.a} {t.b}) exceeds degree {self.degree}")
+            packed.append(index(t.a, t.b))
+        object.__setattr__(self, "_packed", tuple(packed))
 
     @classmethod
     def from_pairs(cls, degree: int, pairs: Iterable[tuple[int, int]]) -> "MonodromySequence":
@@ -283,7 +292,7 @@ def total_monodromy(seq: MonodromySequence) -> Permutation:
     >>> total_monodromy(MonodromySequence.from_pairs(3, [(1, 2), (2, 3)])).images
     (3, 1, 2)
     """
-    return _product(seq.degree, _pack(seq))
+    return _product(seq.degree, seq._packed)
 
 
 def omega_class(seq: MonodromySequence) -> CycleType:
@@ -507,14 +516,12 @@ def _tables(degree: int) -> _Tables:
     return _Tables(degree)
 
 
-def _pack(seq: MonodromySequence) -> tuple[int, ...]:
-    index = _tables(seq.degree).index
-    return tuple([index(t.a, t.b) for t in seq.entries])
-
-
 def _unpack(degree: int, packed: tuple[int, ...]) -> MonodromySequence:
+    """The sequence of a packed tuple, which it keeps as its packed form."""
     interned = _tables(degree).interned
-    return _trusted(MonodromySequence, degree=degree, entries=tuple(map(interned.__getitem__, packed)))
+    return _trusted(
+        MonodromySequence, degree=degree, entries=tuple(map(interned.__getitem__, packed)), _packed=packed
+    )
 
 
 def _product(degree: int, packed: tuple[int, ...]) -> Permutation:

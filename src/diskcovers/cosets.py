@@ -38,15 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import orbit
 from .core import disk_covering
 from .hurwitz import BraidWord
-from .lift import is_liftable, theorem_c_generators
-from .orbit import enumeration_bound, stabilizer_index
+from .lift import is_liftable, liftable_interval_powers, theorem_c_generators
 
 COMPLETE = "complete"
 CAPPED = "capped"
-
-DEFAULT_MAX_COSETS = 100_000
 
 
 class Inconclusive(RuntimeError):
@@ -109,13 +107,15 @@ class CosetTable:
 def todd_coxeter(
     strands: int,
     subgroup_words: list[BraidWord],
-    max_cosets: int = DEFAULT_MAX_COSETS,
+    max_cosets: int | None = None,
 ) -> tuple[int, CosetTable]:
     """Index and coset table of the subgroup the given words generate.
 
     Raises :class:`Inconclusive` when more than ``max_cosets`` cosets get
-    defined before the table closes.
+    defined before the table closes (default: ``orbit.DEFAULT_CAP``).
     """
+    if max_cosets is None:
+        max_cosets = orbit.DEFAULT_CAP
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
     for word in subgroup_words:
@@ -260,13 +260,10 @@ def interval_powers_index(
     max_cosets: int | None = None,
 ) -> IntervalGenerationReport:
     """Feed the liftable powers of all short-word intervals to the coset
-    enumerator and compare against the orbit index."""
-    from .lift import liftable_interval_powers
-
-    if max_cosets is None:
-        max_cosets = max(64 * enumeration_bound(seq.degree, seq.length), 64)
+    enumerator and compare against the orbit index.  ``max_cosets`` is as in
+    :func:`todd_coxeter`."""
     generators = liftable_interval_powers(seq, max_word_length)
-    orbit_index = stabilizer_index(seq)
+    orbit_index = orbit.stabilizer_index(seq)
     tc_index, _ = todd_coxeter(seq.length, generators, max_cosets=max_cosets)
     return IntervalGenerationReport(
         orbit_index=orbit_index,
@@ -295,15 +292,14 @@ def verify_theorem_c(branch_points: int, max_cosets: int | None = None) -> Theor
     Every generator word must fix the monodromy sequence (containment), and
     the coset count of the subgroup they generate must equal the orbit size
     (equality of indices).  A non-liftable word fails fast, skipping the
-    enumeration.  :class:`Inconclusive` propagates from the enumeration.
+    enumeration.  :class:`Inconclusive` propagates from the enumeration, whose
+    ``max_cosets`` is as in :func:`todd_coxeter`.
     """
     n = branch_points
     seq = disk_covering(n)
-    if max_cosets is None:
-        max_cosets = max(64 * enumeration_bound(seq.degree, n), 64)
     generators = theorem_c_generators(n)
     all_liftable = all(is_liftable(seq, word) for word in generators)
-    orbit_index = stabilizer_index(seq)
+    orbit_index = orbit.stabilizer_index(seq)
     if not all_liftable:
         return TheoremCReport(n, len(generators), False, orbit_index, -1, False)
     tc_index, _ = todd_coxeter(n, generators, max_cosets=max_cosets)

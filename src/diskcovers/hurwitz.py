@@ -15,10 +15,11 @@ The action runs on packed sequences: tuples of positions in the
 lexicographic pair list of :mod:`diskcovers.core`, which sort as the sequences
 they encode.  One kernel, ``_act_packed``, turns the packed pair ``t, u`` into
 ``u, conj[t][u]`` for ``x_i`` and into ``conj[u][t], t`` for its inverse.  The
-public functions check their input, pack it once and build one result on the
-way out with core's trusted constructor.  ``_orbit_search`` is the one
-breadth-first orbit search; canonicalization and :mod:`diskcovers.orbit` use it
-and read spanning-tree words off its parents with ``_tree_path``.
+public functions check their input, read the packed tuple the sequence carries
+(no sequence is packed twice) and build one result on the way out with core's
+trusted constructor.  ``_orbit_search`` is the one breadth-first orbit search;
+canonicalization and :mod:`diskcovers.orbit` use it and read spanning-tree
+words off its parents with ``_tree_path``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .core import (
     DisconnectedCoveringError,
     MonodromySequence,
     Permutation,
-    _pack,
     _tables,
     _unpack,
     canonical_target,
@@ -135,7 +135,7 @@ def act(seq: MonodromySequence, word: BraidWord) -> MonodromySequence:
     The product of the entries is preserved; only the sequence changes.
     """
     _require_strands(seq, word)
-    return _unpack(seq.degree, _act_packed(_tables(seq.degree).conj, _pack(seq), word.letters))
+    return _unpack(seq.degree, _act_packed(_tables(seq.degree).conj, seq._packed, word.letters))
 
 
 def elementary_move(seq: MonodromySequence, position: int, direction: str = FORWARD) -> MonodromySequence:
@@ -231,7 +231,7 @@ def _search_from_target(
     (degree, length, cycle type) class, at most 64 of them.
     """
     target = canonical_target(degree, length, CycleType(parts, degree))
-    _, position, parents = _orbit_search(degree, _pack(target))
+    _, position, parents = _orbit_search(degree, target._packed)
     return position, parents
 
 
@@ -249,7 +249,7 @@ def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
     target = canonical_target(seq.degree, seq.length, omega)
     relabel = conjugating_permutation(total_monodromy(seq), total_monodromy(target))
     position, parents = _search_from_target(seq.degree, seq.length, omega.parts)
-    k = position[_pack(seq.renumber_sheets(relabel))]
+    k = position[seq.renumber_sheets(relabel)._packed]
     # The walk yields the transport word last letter first; inverting each
     # letter gives the move word, the forward move being the inverse generator.
     moves = tuple((abs(e), FORWARD if e > 0 else INVERSE) for e in _tree_path(parents, k))

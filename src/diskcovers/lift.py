@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import MonodromySequence, Transposition, _pack, _tables, is_disk
+from .core import MonodromySequence, Transposition, _tables, is_disk
 from .restrict import END, START, RestrictionSpec, restriction_signature
 from .hurwitz import BraidWord, _act_packed, _require_strands, act
 
@@ -84,26 +84,28 @@ def standard_interval(branch_points: int, i: int) -> IntervalRef:
     return IntervalRef(i, BraidWord.identity(branch_points))
 
 
+def _carried_interval(branch_points: int, i: int, j: int, power: int) -> IntervalRef:
+    """``x_i`` carried over the branch points between ``i`` and ``j`` by the
+    given power (+1 or -1) of each adjacent half-twist."""
+    i, j = min(i, j), max(i, j)
+    ref = standard_interval(branch_points, i)
+    for m in range(i + 1, j):
+        ref = transport_interval(ref, interval_braid(standard_interval(branch_points, m), power))
+    return ref
+
+
 def twisted_interval(branch_points: int, i: int, j: int) -> IntervalRef:
     """The interval ``x_{i,j}``: ``x_i`` carried over the intervening branch
     points by forward half-twists.  Symmetric in its indices; its square is a
     standard pure-braid generator."""
-    i, j = min(i, j), max(i, j)
-    ref = standard_interval(branch_points, i)
-    for m in range(i + 1, j):
-        ref = transport_interval(ref, interval_braid(standard_interval(branch_points, m)))
-    return ref
+    return _carried_interval(branch_points, i, j, 1)
 
 
 def index0_interval(branch_points: int, i: int, j: int) -> IntervalRef:
     """The index-0 interval between branch points ``i`` and ``j``: ``x_i``
     carried across by inverse half-twists, so the result misses every curve of
     the fundamental system.  Symmetric in its indices."""
-    i, j = min(i, j), max(i, j)
-    ref = standard_interval(branch_points, i)
-    for m in range(i + 1, j):
-        ref = transport_interval(ref, interval_braid(standard_interval(branch_points, m), -1))
-    return ref
+    return _carried_interval(branch_points, i, j, -1)
 
 
 def index1_interval(branch_points: int, i: int, j: int, k: int) -> IntervalRef:
@@ -156,8 +158,7 @@ def index1_curve(branch_points: int, i: int, j: int, k: int) -> CurveRef:
 def is_liftable(seq: MonodromySequence, word: BraidWord) -> bool:
     """A braid is liftable exactly when its action fixes every entry."""
     _require_strands(seq, word)
-    packed = _pack(seq)
-    return _act_packed(_tables(seq.degree).conj, packed, word.letters) == packed
+    return _act_packed(_tables(seq.degree).conj, seq._packed, word.letters) == seq._packed
 
 
 def curve_monodromy(seq: MonodromySequence, curve: CurveRef) -> Transposition:

@@ -26,10 +26,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import CycleType, MonodromySequence, _pack, _tables, _trusted, _union_find, _unpack, omega_class
+from .core import CycleType, MonodromySequence, _tables, _trusted, _union_find, _unpack, omega_class
 from .hurwitz import BraidWord, CapExceeded, _act_packed, _orbit_search, _tree_path
 
-#: The default cap: orbit elements searched, or sequences classified.
+#: The default cap: orbit elements searched, sequences classified, or cosets
+#: defined by :func:`diskcovers.cosets.todd_coxeter`.
 DEFAULT_CAP = 10**6
 
 
@@ -59,7 +60,7 @@ class OrbitTable:
         return iter(self.elements)
 
     def __contains__(self, seq: MonodromySequence) -> bool:
-        return seq.degree == self.root.degree and _pack(seq) in self._position
+        return seq.degree == self.root.degree and seq._packed in self._position
 
     @cached_property
     def elements(self) -> tuple[MonodromySequence, ...]:
@@ -70,7 +71,7 @@ class OrbitTable:
         """The spanning-tree word transporting the root to ``element``."""
         if element not in self:
             raise KeyError(element)
-        letters = tuple(_tree_path(self._parents, self._position[_pack(element)]))
+        letters = tuple(_tree_path(self._parents, self._position[element._packed]))
         return BraidWord(self.root.length, letters[::-1])
 
 
@@ -85,7 +86,7 @@ def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:
     cap = DEFAULT_CAP if cap is None else cap
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    return OrbitTable(seq, cap, *_orbit_search(seq.degree, _pack(seq), cap))
+    return OrbitTable(seq, cap, *_orbit_search(seq.degree, seq._packed, cap))
 
 
 def stabilizer_index(seq: MonodromySequence, cap: int | None = None) -> int:

@@ -24,7 +24,6 @@ from .core import (
     ComponentSignature,
     MonodromySequence,
     Permutation,
-    _pack,
     _product,
     _tables,
     _unpack,
@@ -63,7 +62,7 @@ def restrict(seq: MonodromySequence, spec: RestrictionSpec) -> MonodromySequence
     """The monodromy sequence of the covering restricted to the cut disk."""
     spec.validate_for(seq)
     tables = _tables(seq.degree)
-    packed = _pack(seq)
+    packed = seq._packed
     # Walk away from the base point.  image[s] is sheet s under the removed
     # entries passed so far, the nearest applied first: passing one more, r,
     # composes it in front, which swaps the images of r's two sheets.
@@ -89,7 +88,7 @@ def restricted_total_monodromy(seq: MonodromySequence, spec: RestrictionSpec) ->
     order followed by the total monodromy.
     """
     spec.validate_for(seq)
-    packed = _pack(seq)
+    packed = seq._packed
     removed = tuple([packed[i - 1] for i in reversed(spec.indices)])
     return _product(seq.degree, packed + removed if spec.base == START else removed + packed)
 

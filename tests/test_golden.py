@@ -22,6 +22,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from diskcovers.core import (
     MonodromySequence,
     Permutation,
     Transposition,
+    _Tables,
     _tables,
     disk_covering,
     surface_invariants,
@@ -101,21 +103,49 @@ def test_trusted_objects_equal_public_ones():
     for element in table.elements:
         public = MonodromySequence.from_pairs(element.degree, element.pairs())
         assert element == public and hash(element) == hash(public)
+        assert element._packed == public._packed
         assert element in table and public in table
         assert table.word_to(public) == table.word_to(element)
         assert all(a == b and hash(a) == hash(b) for a, b in zip(element.entries, public.entries))
     s = disk_covering(4)
     acted = act(s, BraidWord(4, (1, -3, 2)))
     assert acted == MonodromySequence.from_pairs(5, acted.pairs())
+    assert acted._packed == MonodromySequence.from_pairs(5, acted.pairs())._packed
     omega = total_monodromy(acted)
     assert omega == Permutation(omega.images) and hash(omega) == hash(Permutation(omega.images))
     restricted = restrict(s, RestrictionSpec((2,), START))
     assert restricted == MonodromySequence.from_pairs(5, restricted.pairs())
+    assert restricted._packed == MonodromySequence.from_pairs(5, restricted.pairs())._packed
     result = canonicalize(acted)
     assert result.relabel == Permutation(result.relabel.images)
     representatives = [c.representative for c in classify_all(3, 3)]
     assert all(r == MonodromySequence.from_pairs(3, r.pairs()) for r in representatives)
+    assert all(r._packed == MonodromySequence.from_pairs(3, r.pairs())._packed for r in representatives)
     assert all_sequences(3, 2)[4] == MonodromySequence.from_pairs(3, [(1, 3), (1, 3)])
+    relabelled = s.renumber_sheets(Permutation((5, 4, 3, 2, 1)))
+    assert relabelled._packed == MonodromySequence.from_pairs(5, relabelled.pairs())._packed
+
+
+def test_packed_form_stays_out_of_repr_equality_and_order():
+    assert repr(disk_covering(2)) == (
+        "MonodromySequence(degree=3, entries=(Transposition(a=1, b=2), Transposition(a=2, b=3)))"
+    )
+    ordered = all_sequences(3, 3)
+    shuffled = ordered[:]
+    random.Random(6).shuffle(shuffled)
+    assert shuffled != ordered and sorted(shuffled) == ordered
+
+
+def test_is_liftable_packs_nothing(monkeypatch):
+    seq = disk_covering(4)
+    word = BraidWord(4, (1, 1, 1, 2, -3))
+    assert not is_liftable(seq, word)  # fills the conjugation entries met
+    calls = []
+    index = _Tables.index
+    monkeypatch.setattr(_Tables, "index", lambda self, a, b: calls.append((a, b)) or index(self, a, b))
+    for _ in range(1000):
+        is_liftable(seq, word)
+    assert calls == []
 
 
 def test_orbit_table_membership_respects_degree():

@@ -7,6 +7,7 @@ import pytest
 from diskcovers import orbit
 from diskcovers.cli import main
 from diskcovers.core import MonodromySequence, disk_covering, is_equivalent, omega_class
+from diskcovers.cosets import Inconclusive, todd_coxeter, verify_theorem_c
 from diskcovers.hurwitz import BraidWord, act, canonicalize, replay_certificate
 from diskcovers.lift import is_liftable
 from diskcovers.orbit import (
@@ -165,6 +166,13 @@ def test_default_cap_is_shared(monkeypatch, capsys):
         assert main([command, "--covering", '{"degree": 4, "monodromy": [[1, 2], [2, 3], [3, 4]]}']) == 2
         out = capsys.readouterr().out
         assert '"cap": 5' in out and "exceeds cap 5" in out
+    for certify in (lambda: todd_coxeter(3, []), lambda: verify_theorem_c(3)):
+        with pytest.raises((CapExceeded, Inconclusive)) as info:
+            certify()
+        assert info.value.cap == 5
+    assert main(["todd-coxeter", "--n", "3", "--words", ""]) == 2
+    out = capsys.readouterr().out
+    assert '"cap": 5' in out and "within 5 cosets" in out
 
 
 def test_classify_examples():
