@@ -22,11 +22,11 @@ from typing import Any, Callable, Sequence
 
 from .core import (
     MonodromySequence,
+    _surface_invariants,
     canonical_target,
     components,
     is_equivalent,
-    omega_class,
-    surface_invariants,
+    total_monodromy,
 )
 from .cosets import Inconclusive, todd_coxeter, verify_theorem_c
 from .hurwitz import BraidWord, act, canonicalize
@@ -163,13 +163,13 @@ def _int_list_arg(value: str, noun: str) -> tuple[int, ...]:
 
 def _cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
     seq = _covering_arg(args.covering)
-    invariants = surface_invariants(seq)
-    signature = components(seq)
+    monodromy, signature = total_monodromy(seq), components(seq)
+    invariants = _surface_invariants(seq, monodromy, signature)
     connected = signature.count == 1
     return {
         "chi": invariants.euler,
         "boundary": invariants.boundary,
-        "omega": list(omega_class(seq).parts),
+        "omega": list(monodromy.cycle_type().parts),
         "components": signature.count,
         "disk": bool(connected and seq.degree == seq.length + 1),
     }

@@ -319,8 +319,14 @@ def components(seq: MonodromySequence) -> ComponentSignature:
 def surface_invariants(seq: MonodromySequence) -> SurfaceInvariants:
     """Euler characteristic, boundary count and genus of the covering surface,
     globally and per component."""
-    omega = total_monodromy(seq)
-    sig = components(seq)
+    return _surface_invariants(seq, total_monodromy(seq), components(seq))
+
+
+def _surface_invariants(
+    seq: MonodromySequence, omega: Permutation, sig: ComponentSignature
+) -> SurfaceInvariants:
+    """:func:`surface_invariants` from the sequence's total monodromy and
+    components, for callers that report those too."""
     per_component = []
     for sheets, branch_count in sig.blocks:
         block = set(sheets)
@@ -388,7 +394,10 @@ def canonical_target(degree: int, length: int, omega: CycleType | Iterable[int])
 
     The sequence consists of chains realising each cycle, separated by pairs
     of equal transpositions, followed by a ladder of pairs climbing to the
-    last sheet and a run of repeated pairs on the top two sheets.  Raises
+    last sheet and a run of repeated pairs on the top two sheets.  Every entry
+    is some ``(j-1 j)``, in ascending j, so the sequence is
+    ``(1 2)^q_2 (2 3)^q_3 ... (d-1 d)^q_d`` with each ``q_j`` 1 or 2 below the
+    top block: the shape :func:`diskcovers.hurwitz.canonicalize` reduces to.  Raises
     :class:`NotRealizable` when no connected covering has these invariants
     (pair count negative, parity mismatch, or no entries to connect more
     than one sheet).

@@ -260,11 +260,11 @@ def interval_powers_index(
     max_cosets: int | None = None,
 ) -> IntervalGenerationReport:
     """Feed the liftable powers of all short-word intervals to the coset
-    enumerator and compare against the orbit index.  ``max_cosets`` is as in
-    :func:`todd_coxeter`."""
+    enumerator and compare against the orbit index.  ``max_cosets`` caps the
+    enumeration, as in :func:`todd_coxeter`, and then the orbit search."""
     generators = liftable_interval_powers(seq, max_word_length)
-    orbit_index = orbit.stabilizer_index(seq)
-    tc_index, _ = todd_coxeter(seq.length, generators, max_cosets=max_cosets)
+    tc_index = todd_coxeter(seq.length, generators, max_cosets=max_cosets)[0]
+    orbit_index = orbit.stabilizer_index(seq, max_cosets)
     return IntervalGenerationReport(
         orbit_index=orbit_index,
         tc_index=tc_index,
@@ -292,17 +292,19 @@ def verify_theorem_c(branch_points: int, max_cosets: int | None = None) -> Theor
     Every generator word must fix the monodromy sequence (containment), and
     the coset count of the subgroup they generate must equal the orbit size
     (equality of indices).  A non-liftable word fails fast, skipping the
-    enumeration.  :class:`Inconclusive` propagates from the enumeration, whose
-    ``max_cosets`` is as in :func:`todd_coxeter`.
+    enumeration.  ``max_cosets`` caps the enumeration, as in
+    :func:`todd_coxeter`, and then the orbit search, which raises
+    :class:`~diskcovers.hurwitz.CapExceeded` past it.  The enumeration runs
+    first: liftable generators give a coset index at least the orbit size, so
+    an orbit past the cap stops the enumeration first.
     """
     n = branch_points
     seq = disk_covering(n)
     generators = theorem_c_generators(n)
-    all_liftable = all(is_liftable(seq, word) for word in generators)
-    orbit_index = orbit.stabilizer_index(seq)
-    if not all_liftable:
-        return TheoremCReport(n, len(generators), False, orbit_index, -1, False)
-    tc_index, _ = todd_coxeter(n, generators, max_cosets=max_cosets)
+    if not all(is_liftable(seq, word) for word in generators):
+        return TheoremCReport(n, len(generators), False, orbit.stabilizer_index(seq, max_cosets), -1, False)
+    tc_index = todd_coxeter(n, generators, max_cosets=max_cosets)[0]
+    orbit_index = orbit.stabilizer_index(seq, max_cosets)
     return TheoremCReport(
         branch_points=n,
         generator_count=len(generators),

@@ -18,17 +18,34 @@ they encode.  One kernel, ``_act_packed``, turns the packed pair ``t, u`` into
 public functions check their input, read the packed tuple the sequence carries
 (no sequence is packed twice) and build one result on the way out with core's
 trusted constructor.  ``_orbit_search`` is the one breadth-first orbit search;
-canonicalization and :mod:`diskcovers.orbit` use it and read spanning-tree
-words off its parents with ``_tree_path``.
+:mod:`diskcovers.orbit` uses it and reads spanning-tree words off its parents
+with ``_tree_path``.
+
+Canonicalization searches no orbit.  After the sheet renumbering the
+sequence has the entry product of its canonical target
+``(1 2)^q_2 (2 3)^q_3 ... (d-1 d)^q_d``, and ``_peel`` reduces it by the
+constructive proof of the classification (Clebsch; Hurwitz; Berstein-Edmonds).
+For each top sheet k of the unfinished prefix, from d down to 2, it
+
+- gathers the entries holding k at the end of the prefix by ``x_i``, each
+  conjugated by the entries it passes, which hold no k;
+- reduces them: ``x_i`` turns ``(k a) (k b)`` into ``(k b) (a b)``, and
+  ``(a b)`` walks left out of the block until the block is ``(k a)^q``;
+- fixes a: the product forces ``a = k - 1`` when q is odd; when q is even,
+  each pair ``(k a)^2`` crosses prefix entries, conjugated by them, along a
+  path from a to k - 1.
+
+Each block j then holds at least ``q_j`` entries, of the same parity, and the
+surplus pairs climb one block at a time.  The letters, applied by the rule of
+``_act_packed``, are the certificate's moves; time and memory are polynomial
+in the degree and the length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
-    CycleType,
     DisconnectedCoveringError,
     MonodromySequence,
     Permutation,
@@ -36,7 +53,6 @@ from .core import (
     _unpack,
     canonical_target,
     conjugating_permutation,
-    omega_class,
     total_monodromy,
 )
 
@@ -217,40 +233,143 @@ def replay_certificate(seq: MonodromySequence, result: CanonicalizationResult) -
     return apply_moves(seq.renumber_sheets(result.relabel), result.moves)
 
 
-@lru_cache(maxsize=64)
-def _search_from_target(
-    degree: int, length: int, parts: tuple[int, ...]
-) -> tuple[dict[tuple[int, ...], int], list[tuple[int, int]]]:
-    """The breadth-first search from the canonical target: positions and
-    parents of every sequence with the same entry product.
+def _conjugator_path(conj, prefix: list[int], source: int, target: int) -> list[int]:
+    """Positions of ``prefix`` entries that, conjugating in turn, carry the
+    packed transposition ``source`` to ``target``: a breadth-first search over
+    transposition values, each prefix value entering at its last position."""
+    last = {t: p for p, t in enumerate(prefix)}
+    found = [source]
+    via = {source: (source, -1)}
+    cursor = 0
+    while target not in via:
+        v = found[cursor]
+        for t, p in last.items():
+            w = conj[v][t]
+            if w not in via:
+                via[w] = (v, p)
+                found.append(w)
+        cursor += 1
+    steps = []
+    while target != source:
+        target, p = via[target]
+        steps.append(p)
+    return steps[::-1]
 
-    Every connected sequence whose product equals the canonical representative
-    permutation appears, packed, as a key of the map to discovery positions;
-    walking the parents from its position back to the target spells the
-    transport word, last letter first.  The cache holds one search per
-    (degree, length, cycle type) class, at most 64 of them.
-    """
-    target = canonical_target(degree, length, CycleType(parts, degree))
-    _, position, parents = _orbit_search(degree, target._packed)
-    return position, parents
+
+def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list[int]:
+    """Braid letters taking a connected packed sequence to the packed
+    canonical target with the same entry product, by the peel of the module
+    docstring.  A pair of equal entries crosses a neighbour in two letters,
+    the neighbour unchanged and the pair either unchanged or conjugated by
+    it."""
+    tables = _tables(degree)
+    conj, pairs = tables.conj, tables.pairs
+    entries = list(packed)
+    letters: list[int] = []
+
+    def x(e: int) -> None:
+        letters.append(e)
+        if e > 0:
+            t, u = entries[e - 1], entries[e]
+            entries[e - 1], entries[e] = u, conj[t][u]
+        else:
+            t, u = entries[-e - 1], entries[-e]
+            entries[-e - 1], entries[-e] = conj[u][t], t
+
+    # The pair sits at 0-based positions i, i + 1.
+    def cross_left(i: int, conjugate: bool) -> None:
+        s = -1 if conjugate else 1
+        x(s * i)
+        x(s * (i + 1))
+
+    def cross_right(i: int, conjugate: bool) -> None:
+        s = 1 if conjugate else -1
+        x(s * (i + 2))
+        x(s * (i + 1))
+
+    blocks, found = [0] * (degree + 1), [0] * (degree + 1)
+    for t in target:
+        blocks[pairs[t][1]] += 1
+    end = len(entries)
+    for k in range(degree, 1, -1):
+        # Gather.  entries[:end] run on sheets 1..k, so k is the larger sheet
+        # of any entry holding it.
+        start = end
+        for i in range(end - 1, -1, -1):
+            if pairs[entries[i]][1] == k:
+                for p in range(i, start - 1):
+                    x(p + 1)
+                start -= 1
+        # Reduce the block entries[start:end].
+        i = start
+        while i < end - 1:
+            if entries[i] == entries[i + 1]:
+                i += 1
+                continue
+            x(i + 1)
+            for p in range(i, start - 1, -1):
+                x(p + 1)
+            start += 1
+            i = max(i, start)
+        # Fix a.
+        if pairs[entries[start]][0] != k - 1:
+            steps = _conjugator_path(conj, entries[:start], entries[start], tables.index(k - 1, k))
+            for _ in range((end - start) // 2):
+                # The first pair of the block leaves with s prefix entries on
+                # its left, crossing the prefix entry p from whichever side,
+                # and then goes plainly to the end of the block.
+                s = start
+                for p in steps:
+                    while s > p + 1:
+                        cross_left(s, False)
+                        s -= 1
+                    while s < p:
+                        cross_right(s, False)
+                        s += 1
+                    if s > p:
+                        cross_left(s, True)
+                        s -= 1
+                    else:
+                        cross_right(s, True)
+                        s += 1
+                for i in range(s, end - 2):
+                    cross_right(i, False)
+        found[k] = end - start
+        end = start
+
+    for j in range(2, degree):
+        end += found[j]
+        while found[j] > blocks[j]:
+            # The last pair (j-1 j)^2 of block j becomes (j-1 j+1)^2 across the
+            # first (j j+1), crosses back, becomes (j j+1)^2 across one
+            # (j-1 j) and crosses back into block j + 1.
+            cross_right(end - 2, True)
+            cross_left(end - 1, False)
+            cross_left(end - 2, True)
+            cross_right(end - 3, False)
+            found[j] -= 2
+            found[j + 1] += 2
+            end -= 2
+    assert tuple(entries) == target, "the peel must end at the canonical target"
+    return letters
 
 
 def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
     """Certificate taking a connected sequence to its canonical form.
 
-    The sheets are renumbered so that the entry product becomes the canonical
-    representative of its cycle type; a breadth-first search through the
-    action orbit then supplies the move word.  Any strategy would do, since
-    the certificate is checked by replay.
+    The sheets are renumbered so that the entry product becomes the product
+    of the canonical target, ``(1 2)^q_2 ... (d-1 d)^q_d``; the move word then
+    peels the top sheet off the sequence, sheet by sheet, and moves surplus
+    pairs up, as the module docstring describes.  It is built in time and
+    memory polynomial in the degree and length, without searching the orbit.
+    Any strategy would do, since the certificate is checked by replay.
     """
     if not seq.is_connected():
         raise DisconnectedCoveringError("canonicalization is only defined for connected coverings")
-    omega = omega_class(seq)
-    target = canonical_target(seq.degree, seq.length, omega)
-    relabel = conjugating_permutation(total_monodromy(seq), total_monodromy(target))
-    position, parents = _search_from_target(seq.degree, seq.length, omega.parts)
-    k = position[seq.renumber_sheets(relabel)._packed]
-    # The walk yields the transport word last letter first; inverting each
-    # letter gives the move word, the forward move being the inverse generator.
-    moves = tuple((abs(e), FORWARD if e > 0 else INVERSE) for e in _tree_path(parents, k))
+    monodromy = total_monodromy(seq)
+    target = canonical_target(seq.degree, seq.length, monodromy.cycle_type())
+    relabel = conjugating_permutation(monodromy, total_monodromy(target))
+    letters = _peel(seq.degree, seq.renumber_sheets(relabel)._packed, target._packed)
+    # The forward move is the inverse generator.
+    moves = tuple((abs(e), INVERSE if e > 0 else FORWARD) for e in letters)
     return CanonicalizationResult(relabel=relabel, moves=moves, canonical=target)

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from diskcovers import cli, core
 from diskcovers.cli import COMMANDS, build_parser, covering_document, emit, main, parse_covering
-from diskcovers.core import MonodromySequence, disk_covering
+from diskcovers.core import MonodromySequence, Permutation, disk_covering
+from diskcovers.hurwitz import apply_moves
 
 
 @pytest.fixture()
@@ -110,12 +112,35 @@ def test_target_not_realizable_is_invalid_input(capsys):
 
 
 def test_canon_command(capsys):
-    code, out = run(capsys, "canon", "--covering", '{"degree":4,"monodromy":[[2,3],[1,3],[3,4]]}')
+    covering = '{"degree":4,"monodromy":[[2,3],[1,3],[3,4]]}'
+    code, out = run(capsys, "canon", "--covering", covering)
     assert code == 0
     result = payload(out)
     assert result["canonical"]["monodromy"] == [[1, 2], [2, 3], [3, 4]]
-    assert result["moves"] == [[1, "forward"]]
+    assert result["moves"] == [[1, "inverse"], [1, "inverse"]]
     assert result["relabel"] == [1, 2, 3, 4]
+    moves = tuple((position, direction) for position, direction in result["moves"])
+    replayed = apply_moves(parse_covering(covering).renumber_sheets(Permutation(tuple(result["relabel"]))), moves)
+    assert covering_document(replayed) == result["canonical"]
+
+
+def test_invariants_command_computes_each_invariant_once(capsys, monkeypatch, p3_path):
+    calls = {"components": 0, "total_monodromy": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(core, name))
+        for module in (core, cli):
+            monkeypatch.setattr(module, name, wrapper)
+    code, out = run(capsys, "invariants", "--covering", p3_path)
+    assert code == 0 and payload(out)["omega"] == [4]
+    assert calls == {"components": 1, "total_monodromy": 1}
 
 
 def test_interval_type_and_curve_commands(capsys, p3_path):

@@ -14,7 +14,9 @@ cases (the SHA-256 of the word list of each ``schreier_cases()`` covering
 and of one seeded covering of each Schreier class of the benchmark's
 certify workload) were captured from the construction that reduced every
 candidate word and deduplicated up to inversion, before it read the words
-off the non-tree edges.
+off the non-tree edges.  Its ``canon`` cases were captured from the
+constructive reduction (``hurwitz._peel``) when it replaced the search of the
+canonical target's orbit; the move word depends on the reduction's order.
 """
 
 import contextlib

@@ -2,12 +2,16 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
 
+from diskcovers import hurwitz
 from diskcovers.core import (
     DisconnectedCoveringError,
     MonodromySequence,
+    NotRealizable,
     canonical_target,
     disk_covering,
     omega_class,
@@ -23,7 +27,7 @@ from diskcovers.hurwitz import (
     elementary_move,
     replay_certificate,
 )
-from diskcovers.orbit import all_sequences
+from diskcovers.orbit import all_sequences, hurwitz_orbit
 
 
 def seq(degree, *pairs):
@@ -219,6 +223,97 @@ def test_canonicalize_soundness_small():
                     degree, length, omega_class(s)
                 )
                 assert replay_certificate(s, result) == result.canonical
+
+
+def seeded_connected(degree, length, count, seed):
+    """Uniformly drawn connected sequences of the given size."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        s = MonodromySequence.from_pairs(degree, [rng.sample(range(1, degree + 1), 2) for _ in range(length)])
+        if s.is_connected():
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("degree, length", [(5, 6), (6, 7), (5, 8), (8, 14)])
+def test_canonicalize_replays_seeded_samples(degree, length):
+    for s in seeded_connected(degree, length, 50, seed=100 * degree + length):
+        result = canonicalize(s)
+        assert result.canonical == canonical_target(degree, length, omega_class(s))
+        assert replay_certificate(s, result) == result.canonical, s.pairs()
+
+
+def cycle_types(degree):
+    """Every cycle type on ``degree`` sheets: parts of at least 2, descending,
+    summing to at most the degree."""
+
+    def parts(total, largest):
+        yield ()
+        for p in range(min(total, largest), 1, -1):
+            for rest in parts(total - p, p):
+                yield (p,) + rest
+
+    return list(parts(degree, degree))
+
+
+def test_canonical_targets_get_empty_certificates():
+    realizable = 0
+    for degree in range(1, 9):
+        for length in range(15):
+            for parts in cycle_types(degree):
+                try:
+                    target = canonical_target(degree, length, parts)
+                except NotRealizable:
+                    continue
+                realizable += 1
+                result = canonicalize(target)
+                assert result.relabel.is_identity() and result.moves == (), (degree, length, parts)
+    assert realizable == 256
+
+
+def test_canonicalize_memory_is_bounded():
+    (s,) = seeded_connected(5, 8, 1, seed=58)
+    tracemalloc.start()
+    try:
+        canonicalize(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_canonicalize_is_fast_at_eight_sheets():
+    sample = seeded_connected(8, 14, 20, seed=814)
+    start = time.perf_counter()
+    for s in sample:
+        canonicalize(s)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_hurwitz_keeps_no_module_level_cache():
+    # core's per-degree tables, bounded and imported here, are core's cache.
+    caches = [
+        name
+        for name, value in vars(hurwitz).items()
+        if hasattr(value, "cache_info") and value.__module__ == hurwitz.__name__
+    ]
+    assert caches == []
+
+
+def test_relabelled_input_lies_in_the_target_orbit():
+    # The orbit search as an independent oracle: the sheet renumbering alone
+    # must bring the input into the orbit of its canonical target.
+    orbits = {}
+    for degree in (2, 3, 4):
+        for length in range(1, 5):
+            for s in all_sequences(degree, length):
+                if not s.is_connected():
+                    continue
+                result = canonicalize(s)
+                if result.canonical not in orbits:
+                    orbits[result.canonical] = hurwitz_orbit(result.canonical)
+                assert s.renumber_sheets(result.relabel) in orbits[result.canonical], s.pairs()
 
 
 def test_apply_moves_replays_sequences():

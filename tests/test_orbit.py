@@ -7,7 +7,7 @@ import pytest
 from diskcovers import orbit
 from diskcovers.cli import main
 from diskcovers.core import MonodromySequence, disk_covering, is_equivalent, omega_class
-from diskcovers.cosets import Inconclusive, todd_coxeter, verify_theorem_c
+from diskcovers.cosets import Inconclusive, interval_powers_index, todd_coxeter, verify_theorem_c
 from diskcovers.hurwitz import BraidWord, act, canonicalize, replay_certificate
 from diskcovers.lift import is_liftable
 from diskcovers.orbit import (
@@ -173,6 +173,15 @@ def test_default_cap_is_shared(monkeypatch, capsys):
     assert main(["todd-coxeter", "--n", "3", "--words", ""]) == 2
     out = capsys.readouterr().out
     assert '"cap": 5' in out and "within 5 cosets" in out
+    # A caller's cap bounds the orbit search as well as the enumeration.
+    monkeypatch.setattr(orbit, "DEFAULT_CAP", 20)
+    assert verify_theorem_c(4, max_cosets=10**6).passed
+    assert interval_powers_index(disk_covering(3), max_word_length=2, max_cosets=10**6).generates
+    with pytest.raises((CapExceeded, Inconclusive)) as info:
+        verify_theorem_c(4, max_cosets=50)
+    assert info.value.cap == 50
+    assert main(["verify-theorem-c", "--n", "4", "--cap", "50"]) == 2
+    assert '"cap": 50' in capsys.readouterr().out
 
 
 def test_classify_examples():
