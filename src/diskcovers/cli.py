@@ -300,27 +300,66 @@ def _cmd_verify_theorem_c(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], dict[str, Any]]] = {
-    "invariants": _cmd_invariants,
-    "canon": _cmd_canon,
-    "target": _cmd_target,
-    "equivalent": _cmd_equivalent,
-    "act": _cmd_act,
-    "lift": _cmd_lift,
-    "interval-type": _cmd_interval_type,
-    "tcgens": _cmd_tcgens,
-    "curve": _cmd_curve,
-    "regular": _cmd_regular,
-    "systems": _cmd_systems,
-    "restrict": _cmd_restrict,
-    "orbit": _cmd_orbit,
-    "schreier": _cmd_schreier,
-    "classify": _cmd_classify,
-    "todd-coxeter": _cmd_todd_coxeter,
-    "verify-theorem-c": _cmd_verify_theorem_c,
+_COVERING = {"--covering": {"required": True, "help": "covering document (path or inline JSON)"}}
+_BRAID = {"--braid": {"required": True, "help": 'braid word, e.g. "2 1 1 -2"'}}
+_CURVE = {"--curve": {"required": True, "help": "curve document"}}
+_CAP = {"--cap": {"type": int, "default": None, "help": "enumeration cap"}}
+_N = {"--n": {"type": int, "required": True}}
+
+#: Each command's handler and flags, in the order ``--help`` lists them.
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], dict[str, Any]], dict[str, dict]]] = {
+    "invariants": (_cmd_invariants, _COVERING),
+    "canon": (_cmd_canon, _COVERING),
+    "target": (
+        _cmd_target,
+        {
+            "--degree": {"type": int, "required": True},
+            "--n": {"type": int, "required": True, "help": "branch point count"},
+            "--omega": {"default": "", "help": "cycle type, comma-separated (empty for identity)"},
+        },
+    ),
+    "equivalent": (
+        _cmd_equivalent, {**_COVERING, "--other": {"required": True, "help": "second covering document"}}
+    ),
+    "act": (_cmd_act, {**_COVERING, **_BRAID}),
+    "lift": (_cmd_lift, {**_COVERING, **_BRAID}),
+    "interval-type": (
+        _cmd_interval_type, {**_COVERING, "--interval": {"required": True, "help": "interval document"}}
+    ),
+    "tcgens": (_cmd_tcgens, _N),
+    "curve": (_cmd_curve, {**_COVERING, **_CURVE}),
+    "regular": (_cmd_regular, {**_COVERING, **_CURVE}),
+    "systems": (
+        _cmd_systems,
+        {
+            **_COVERING,
+            "--curves-a": {"required": True, "dest": "curves_a", "help": "first curve system (JSON list)"},
+            "--curves-b": {"required": True, "dest": "curves_b", "help": "second curve system (JSON list)"},
+        },
+    ),
+    "restrict": (
+        _cmd_restrict,
+        {
+            **_COVERING,
+            "--indices": {"required": True, "help": "comma-separated curve indices"},
+            "--base": {"choices": ("start", "end"), "default": "start"},
+        },
+    ),
+    "orbit": (_cmd_orbit, {**_COVERING, **_CAP}),
+    "schreier": (_cmd_schreier, {**_COVERING, **_CAP}),
+    "classify": (_cmd_classify, {"--degree": {"type": int, "required": True}, **_N, **_CAP}),
+    "todd-coxeter": (
+        _cmd_todd_coxeter,
+        {
+            "--n": {"type": int, "required": True, "help": "strand count"},
+            "--words": {"required": True, "help": 'semicolon-separated braid words, e.g. "1 1 1;2 2 2"'},
+            **_CAP,
+        },
+    ),
+    "verify-theorem-c": (_cmd_verify_theorem_c, {**_N, **_CAP}),
 }
 
-COMMANDS = tuple(_HANDLERS)
+COMMANDS = tuple(_COMMANDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,61 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name: str, **flags: dict) -> None:
+    for name, (_handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
         for flag, opts in flags.items():
             p.add_argument(flag, **opts)
-
-    covering = {"--covering": {"required": True, "help": "covering document (path or inline JSON)"}}
-    braid = {"--braid": {"required": True, "help": 'braid word, e.g. "2 1 1 -2"'}}
-    cap = {"--cap": {"type": int, "default": None, "help": "enumeration cap"}}
-
-    add("invariants", **covering)
-    add("canon", **covering)
-    add(
-        "target",
-        **{
-            "--degree": {"type": int, "required": True},
-            "--n": {"type": int, "required": True, "help": "branch point count"},
-            "--omega": {"default": "", "help": "cycle type, comma-separated (empty for identity)"},
-        },
-    )
-    add("equivalent", **covering, **{"--other": {"required": True, "help": "second covering document"}})
-    add("act", **covering, **braid)
-    add("lift", **covering, **braid)
-    add("interval-type", **covering, **{"--interval": {"required": True, "help": "interval document"}})
-    add("tcgens", **{"--n": {"type": int, "required": True}})
-    add("curve", **covering, **{"--curve": {"required": True, "help": "curve document"}})
-    add("regular", **covering, **{"--curve": {"required": True, "help": "curve document"}})
-    add(
-        "systems",
-        **covering,
-        **{
-            "--curves-a": {"required": True, "dest": "curves_a", "help": "first curve system (JSON list)"},
-            "--curves-b": {"required": True, "dest": "curves_b", "help": "second curve system (JSON list)"},
-        },
-    )
-    add(
-        "restrict",
-        **covering,
-        **{
-            "--indices": {"required": True, "help": "comma-separated curve indices"},
-            "--base": {"choices": ("start", "end"), "default": "start"},
-        },
-    )
-    add("orbit", **covering, **cap)
-    add("schreier", **covering, **cap)
-    add("classify", **{"--degree": {"type": int, "required": True}, "--n": {"type": int, "required": True}}, **cap)
-    add(
-        "todd-coxeter",
-        **{
-            "--n": {"type": int, "required": True, "help": "strand count"},
-            "--words": {"required": True, "help": 'semicolon-separated braid words, e.g. "1 1 1;2 2 2"'},
-        },
-        **cap,
-    )
-    add("verify-theorem-c", **{"--n": {"type": int, "required": True}}, **cap)
     return parser
 
 
@@ -425,7 +413,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     report: dict[str, Any] = {"command": args.command, "inputs": _echo_inputs(args)}
     try:
-        payload = _HANDLERS[args.command](args)
+        payload = _COMMANDS[args.command][0](args)
     except (CapExceeded, Inconclusive) as exc:
         report["status"] = "inconclusive"
         report["cap"] = exc.cap

@@ -114,10 +114,7 @@ def todd_coxeter(
     Raises :class:`Inconclusive` when more than ``max_cosets`` cosets get
     defined before the table closes (default: ``orbit.DEFAULT_CAP``).
     """
-    if max_cosets is None:
-        max_cosets = orbit.DEFAULT_CAP
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be at least 1")
+    max_cosets = orbit._resolve_cap(max_cosets)
     for word in subgroup_words:
         if word.strands != strands:
             raise ValueError("subgroup word strand count mismatch")
@@ -294,7 +291,7 @@ def verify_theorem_c(branch_points: int, max_cosets: int | None = None) -> Theor
     (equality of indices).  A non-liftable word fails fast, skipping the
     enumeration.  ``max_cosets`` caps the enumeration, as in
     :func:`todd_coxeter`, and then the orbit search, which raises
-    :class:`~diskcovers.hurwitz.CapExceeded` past it.  The enumeration runs
+    :class:`~diskcovers.orbit.CapExceeded` past it.  The enumeration runs
     first: liftable generators give a coset index at least the orbit size, so
     an orbit past the cap stops the enumeration first.
     """

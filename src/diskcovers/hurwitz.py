@@ -17,9 +17,7 @@ they encode.  One kernel, ``_act_packed``, turns the packed pair ``t, u`` into
 ``u, conj[t][u]`` for ``x_i`` and into ``conj[u][t], t`` for its inverse.  The
 public functions check their input, read the packed tuple the sequence carries
 (no sequence is packed twice) and build one result on the way out with core's
-trusted constructor.  ``_orbit_search`` is the one breadth-first orbit search;
-:mod:`diskcovers.orbit` uses it and reads spanning-tree words off its parents
-with ``_tree_path``.
+trusted constructor.
 
 Canonicalization searches no orbit.  After the sheet renumbering the
 sequence has the entry product of its canonical target
@@ -29,16 +27,17 @@ For each top sheet k of the unfinished prefix, from d down to 2, it
 
 - gathers the entries holding k at the end of the prefix by ``x_i``, each
   conjugated by the entries it passes, which hold no k;
-- reduces them: ``x_i`` turns ``(k a) (k b)`` into ``(k b) (a b)``, and
+- reduces them: ``x_i^-1`` turns ``(k a) (k b)`` into ``(a b) (k a)``, and
   ``(a b)`` walks left out of the block until the block is ``(k a)^q``;
 - fixes a: the product forces ``a = k - 1`` when q is odd; when q is even,
   each pair ``(k a)^2`` crosses prefix entries, conjugated by them, along a
   path from a to k - 1.
 
 Each block j then holds at least ``q_j`` entries, of the same parity, and the
-surplus pairs climb one block at a time.  The letters, applied by the rule of
-``_act_packed``, are the certificate's moves; time and memory are polynomial
-in the degree and the length.
+surplus pairs climb one block at a time.  The letters, applied by
+``_act_packed`` and freely reduced as they are emitted, are the
+certificate's moves; time and memory are polynomial in the degree and the
+length.
 """
 
 from __future__ import annotations
@@ -61,14 +60,6 @@ INVERSE = "inverse"
 
 #: A sequence of elementary moves: pairs (position, FORWARD | INVERSE).
 MoveWord = tuple[tuple[int, str], ...]
-
-
-class CapExceeded(RuntimeError):
-    """An enumeration grew past the caller's cap."""
-
-    def __init__(self, message: str, cap: int):
-        super().__init__(message)
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -177,42 +168,6 @@ def apply_moves(seq: MonodromySequence, moves: MoveWord) -> MonodromySequence:
     return act(seq, BraidWord(seq.length, tuple(letters)))
 
 
-def _orbit_search(degree: int, root: tuple[int, ...], cap: int | None = None):
-    """Breadth-first closure of a packed sequence under the braid action,
-    trying letters in the order of :meth:`BraidWord.generator_letters`.
-
-    Returns the elements in discovery order, their positions, and per position
-    ``(parent position, letter)``: the letter takes the parent there.
-    """
-    conj = _tables(degree).conj
-    letters = [(e,) for e in BraidWord.generator_letters(len(root))]
-    elements = [root]
-    position = {root: 0}
-    parents = [(0, 0)]  # the root has no parent; keeps positions aligned
-    cursor = 0
-    while cursor < len(elements):
-        current = elements[cursor]
-        for letter in letters:
-            image = _act_packed(conj, current, letter)
-            if image in position:
-                continue
-            if cap is not None and len(elements) >= cap:
-                raise CapExceeded(f"orbit exceeds cap {cap}", cap)
-            position[image] = len(elements)
-            elements.append(image)
-            parents.append((cursor, letter[0]))
-        cursor += 1
-    return elements, position, parents
-
-
-def _tree_path(parents: list[tuple[int, int]], k: int):
-    """The letters of the spanning-tree word to position ``k``, last letter
-    first, read by walking the parents back to the root."""
-    while k:
-        k, letter = parents[k]
-        yield letter
-
-
 @dataclass(frozen=True)
 class CanonicalizationResult:
     """A replayable certificate reducing a sequence to canonical form.
@@ -233,7 +188,7 @@ def replay_certificate(seq: MonodromySequence, result: CanonicalizationResult) -
     return apply_moves(seq.renumber_sheets(result.relabel), result.moves)
 
 
-def _conjugator_path(conj, prefix: list[int], source: int, target: int) -> list[int]:
+def _conjugator_path(conj, prefix: tuple[int, ...], source: int, target: int) -> list[int]:
     """Positions of ``prefix`` entries that, conjugating in turn, carry the
     packed transposition ``source`` to ``target``: a breadth-first search over
     transposition values, each prefix value entering at its last position."""
@@ -264,28 +219,26 @@ def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list
     it."""
     tables = _tables(degree)
     conj, pairs = tables.conj, tables.pairs
-    entries = list(packed)
+    entries = packed
     letters: list[int] = []
 
-    def x(e: int) -> None:
-        letters.append(e)
-        if e > 0:
-            t, u = entries[e - 1], entries[e]
-            entries[e - 1], entries[e] = u, conj[t][u]
-        else:
-            t, u = entries[-e - 1], entries[-e]
-            entries[-e - 1], entries[-e] = conj[u][t], t
+    def x(*word: int) -> None:
+        nonlocal entries
+        entries = _act_packed(conj, entries, word)
+        for e in word:
+            if letters and letters[-1] == -e:
+                letters.pop()
+            else:
+                letters.append(e)
 
     # The pair sits at 0-based positions i, i + 1.
     def cross_left(i: int, conjugate: bool) -> None:
         s = -1 if conjugate else 1
-        x(s * i)
-        x(s * (i + 1))
+        x(s * i, s * (i + 1))
 
     def cross_right(i: int, conjugate: bool) -> None:
         s = 1 if conjugate else -1
-        x(s * (i + 2))
-        x(s * (i + 1))
+        x(s * (i + 2), s * (i + 1))
 
     blocks, found = [0] * (degree + 1), [0] * (degree + 1)
     for t in target:
@@ -297,8 +250,8 @@ def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list
         start = end
         for i in range(end - 1, -1, -1):
             if pairs[entries[i]][1] == k:
-                for p in range(i, start - 1):
-                    x(p + 1)
+                if i + 1 < start:  # not yet in place
+                    x(*range(i + 1, start))
                 start -= 1
         # Reduce the block entries[start:end].
         i = start
@@ -306,9 +259,8 @@ def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list
             if entries[i] == entries[i + 1]:
                 i += 1
                 continue
-            x(i + 1)
-            for p in range(i, start - 1, -1):
-                x(p + 1)
+            # x_i^2 acts as x_i^-1 on two transpositions sharing one sheet.
+            x(-(i + 1), *range(i, start, -1))
             start += 1
             i = max(i, start)
         # Fix a.
@@ -350,7 +302,7 @@ def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list
             found[j] -= 2
             found[j + 1] += 2
             end -= 2
-    assert tuple(entries) == target, "the peel must end at the canonical target"
+    assert entries == target, "the peel must end at the canonical target"
     return letters
 
 

@@ -3,13 +3,16 @@
 The orbit of a sequence is finite: there are at most ``(d(d-1)/2)^n``
 sequences altogether, and the stabilizer of a sequence is exactly its group
 of liftable braids, so the orbit size equals that subgroup's index in the
-braid group.  A breadth-first spanning tree provides coset representative
-words, and Schreier's construction reads a free basis of the stabilizer off
-the edges outside the tree, with no reduction and no deduplication.
+braid group.  :class:`OrbitTable` runs the package's one breadth-first orbit
+search.  Its spanning tree, one ``(parent position, letter)`` pair per
+element, provides coset representative words, and Schreier's construction
+reads a free basis of the stabilizer off the edges outside the tree, with no
+reduction and no deduplication.
 
 ``classify_all`` is the brute-force classification oracle: it partitions all
 sequences of a given size into classes under the action together with
-simultaneous sheet renumbering.
+simultaneous sheet renumbering.  Both stop with :class:`CapExceeded` past
+their cap, ``DEFAULT_CAP`` unless the caller gives one.
 
 Both run on packed sequences (see :mod:`diskcovers.core`).  ``classify_all``
 enumerates them in lexicographic pair order, which is the order of the
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import CycleType, MonodromySequence, _tables, _trusted, _union_find, _unpack, omega_class
-from .hurwitz import BraidWord, CapExceeded, _act_packed, _orbit_search, _tree_path
+from .hurwitz import BraidWord, _act_packed
 
 #: The default cap: orbit elements searched, sequences classified, or cosets
 #: defined by :func:`diskcovers.cosets.todd_coxeter`.
@@ -40,6 +43,22 @@ def enumeration_bound(degree: int, length: int) -> int:
     return (degree * (degree - 1) // 2) ** length
 
 
+class CapExceeded(RuntimeError):
+    """An enumeration grew past the caller's cap."""
+
+    def __init__(self, message: str, cap: int):
+        super().__init__(message)
+        self.cap = cap
+
+
+def _resolve_cap(cap: int | None) -> int:
+    """The caller's cap, or ``DEFAULT_CAP`` as it reads at call time."""
+    cap = DEFAULT_CAP if cap is None else cap
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    return cap
+
+
 class OrbitTable:
     """A breadth-first orbit with its spanning tree.
 
@@ -48,10 +67,24 @@ class OrbitTable:
     spanning-tree word of an element off the search's parents.
     """
 
-    def __init__(self, root: MonodromySequence, cap: int, packed, position, parents) -> None:
-        """``packed, position, parents`` are ``hurwitz._orbit_search`` of the root."""
-        self.root, self.cap = root, cap
-        self._packed, self._position, self._parents = packed, position, parents
+    def __init__(self, root: MonodromySequence, cap: int) -> None:
+        """Search the orbit; ``_parents[k]`` is (parent position, letter to k)."""
+        conj = _tables(root.degree).conj
+        letters = [(e,) for e in BraidWord.generator_letters(root.length)]
+        self.root = root
+        self._packed = elements = [root._packed]
+        self._position = position = {root._packed: 0}
+        self._parents = parents = [(0, 0)]  # the root has no parent; keeps positions aligned
+        for cursor, current in enumerate(elements):  # grows as it is read
+            for letter in letters:
+                image = _act_packed(conj, current, letter)
+                if image in position:
+                    continue
+                if len(elements) >= cap:
+                    raise CapExceeded(f"orbit exceeds cap {cap}", cap)
+                position[image] = len(elements)
+                elements.append(image)
+                parents.append((cursor, letter[0]))
 
     def __len__(self) -> int:
         return len(self._packed)
@@ -71,8 +104,11 @@ class OrbitTable:
         """The spanning-tree word transporting the root to ``element``."""
         if element not in self:
             raise KeyError(element)
-        letters = tuple(_tree_path(self._parents, self._position[element._packed]))
-        return BraidWord(self.root.length, letters[::-1])
+        k, letters = self._position[element._packed], []
+        while k:  # walk the parents back to the root, last letter first
+            k, letter = self._parents[k]
+            letters.append(letter)
+        return BraidWord(self.root.length, tuple(reversed(letters)))
 
 
 def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:
@@ -81,12 +117,9 @@ def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:
     Generators are tried in ascending index order, the inverse right after
     the forward letter, so the spanning tree is deterministic.  Raises
     :class:`CapExceeded` if more than ``cap`` elements appear (default:
-    ``DEFAULT_CAP``).
+    ``DEFAULT_CAP``), and ``ValueError`` for a cap below 1.
     """
-    cap = DEFAULT_CAP if cap is None else cap
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    return OrbitTable(seq, cap, *_orbit_search(seq.degree, seq._packed, cap))
+    return OrbitTable(seq, _resolve_cap(cap))
 
 
 def stabilizer_index(seq: MonodromySequence, cap: int | None = None) -> int:
@@ -156,7 +189,7 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     """
     if length < 0:
         raise ValueError(f"branch point count n must be nonnegative, got {length}")
-    cap = DEFAULT_CAP if cap is None else cap
+    cap = _resolve_cap(cap)
     total = enumeration_bound(degree, length)
     if total > cap:
         raise CapExceeded(f"{total} sequences exceed cap {cap}", cap)

@@ -130,6 +130,9 @@ def test_criterion_4_classification_and_canonicalization():
             result = canonicalize(seq)
             assert result.canonical == canonical_target(degree, length, omega_class(seq))
             assert replay_certificate(seq, result) == result.canonical
+            # Freely reduced: no move is undone by the next one.
+            moves = result.moves
+            assert all(m[0] != n[0] or m[1] == n[1] for m, n in zip(moves, moves[1:])), seq.pairs()
     assert time.perf_counter() - start < 300
     report(4, "classification oracle and certificates", start)
 

@@ -117,7 +117,7 @@ def test_canon_command(capsys):
     assert code == 0
     result = payload(out)
     assert result["canonical"]["monodromy"] == [[1, 2], [2, 3], [3, 4]]
-    assert result["moves"] == [[1, "inverse"], [1, "inverse"]]
+    assert result["moves"] == [[1, "forward"]]
     assert result["relabel"] == [1, 2, 3, 4]
     moves = tuple((position, direction) for position, direction in result["moves"])
     replayed = apply_moves(parse_covering(covering).renumber_sheets(Permutation(tuple(result["relabel"]))), moves)

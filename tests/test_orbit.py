@@ -184,6 +184,33 @@ def test_default_cap_is_shared(monkeypatch, capsys):
     assert '"cap": 50' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_nonpositive_cap_is_invalid_input(cap, capsys):
+    p3 = disk_covering(3)
+    enumerations = (
+        lambda: hurwitz_orbit(p3, cap),
+        lambda: stabilizer_index(p3, cap),
+        lambda: schreier_generators(p3, cap),
+        lambda: classify_all(3, 2, cap),
+        lambda: todd_coxeter(3, [], cap),
+        lambda: verify_theorem_c(3, cap),
+        lambda: interval_powers_index(p3, max_word_length=1, max_cosets=cap),
+    )
+    for enumerate_ in enumerations:
+        with pytest.raises(ValueError):
+            enumerate_()
+    covering = '{"degree": 4, "monodromy": [[1, 2], [2, 3], [3, 4]]}'
+    for argv in (
+        ["orbit", "--covering", covering],
+        ["schreier", "--covering", covering],
+        ["classify", "--degree", "3", "--n", "2"],
+        ["todd-coxeter", "--n", "3", "--words", ""],
+        ["verify-theorem-c", "--n", "3"],
+    ):
+        assert main(argv + ["--cap", str(cap)]) == 1, argv
+        assert '"status": "invalid-input"' in capsys.readouterr().out
+
+
 def test_classify_examples():
     classes = classify_all(4, 3)
     connected = [c for c in classes if c.connected]
