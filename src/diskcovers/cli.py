@@ -66,6 +66,13 @@ def covering_document(seq: MonodromySequence) -> dict[str, Any]:
     return {"degree": seq.degree, "monodromy": [list(t.sheets) for t in seq.entries]}
 
 
+def _bounded_degree(degree: int) -> int:
+    """Refuse more than ``MAX_DEGREE`` sheets, from a document or a flag."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree must be at most {MAX_DEGREE}, got {degree}")
+    return degree
+
+
 def parse_covering(text: str) -> MonodromySequence:
     """Parse a covering document, normalizing each pair to ascending order."""
     try:
@@ -77,8 +84,7 @@ def parse_covering(text: str) -> MonodromySequence:
     degree, monodromy = doc["degree"], doc["monodromy"]
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"degree must be a positive integer, got {degree!r}")
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree must be at most {MAX_DEGREE}, got {degree}")
+    _bounded_degree(degree)
     if not isinstance(monodromy, list):
         raise ValueError("monodromy must be a list of sheet pairs")
     pairs = []
@@ -186,7 +192,7 @@ def _cmd_canon(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_target(args: argparse.Namespace) -> dict[str, Any]:
-    seq = canonical_target(args.degree, args.n, _int_list_arg(args.omega, "cycle type"))
+    seq = canonical_target(_bounded_degree(args.degree), args.n, _int_list_arg(args.omega, "cycle type"))
     return {"covering": covering_document(seq)}
 
 
@@ -265,7 +271,7 @@ def _cmd_schreier(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
-    classes = classify_all(args.degree, args.n, args.cap)
+    classes = classify_all(_bounded_degree(args.degree), args.n, args.cap)
     return {
         "total": enumeration_bound(args.degree, args.n),
         "classes": [

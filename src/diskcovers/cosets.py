@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from . import orbit
 from .core import disk_covering
 from .hurwitz import BraidWord
-from .lift import is_liftable, liftable_interval_powers, theorem_c_generators
+from .lift import _interval_powers, is_liftable, theorem_c_generators
 
 COMPLETE = "complete"
 CAPPED = "capped"
@@ -241,9 +241,11 @@ def todd_coxeter(
 
 @dataclass(frozen=True)
 class IntervalGenerationReport:
-    """Whether short-word liftable interval powers enumerate to the full
-    liftable group of an arbitrary covering (exploratory, no completeness
-    claim beyond the canonical disk coverings)."""
+    """Whether the liftable interval powers of
+    :func:`~diskcovers.lift.liftable_interval_powers` generate the liftable
+    group of a covering.  The words are liftable by construction, so
+    ``generates`` (coset index equal to orbit index) certifies that they
+    generate it."""
 
     orbit_index: int
     tc_index: int
@@ -253,20 +255,28 @@ class IntervalGenerationReport:
 
 def interval_powers_index(
     seq,
-    max_word_length: int = 3,
+    max_word_length: int | None = None,
     max_cosets: int | None = None,
 ) -> IntervalGenerationReport:
-    """Feed the liftable powers of all short-word intervals to the coset
-    enumerator and compare against the orbit index.  ``max_cosets`` caps the
-    enumeration, as in :func:`todd_coxeter`, and then the orbit search."""
-    generators = liftable_interval_powers(seq, max_word_length)
+    """Feed the liftable interval powers, with conjugators up to
+    ``max_word_length`` long (``None``: the whole orbit spanning tree), to the
+    coset enumerator and compare against the orbit index.
+
+    One orbit search gives both the conjugators and the orbit index; it runs
+    first, under ``max_cosets``, and raises
+    :class:`~diskcovers.orbit.CapExceeded` past it.  The enumeration then runs
+    under the same cap, as in :func:`todd_coxeter`.  With the whole tree,
+    ``generates`` holds on every connected class with ``d <= 5`` and
+    ``n <= 6``; the tests check all 26.
+    """
+    table = orbit.hurwitz_orbit(seq, max_cosets)
+    generators = _interval_powers(table, max_word_length)
     tc_index = todd_coxeter(seq.length, generators, max_cosets=max_cosets)[0]
-    orbit_index = orbit.stabilizer_index(seq, max_cosets)
     return IntervalGenerationReport(
-        orbit_index=orbit_index,
+        orbit_index=len(table),
         tc_index=tc_index,
         generator_count=len(generators),
-        generates=tc_index == orbit_index,
+        generates=tc_index == len(table),
     )
 
 

@@ -12,14 +12,20 @@ Transport composes by *prepending*: acting on a transported object by a braid
 monodromy and the type of a transported object invariant under liftable
 braids.  The half-twist braid of the interval ``(base, word)`` is
 ``word + [base] + word^-1``.
+
+The liftable half-twist powers of an arbitrary covering take their transport
+words from the spanning tree of :class:`~diskcovers.orbit.OrbitTable`, the
+tree whose other reader builds the Schreier words: one conjugator per orbit
+element, and after deduplication as many words as the Nielsen-Schreier rank
+(see :func:`liftable_interval_powers`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import MonodromySequence, Transposition, _tables, is_disk
+from .orbit import OrbitTable, hurwitz_orbit
 from .restrict import END, START, RestrictionSpec, restriction_signature
 from .hurwitz import BraidWord, _act_packed, _require_strands, act
 
@@ -297,22 +303,46 @@ def count_regular_bases(seq: MonodromySequence, word: BraidWord) -> int:
     )
 
 
-def liftable_interval_powers(seq: MonodromySequence, max_word_length: int = 3) -> list[BraidWord]:
-    """The least liftable power of every interval with a conjugator word up to
-    the given length, deduplicated by the resulting braid word.
+def liftable_interval_powers(seq: MonodromySequence, max_word_length: int | None = None) -> list[BraidWord]:
+    """The least liftable power of every interval transported along the orbit
+    spanning tree, deduplicated by the resulting braid word.
 
-    Exploratory generating set for the liftable braids of an arbitrary
-    covering; for the canonical disk coverings it subsumes the catalogued
-    generators once the word length reaches ``n - 2``.
+    For each orbit element k, with tree word ``t_k``, and each position i the
+    word is ``t_k x_i^m t_k^-1``, freely reduced, where m (1, 2 or 3) is the
+    interval type of ``x_i`` transported by ``t_k``: the length of the
+    ``x_i``-cycle through k.  ``max_word_length`` bounds the length of
+    ``t_k``; ``None`` takes the whole tree.  The orbit search stops past
+    ``orbit.DEFAULT_CAP``, as in :func:`~diskcovers.orbit.hurwitz_orbit`.
+    Whether the words generate the liftable group is what
+    :func:`~diskcovers.cosets.interval_powers_index` certifies.
+
+    The whole tree gives exactly ``index * (n - 2) + 1`` words, the
+    Nielsen-Schreier rank.  Strip from ``t_k`` its trailing letters ``x_i``
+    or ``x_i^-1``; what is left, ``t'``, is the tree word of an element of the
+    ``x_i``-cycle through k, and ``t' x_i^m t'^-1`` is the reduced word.  A
+    reduced word determines its cyclically reduced core ``x_i^m`` and the
+    conjugator ``t'``, so pairs (k, i) give one word exactly when tree edges
+    of letter ``x_i`` or ``x_i^-1`` join them.  Each of the ``index - 1`` tree
+    edges joins two of the ``index * (n - 1)`` pairs, closing no cycle, and no
+    word is empty.  A bound L on the word length keeps the subtree of the
+    ``N_L`` elements within distance L, which gives ``N_L * (n - 2) + 1``
+    words the same way.
+
+    >>> from diskcovers.core import disk_covering
+    >>> len(liftable_interval_powers(disk_covering(3)))  # index 16: 16 * 1 + 1
+    17
     """
-    n = seq.length
-    letters = BraidWord.generator_letters(n)
+    return _interval_powers(hurwitz_orbit(seq), max_word_length)
+
+
+def _interval_powers(table: OrbitTable, max_word_length: int | None) -> list[BraidWord]:
+    """:func:`liftable_interval_powers` read off a searched orbit."""
     out: dict[tuple[int, ...], BraidWord] = {}
-    for base in range(1, n):
-        for length in range(max_word_length + 1):
-            for combo in itertools.product(letters, repeat=length):
-                ref = IntervalRef(base, BraidWord(n, combo))
-                power = interval_braid(ref, power=interval_type(seq, ref))
-                if power.letters:
-                    out.setdefault(power.letters, power)
+    for word in table._tree_words()[0]:
+        if max_word_length is not None and len(word) > max_word_length:
+            break  # breadth-first: no later word is shorter
+        for base in range(1, table.root.length):
+            ref = IntervalRef(base, BraidWord(table.root.length, word))
+            power = interval_braid(ref, power=interval_type(table.root, ref))
+            out.setdefault(power.letters, power)
     return list(out.values())

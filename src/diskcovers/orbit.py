@@ -5,9 +5,12 @@ sequences altogether, and the stabilizer of a sequence is exactly its group
 of liftable braids, so the orbit size equals that subgroup's index in the
 braid group.  :class:`OrbitTable` runs the package's one breadth-first orbit
 search.  Its spanning tree, one ``(parent position, letter)`` pair per
-element, provides coset representative words, and Schreier's construction
+element, provides coset representative words, built once by
+``OrbitTable._tree_words``, which has two readers.  Schreier's construction
 reads a free basis of the stabilizer off the edges outside the tree, with no
-reduction and no deduplication.
+reduction and no deduplication, and
+:func:`~diskcovers.lift.liftable_interval_powers` conjugates the liftable
+half-twist powers by the tree words.
 
 ``classify_all`` is the brute-force classification oracle: it partitions all
 sequences of a given size into classes under the action together with
@@ -110,6 +113,16 @@ class OrbitTable:
             letters.append(letter)
         return BraidWord(self.root.length, tuple(reversed(letters)))
 
+    def _tree_words(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """The letters of every element's tree word, in discovery order, and
+        of its inverse.  Discovery order is breadth-first, so the words never
+        get shorter along the list."""
+        words, inverses = [()], [()]
+        for parent, letter in self._parents[1:]:
+            words.append(words[parent] + (letter,))
+            inverses.append((-letter,) + inverses[parent])
+        return words, inverses
+
 
 def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:
     """Breadth-first closure of a sequence under the braid action.
@@ -143,10 +156,7 @@ def schreier_generators(seq: MonodromySequence, cap: int | None = None) -> list[
     table = hurwitz_orbit(seq, cap)
     conj = _tables(seq.degree).conj
     position, parents = table._position, table._parents
-    tree_words, inverses = [()], [()]
-    for parent, letter in parents[1:]:
-        tree_words.append(tree_words[parent] + (letter,))
-        inverses.append((-letter,) + inverses[parent])
+    tree_words, inverses = table._tree_words()
     letters = BraidWord.generator_letters(seq.length)
     words = []
     for k, element in enumerate(table._packed):

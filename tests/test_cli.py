@@ -412,8 +412,18 @@ def test_fuzzed_bad_values_exit_1(capsys, argv):
         (["classify", "--degree", "3", "--n", "-2"], "branch point count n must be nonnegative, got -2"),
         (["invariants", "--covering", '{"degree": 100001, "monodromy": [[1, 2]]}'], "at most 100000, got 100001"),
         (["canon", "--covering", '{"degree": 1000000000, "monodromy": [[1, 2]]}'], "at most 100000"),
+        (["target", "--degree", "100001", "--n", "200000"], "degree must be at most 100000, got 100001"),
+        (["classify", "--degree", "100001", "--n", "0"], "degree must be at most 100000, got 100001"),
     ],
-    ids=["omega-letter", "omega-float", "classify-negative-n", "degree-past-bound", "degree-1e9"],
+    ids=[
+        "omega-letter",
+        "omega-float",
+        "classify-negative-n",
+        "degree-past-bound",
+        "degree-1e9",
+        "target-degree-past-bound",
+        "classify-degree-past-bound",
+    ],
 )
 def test_bad_argument_report_names_it(capsys, argv, message):
     code, out = run(capsys, *argv)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from diskcovers import orbit
 from diskcovers.core import MonodromySequence, disk_covering, omega_class
 from diskcovers.cosets import (
     Inconclusive,
@@ -13,8 +14,8 @@ from diskcovers.cosets import (
     verify_theorem_c,
 )
 from diskcovers.hurwitz import BraidWord
-from diskcovers.lift import is_liftable, theorem_c_generators
-from diskcovers.orbit import schreier_generators, stabilizer_index
+from diskcovers.lift import is_liftable, liftable_interval_powers, theorem_c_generators
+from diskcovers.orbit import classify_all, schreier_generators, stabilizer_index
 
 
 def word(strands, *letters):
@@ -152,6 +153,46 @@ def test_interval_powers_exploration():
         result = interval_powers_index(s, max_word_length=2)
         assert result.tc_index == result.orbit_index
         assert result.generates
+
+
+#: Connected classes of ``classify_all`` per (degree, length): 26 in all.
+CONNECTED_CLASSES = {
+    (2, 2): 1, (2, 3): 1, (2, 4): 1, (2, 5): 1, (2, 6): 1,
+    (3, 2): 1, (3, 3): 1, (3, 4): 2, (3, 5): 1, (3, 6): 2,
+    (4, 2): 0, (4, 3): 1, (4, 4): 2, (4, 5): 2, (4, 6): 3,
+    (5, 2): 0, (5, 3): 0, (5, 4): 1, (5, 5): 2, (5, 6): 3,
+}
+
+
+@pytest.mark.parametrize(
+    "degree, length",
+    [
+        pytest.param(*cell, marks=[pytest.mark.slow] if cell in {(4, 6), (5, 6)} else [])
+        for cell in CONNECTED_CLASSES
+    ],
+)
+def test_interval_powers_certify_every_class(monkeypatch, degree, length):
+    # The whole tree's words generate the liftable group of every class, and
+    # number exactly the Nielsen-Schreier rank (see liftable_interval_powers).
+    searches = []
+    search = orbit.OrbitTable.__init__
+
+    def counted_search(table, *args):
+        searches.append(table)
+        search(table, *args)
+
+    monkeypatch.setattr(orbit.OrbitTable, "__init__", counted_search)
+    classes = [c for c in classify_all(degree, length) if c.connected]
+    assert len(classes) == CONNECTED_CLASSES[degree, length]
+    for c in classes:
+        s = c.representative
+        searches.clear()
+        report = interval_powers_index(s)
+        assert len(searches) == 1, c  # one orbit search gives words and index
+        assert report.generates and report.tc_index == report.orbit_index, (c, report)
+        words = liftable_interval_powers(s)
+        assert len(words) == report.generator_count == report.orbit_index * (length - 2) + 1, c
+        assert all(is_liftable(s, w) for w in words), c
 
 
 def test_schreier_generators_reproduce_index():

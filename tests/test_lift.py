@@ -20,6 +20,7 @@ from diskcovers.lift import (
     interval_type,
     is_liftable,
     is_regular_curve,
+    liftable_interval_powers,
     reference_alpha_monodromy,
     standard_curve,
     standard_interval,
@@ -29,6 +30,7 @@ from diskcovers.lift import (
     transport_interval,
     twisted_interval,
 )
+from diskcovers.orbit import hurwitz_orbit
 from diskcovers.restrict import END, START, RestrictionSpec, restriction_signature
 
 
@@ -366,3 +368,19 @@ def test_rotation_braid_carries_first_chord_to_last():
         assert curve_monodromy(pn, transported) == curve_monodromy(pn, last)
         assert curve_monodromy(pn, transported) == Transposition(1, n + 1)
         assert systems_liftable_equivalent(pn, [transported], [last])
+
+
+def test_bounded_conjugators_keep_a_subtree():
+    # Tree words up to a length L are those of the N_L elements within
+    # distance L, a subtree, so the count is N_L (n - 2) + 1 at every bound.
+    other = MonodromySequence.from_pairs(4, [(1, 2), (1, 2), (2, 3), (3, 4), (1, 2)])
+    cases = [disk_covering(3), disk_covering(4), other]
+    for s in cases:
+        table = hurwitz_orbit(s)
+        depths = [len(table.word_to(element)) for element in table]
+        for bound in range(-1, max(depths) + 2):
+            within = sum(depth <= bound for depth in depths)
+            words = liftable_interval_powers(s, bound)
+            assert len(words) == (within and within * (s.length - 2) + 1), (s.pairs(), bound)
+            assert all(is_liftable(s, w) for w in words)
+    assert len(liftable_interval_powers(disk_covering(3), 2)) == 12
