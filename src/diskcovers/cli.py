@@ -5,7 +5,10 @@ with 1-based sheets; braid words are whitespace-separated signed integers
 applied left to right; curves and intervals are ``{"base": j, "word": [...]}``
 documents, given inline or as a path to a JSON file.  A covering has at most
 ``MAX_DEGREE`` sheets: several answers build a permutation of all the sheets,
-so their memory grows with the degree.
+so their memory grows with the degree.  ``--n`` is bounded too: at most
+``MAX_BRANCH_POINTS`` where it is the length of a covering (``target``,
+``classify``), and at most ``MAX_STRANDS`` where it is the strand count of a
+braid presentation (``tcgens``, ``todd-coxeter``, ``verify-theorem-c``).
 
 Every run prints a single report (JSON one-liner or key-per-line text) on
 stdout and exits 0 on success, 1 on invalid input, 2 when an enumeration hit
@@ -51,6 +54,16 @@ from .restrict import RestrictionSpec, restrict, restricted_total_monodromy
 
 #: The most sheets a covering document may have.
 MAX_DEGREE = 100_000
+#: The most branch points ``--n`` may give a covering: twice MAX_DEGREE, room
+#: for the identity class on MAX_DEGREE sheets, which needs 2 (d - 1) entries.
+#: ``target --degree 3`` and ``classify --degree 2`` at this length take about
+#: 0.3 s and at most 55 MB; their memory grows by about 200 bytes per entry.
+MAX_BRANCH_POINTS = 200_000
+#: The most strands ``--n`` may give a braid presentation.  The coset table
+#: has 2 (n - 1) columns, so its memory at the default cap grows with n: at
+#: 16 strands ``todd-coxeter`` with no words and ``verify-theorem-c`` stop at
+#: the cap in about 630 MB; at 20 they run out of an 800 MB address space.
+MAX_STRANDS = 16
 
 
 class UsageError(ValueError):
@@ -66,11 +79,23 @@ def covering_document(seq: MonodromySequence) -> dict[str, Any]:
     return {"degree": seq.degree, "monodromy": [list(t.sheets) for t in seq.entries]}
 
 
+def _at_most(value: int, bound: int, noun: str) -> int:
+    """Refuse a size past its bound: sheets from a document or a flag, or ``--n``."""
+    if value > bound:
+        raise ValueError(f"{noun} must be at most {bound}, got {value}")
+    return value
+
+
 def _bounded_degree(degree: int) -> int:
-    """Refuse more than ``MAX_DEGREE`` sheets, from a document or a flag."""
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree must be at most {MAX_DEGREE}, got {degree}")
-    return degree
+    return _at_most(degree, MAX_DEGREE, "degree")
+
+
+def _branch_points(n: int) -> int:
+    return _at_most(n, MAX_BRANCH_POINTS, "branch point count n")
+
+
+def _strands(n: int) -> int:
+    return _at_most(n, MAX_STRANDS, "strand count n")
 
 
 def parse_covering(text: str) -> MonodromySequence:
@@ -192,7 +217,9 @@ def _cmd_canon(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_target(args: argparse.Namespace) -> dict[str, Any]:
-    seq = canonical_target(_bounded_degree(args.degree), args.n, _int_list_arg(args.omega, "cycle type"))
+    seq = canonical_target(
+        _bounded_degree(args.degree), _branch_points(args.n), _int_list_arg(args.omega, "cycle type")
+    )
     return {"covering": covering_document(seq)}
 
 
@@ -221,7 +248,7 @@ def _cmd_interval_type(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_tcgens(args: argparse.Namespace) -> dict[str, Any]:
-    generators = theorem_c_generators(args.n)
+    generators = theorem_c_generators(_strands(args.n))
     return {"count": len(generators), "generators": [list(w.letters) for w in generators]}
 
 
@@ -271,7 +298,7 @@ def _cmd_schreier(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
-    classes = classify_all(_bounded_degree(args.degree), args.n, args.cap)
+    classes = classify_all(_bounded_degree(args.degree), _branch_points(args.n), args.cap)
     return {
         "total": enumeration_bound(args.degree, args.n),
         "classes": [
@@ -287,17 +314,18 @@ def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_todd_coxeter(args: argparse.Namespace) -> dict[str, Any]:
+    strands = _strands(args.n)
     words = [
-        _braid_arg(part, args.n)
+        _braid_arg(part, strands)
         for part in args.words.split(";")
         if part.strip() != ""
     ]
-    index, _table = todd_coxeter(args.n, words, args.cap)
+    index, _table = todd_coxeter(strands, words, args.cap)
     return {"index": index}
 
 
 def _cmd_verify_theorem_c(args: argparse.Namespace) -> dict[str, Any]:
-    report = verify_theorem_c(args.n, args.cap)
+    report = verify_theorem_c(_strands(args.n), args.cap)
     return {
         "orbit_index": report.orbit_index,
         "tc_index": report.tc_index,

@@ -23,8 +23,10 @@ tuples sort as the sequences they encode.  Every ``MonodromySequence`` carries
 its packed tuple as ``_packed``: the public constructor packs the entries in
 the pass that validates them, and ``_unpack`` keeps the tuple it is given, so
 no sequence is packed twice.  The tables of one degree (``_tables``, a bounded
-cache) are filled one entry at a time on first lookup, so their size follows
-the transpositions met, not the degree.  The public types validate whatever a
+cache) are plain tuples built whole for a small degree, d <= 16, which the
+hot loops read fastest; for a larger degree they are filled one entry at a
+time on first lookup, so their size follows the transpositions met, not the
+degree.  Both forms are read alike.  The public types validate whatever a
 caller builds; the package builds its results, from validated values only,
 with the unchecked constructor ``_trusted``.
 """
@@ -486,18 +488,34 @@ class _Lazy(dict):
 class _Tables:
     """Lookup tables of the packed encoding on one degree.
 
-    The tables are filled one entry at a time on first lookup, so they grow
-    with the transpositions a caller meets, not with the ``d(d-1)/2`` pairs:
     ``pairs[t]`` is the pair ``(a, b)``, ``interned[t]`` its one
     ``Transposition``, and ``conj[t][u]`` is t conjugated by u, the swap of
     ``u(a)`` and ``u(b)``.  Renumbering sheets by u is conjugating by u.
+
+    Their form is a property of the degree.  A degree whose conjugation table
+    has at most 2^14 entries, that is d <= 16 (C(16, 2)^2 = 14,400), gets all
+    three built whole, as plain tuples, on first use: the build takes well
+    under 1 ms, and CPython reads tuples faster than dict subclasses.  A larger
+    degree fills them one entry at a time on first lookup, so they grow with
+    the transpositions a caller meets, not with the ``d(d-1)/2`` pairs.  Both
+    forms are read alike, ``pairs[t]`` and ``conj[t][u]``.
     """
 
     def __init__(self, degree: int) -> None:
         self.degree = degree
-        self.pairs = _Lazy(self._pair)
-        self.interned = _Lazy(lambda t: _trusted(Transposition, a=self.pairs[t][0], b=self.pairs[t][1]))
-        self.conj = _Lazy(lambda t: _Lazy(lambda u: self._conj(t, u)))
+        size = degree * (degree - 1) // 2
+        if size * size > 1 << 14:
+            self.pairs, self.interned, self.conj = self._lazy()
+            return
+        self.pairs = tuple(map(self._pair, range(size)))
+        self.interned = tuple(_trusted(Transposition, a=a, b=b) for a, b in self.pairs)
+        self.conj = tuple(map(self._conj_row, range(size)))
+
+    def _lazy(self) -> tuple[_Lazy, _Lazy, _Lazy]:
+        """``pairs``, ``interned`` and ``conj`` in the lazily filled form."""
+        pairs = _Lazy(self._pair)
+        interned = _Lazy(lambda t: _trusted(Transposition, a=pairs[t][0], b=pairs[t][1]))
+        return pairs, interned, _Lazy(lambda t: _Lazy(lambda u: self._conj(t, u)))
 
     def index(self, a: int, b: int) -> int:
         """The packed transposition (a b) of two distinct sheets."""
@@ -516,6 +534,17 @@ class _Tables:
         c, e = self.pairs[u]
         swap = {c: e, e: c}
         return self.index(swap.get(a, a), swap.get(b, b))
+
+    def _conj_row(self, t: int) -> tuple[int, ...]:
+        # Only a swap sharing one sheet with t = (a b) moves it: (a x) makes it
+        # (x b), and (b x) makes it (a x).
+        a, b = self.pairs[t]
+        row = [t] * (self.degree * (self.degree - 1) // 2)
+        for x in range(1, self.degree + 1):
+            if x != a and x != b:
+                row[self.index(a, x)] = self.index(x, b)
+                row[self.index(b, x)] = self.index(a, x)
+        return tuple(row)
 
 
 @lru_cache(maxsize=16)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MonodromySequence, Transposition, _tables, is_disk
+from .core import MonodromySequence, Transposition, _tables, _trusted, is_disk
 from .orbit import OrbitTable, hurwitz_orbit
 from .restrict import END, START, RestrictionSpec, restriction_signature
 from .hurwitz import BraidWord, _act_packed, _require_strands, act
@@ -336,13 +336,24 @@ def liftable_interval_powers(seq: MonodromySequence, max_word_length: int | None
 
 
 def _interval_powers(table: OrbitTable, max_word_length: int | None) -> list[BraidWord]:
-    """:func:`liftable_interval_powers` read off a searched orbit."""
+    """:func:`liftable_interval_powers` read off a searched orbit: element k
+    is the root transported by ``t_k``, so its entries give the interval
+    types, and the reduced word is ``t_k`` stripped of its trailing ``x_i^+-1``
+    letters, then ``x_i^m``, then the inverse of what is left."""
+    n = table.root.length
+    conj = _tables(table.root.degree).conj
     out: dict[tuple[int, ...], BraidWord] = {}
-    for word in table._tree_words()[0]:
+    for packed, word, inverse in zip(table._packed, *table._tree_words()):
         if max_word_length is not None and len(word) > max_word_length:
             break  # breadth-first: no later word is shorter
-        for base in range(1, table.root.length):
-            ref = IntervalRef(base, BraidWord(table.root.length, word))
-            power = interval_braid(ref, power=interval_type(table.root, ref))
-            out.setdefault(power.letters, power)
+        for i in range(1, n):
+            t, u = packed[i - 1], packed[i]
+            # Equal entries give type 1; disjoint ones commute, type 2.
+            m = 1 if t == u else 2 if conj[t][u] == t else 3
+            kept = len(word)
+            while kept and abs(word[kept - 1]) == i:
+                kept -= 1
+            letters = word[:kept] + (i,) * m + inverse[len(word) - kept:]
+            if letters not in out:
+                out[letters] = _trusted(BraidWord, strands=n, letters=letters)
     return list(out.values())

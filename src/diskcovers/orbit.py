@@ -19,8 +19,10 @@ their cap, ``DEFAULT_CAP`` unless the caller gives one.
 
 Both run on packed sequences (see :mod:`diskcovers.core`).  ``classify_all``
 enumerates them in lexicographic pair order, which is the order of the
-sequences they encode, so a class's first member is its least.  Public objects
-are built on the way out only, with core's trusted constructor;
+sequences they encode, so a class's first member is its least.  It stores no
+sequence: it names each by its rank in that order, the packed tuple read in
+base C(d, 2), and runs the package's one union-find on the ranks.  Public
+objects are built on the way out only, with core's trusted constructor;
 :class:`OrbitTable` builds its elements on first access, so
 ``stabilizer_index`` builds none.
 """
@@ -31,6 +33,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .core import CycleType, MonodromySequence, _tables, _trusted, _union_find, _unpack, omega_class
 from .hurwitz import BraidWord, _act_packed
@@ -178,9 +181,9 @@ class OrbitClass:
     connected: bool
 
 
-def _packed_sequences(degree: int, length: int) -> list[tuple[int, ...]]:
+def _packed_sequences(degree: int, length: int) -> Iterator[tuple[int, ...]]:
     """Every packed sequence of the given size, in lexicographic order."""
-    return list(itertools.product(range(degree * (degree - 1) // 2), repeat=length))
+    return itertools.product(range(degree * (degree - 1) // 2), repeat=length)
 
 
 def all_sequences(degree: int, length: int) -> list[MonodromySequence]:
@@ -196,6 +199,11 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     Renumbering is generated by the adjacent sheet swaps, so the classes are
     exactly the equivalence classes of coverings.  Classes are reported with
     their least member as representative, sorted by representative.
+
+    No list of the sequences is kept.  A packed sequence's position in
+    lexicographic order, its rank, is the packed tuple read as a number in
+    base C(d, 2), and the union-find runs on ranks: the sequences are read
+    once, in order, and each edge names the rank of its far end.
     """
     if length < 0:
         raise ValueError(f"branch point count n must be nonnegative, got {length}")
@@ -203,27 +211,33 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     total = enumeration_bound(degree, length)
     if total > cap:
         raise CapExceeded(f"{total} sequences exceed cap {cap}", cap)
-    sequences = _packed_sequences(degree, length)
-    if not sequences:  # no pairs to choose from: fewer than two sheets
+    if not total:  # no pairs to choose from: fewer than two sheets
         return []
-    ids = {p: i for i, p in enumerate(sequences)}
     tables = _tables(degree)
     conj = tables.conj
+    base = degree * (degree - 1) // 2
+    weight = [base ** (length - 1 - j) for j in range(length)]  # of the digit at 0-based position j
     # Renumbering by the swap (k k+1) is conjugation by that transposition.
     swaps = [tables.index(k, k + 1) for k in range(1, degree)]
 
     def edges():
-        for i, p in enumerate(sequences):
+        for i, p in enumerate(_packed_sequences(degree, length)):
             for g in range(1, length):
-                yield i, ids[_act_packed(conj, p, (g,))]
-            for swap in swaps:
-                yield i, ids[tuple([conj[t][swap] for t in p])]
+                # x_g by the rule of _act_packed, inline on the rank: the digits
+                # t, u at 0-based positions g - 1, g become u, conj[t][u].
+                t, u = p[g - 1], p[g]
+                yield i, i + (u - t) * weight[g - 1] + (conj[t][u] - u) * weight[g]
+            for swap in swaps:  # the rank of p renumbered by the swap
+                r = 0
+                for t in p:
+                    r = r * base + conj[t][swap]
+                yield i, r
 
-    # Each class is named by its least position, which holds its least member.
-    counts = Counter(_union_find(len(sequences), edges()))
+    # Each class is named by its least rank, which is its least member.
+    counts = Counter(_union_find(total, edges()))
     classes = []
     for root in sorted(counts):
-        representative = _unpack(degree, sequences[root])
+        representative = _unpack(degree, tuple(root // w % base for w in weight))
         classes.append(
             OrbitClass(
                 representative=representative,

@@ -414,6 +414,11 @@ def test_fuzzed_bad_values_exit_1(capsys, argv):
         (["canon", "--covering", '{"degree": 1000000000, "monodromy": [[1, 2]]}'], "at most 100000"),
         (["target", "--degree", "100001", "--n", "200000"], "degree must be at most 100000, got 100001"),
         (["classify", "--degree", "100001", "--n", "0"], "degree must be at most 100000, got 100001"),
+        (["target", "--degree", "3", "--n", "200001"], "branch point count n must be at most 200000, got 200001"),
+        (["classify", "--degree", "2", "--n", "200001"], "branch point count n must be at most 200000, got 200001"),
+        (["tcgens", "--n", "17"], "strand count n must be at most 16, got 17"),
+        (["todd-coxeter", "--n", "17", "--words", ""], "strand count n must be at most 16, got 17"),
+        (["verify-theorem-c", "--n", "17"], "strand count n must be at most 16, got 17"),
     ],
     ids=[
         "omega-letter",
@@ -423,6 +428,11 @@ def test_fuzzed_bad_values_exit_1(capsys, argv):
         "degree-1e9",
         "target-degree-past-bound",
         "classify-degree-past-bound",
+        "target-n-past-bound",
+        "classify-n-past-bound",
+        "tcgens-n-past-bound",
+        "todd-coxeter-n-past-bound",
+        "verify-theorem-c-n-past-bound",
     ],
 )
 def test_bad_argument_report_names_it(capsys, argv, message):
@@ -437,6 +447,13 @@ def test_degree_bound_admits_large_coverings(capsys):
     code, out = run(capsys, "invariants", "--covering", document)
     assert code == 0 and payload(out)["boundary"] == 19_998
     assert parse_covering('{"degree": 100000, "monodromy": [[1, 100000]]}').degree == 100_000
+
+
+def test_n_bounds_admit_their_limits(capsys):
+    code, out = run(capsys, "classify", "--degree", "2", "--n", "200000")
+    assert code == 0 and payload(out)["classes"][0]["count"] == 1
+    code, out = run(capsys, "tcgens", "--n", "16")
+    assert code == 0 and payload(out)["count"] == 16 * 15 // 2
 
 
 def test_long_inline_covering_is_read_inline(capsys):

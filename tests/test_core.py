@@ -239,3 +239,25 @@ def test_renumber_sheets_conjugates_total_monodromy():
     s = seq(4, (1, 2), (2, 3), (2, 4))
     r = Permutation((2, 3, 4, 1))
     assert total_monodromy(s.renumber_sheets(r)) == r.inverse() * total_monodromy(s) * r
+
+
+def test_dense_tables_match_the_closed_form_and_the_lazy_tables():
+    # Degrees up to 16 get whole tuple tables, 17 (one past) the lazy form.
+    from diskcovers.core import _Lazy, _Tables
+
+    for degree in range(1, 18):
+        tables = _Tables(degree)
+        assert isinstance(tables.conj, tuple) == (degree <= 16)
+        pairs, interned, conj = tables._lazy()
+        closed = list(itertools.combinations(range(1, degree + 1), 2))
+        for t, (a, b) in enumerate(closed):
+            assert tables.pairs[t] == pairs[t] == (a, b)
+            assert tables.interned[t] == interned[t] == Transposition(a, b)
+            for u, (c, e) in enumerate(closed):
+                image = Transposition(a, b).image_under(Transposition(c, e))
+                assert tables.conj[t][u] == conj[t][u] == tables.index(image.a, image.b)
+        if degree <= 16:
+            assert len(tables.conj) == len(tables.pairs) == len(closed)
+            assert all(len(row) == len(closed) for row in tables.conj)
+        else:
+            assert isinstance(tables.conj, _Lazy)

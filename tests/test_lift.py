@@ -384,3 +384,34 @@ def test_bounded_conjugators_keep_a_subtree():
             assert len(words) == (within and within * (s.length - 2) + 1), (s.pairs(), bound)
             assert all(is_liftable(s, w) for w in words)
     assert len(liftable_interval_powers(disk_covering(3), 2)) == 12
+
+
+def interval_powers_oracle(s, max_word_length=None):
+    """liftable_interval_powers built from the public pieces: for each orbit
+    element, in discovery order, its tree word ``word_to``, and each position,
+    ``interval_braid`` at the power ``interval_type`` gives, deduplicated."""
+    out = {}
+    table = hurwitz_orbit(s)
+    for element in table:
+        conjugator = table.word_to(element)
+        if max_word_length is not None and len(conjugator) > max_word_length:
+            break
+        for base in range(1, s.length):
+            ref = IntervalRef(base, conjugator)
+            out.setdefault(interval_braid(ref, interval_type(s, ref)).letters, None)
+    return list(out)
+
+
+def test_interval_powers_match_the_public_construction():
+    from diskcovers.orbit import classify_all
+
+    for degree in range(2, 5):
+        for length in range(2, 6):
+            for c in classify_all(degree, length):
+                if not c.connected:
+                    continue
+                s = c.representative
+                for bound in (None, 1):
+                    words = liftable_interval_powers(s, bound)
+                    assert [w.letters for w in words] == interval_powers_oracle(s, bound), (s.pairs(), bound)
+                    assert words == [BraidWord(length, w.letters) for w in words]

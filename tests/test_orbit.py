@@ -6,7 +6,7 @@ import pytest
 
 from diskcovers import orbit
 from diskcovers.cli import main
-from diskcovers.core import MonodromySequence, disk_covering, is_equivalent, omega_class
+from diskcovers.core import MonodromySequence, Transposition, disk_covering, is_equivalent, omega_class
 from diskcovers.cosets import Inconclusive, interval_powers_index, todd_coxeter, verify_theorem_c
 from diskcovers.hurwitz import BraidWord, act, canonicalize, replay_certificate
 from diskcovers.lift import is_liftable
@@ -255,3 +255,41 @@ def test_all_sequences_counts():
     assert len(all_sequences(3, 2)) == 9
     assert len(all_sequences(2, 0)) == 1
     assert len(all_sequences(1, 1)) == 0
+
+
+def classify_oracle(degree, length):
+    """Classes by a union-find of its own over ``all_sequences``, joined by
+    the public ``act`` of each generator and ``renumber_sheets`` by each
+    adjacent sheet swap: (least member, size) per class."""
+    sequences = all_sequences(degree, length)
+    parent = {s: s for s in sequences}
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    swaps = [Transposition(k, k + 1).as_permutation(degree) for k in range(1, degree)]
+    for s in sequences:
+        neighbours = [act(s, BraidWord(length, (g,))) for g in range(1, length)]
+        neighbours += [s.renumber_sheets(swap) for swap in swaps]
+        for other in neighbours:
+            a, b = find(s), find(other)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    sizes = {}
+    for s in sequences:
+        root = find(s)
+        sizes[root] = sizes.get(root, 0) + 1
+    return sorted(sizes.items())
+
+
+def test_classify_all_matches_an_independent_union_find():
+    # Pins the rank arithmetic classify_all does inline for each braid edge.
+    for degree in range(1, 5):
+        for length in range(0, 5):
+            classes = classify_all(degree, length)
+            assert [(c.representative, c.count) for c in classes] == classify_oracle(degree, length)
+            for c in classes:
+                assert c.omega == omega_class(c.representative)
+                assert c.connected == c.representative.is_connected()
