@@ -12,7 +12,9 @@ union-find table.  A gap of one letter is a deduction: that entry and its
 inverse are filled.  Only a wider gap defines a new coset, after which the
 forward scan goes on.  Defining a coset only where nothing can be deduced
 keeps the count of cosets defined (``CosetTable.defined``) close to the
-index.  The table is one flat list, indexed ``coset * columns + column``.
+index.  The table is one flat list, indexed ``coset * columns + column``,
+and it is stored once: :class:`CosetTable` keeps that list and the
+union-find, finished or capped, and builds ``rows`` only when they are read.
 
 Enumeration is deterministic for fixed inputs.  On completion the table is a
 genuine permutation action on the cosets and the coset count is the
@@ -36,7 +38,9 @@ group exactly when the coset count matches the orbit count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import orbit
 from .core import disk_covering
@@ -47,16 +51,16 @@ COMPLETE = "complete"
 CAPPED = "capped"
 
 
-class Inconclusive(RuntimeError):
+class Inconclusive(orbit.CapExceeded):
     """Enumeration hit the coset cap; the index may be infinite.
 
-    Carries the cap and, when raised by :func:`todd_coxeter`, a snapshot of
-    the partial table with status ``CAPPED``.
+    A :class:`~diskcovers.orbit.CapExceeded` that carries the cap and, when
+    raised by :func:`todd_coxeter`, the partial table with status ``CAPPED``,
+    no copy of it: its ``rows`` are relabelled only when read.
     """
 
     def __init__(self, message: str, cap: int, table: "CosetTable | None" = None):
-        super().__init__(message)
-        self.cap = cap
+        super().__init__(message, cap)
         self.table = table
 
 
@@ -84,24 +88,42 @@ def braid_presentation(strands: int) -> Presentation:
     return Presentation(strands, tuple(relators))
 
 
-@dataclass(frozen=True)
 class CosetTable:
     """Action of the generators on the cosets, one row per coset.
 
     Row ``c`` holds, per column, the coset reached from ``c``; columns come in
-    pairs (generator, inverse) for generators ``1 .. strands - 1``.
+    pairs (generator, inverse) for generators ``1 .. strands - 1``.  The table
+    keeps the enumeration's own union-find and flat table, so building it
+    copies nothing; ``rows`` numbers the live cosets in order and relabels
+    their entries on first read.  ``index`` counts the live cosets, and
+    ``defined`` every coset defined, those later merged away included; both
+    are deterministic for fixed inputs.
     """
 
-    strands: int
-    rows: tuple[tuple[int, ...], ...]
-    status: str
-    #: Cosets defined during the enumeration, those later merged away
-    #: included; deterministic for fixed inputs, and not part of equality.
-    defined: int = field(default=0, compare=False)
+    def __init__(self, strands: int, status: str, parent: list[int], table: list[int]) -> None:
+        self.strands = strands
+        self.status = status
+        self.defined = len(parent)
+        self.index = sum(map(operator.eq, parent, range(len(parent))))
+        self._parent = parent
+        self._table = table
 
-    @property
-    def index(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        # A merge keeps the smaller coset and path halving points a coset at
+        # an ancestor, so parent[c] <= c: it is labelled before c, with its
+        # live coset's label.  The trailing -1 is label[-1], which keeps
+        # unknown entries unknown.
+        cols = 2 * (self.strands - 1)
+        label, live_cosets = [], []
+        for c, p in enumerate(self._parent):
+            if p == c:
+                label.append(len(live_cosets))
+                live_cosets.append(c)
+            else:
+                label.append(label[p])
+        label.append(-1)
+        return tuple(tuple(label[x] for x in self._table[c * cols : (c + 1) * cols]) for c in live_cosets)
 
 
 def todd_coxeter(
@@ -137,7 +159,8 @@ def todd_coxeter(
 
     def define(c: int, d: int) -> None:
         if len(parent) >= max_cosets:
-            raise Inconclusive(f"no conclusion within {max_cosets} cosets", max_cosets)
+            message = f"no conclusion within {max_cosets} cosets"
+            raise Inconclusive(message, max_cosets, CosetTable(strands, CAPPED, parent, table))
         v = len(parent)
         parent.append(v)
         table.extend(blank)
@@ -201,42 +224,22 @@ def todd_coxeter(
                 return
             define(f, word[i])
 
-    def snapshot(status: str) -> tuple[int, CosetTable]:
-        # label[c] numbers the live coset of c; a merge keeps the smaller
-        # coset, so find(c) <= c is labelled first.  The trailing -1 is
-        # label[-1], which keeps unknown entries unknown.
-        live_cosets: list[int] = []
-        label: list[int] = []
-        for c in range(len(parent)):
-            root = find(c)
-            if root == c:
-                label.append(len(live_cosets))
-                live_cosets.append(c)
-            else:
-                label.append(label[root])
-        label.append(-1)
-        rows = tuple(tuple(label[x] for x in table[c * cols : (c + 1) * cols]) for c in live_cosets)
-        return len(rows), CosetTable(strands=strands, rows=rows, status=status, defined=len(parent))
+    for word in words:
+        scan_and_fill(0, word)
 
-    try:
-        for word in words:
-            scan_and_fill(0, word)
-
-        scan = 0
-        while scan < len(parent):
+    scan = 0
+    while scan < len(parent):
+        if parent[scan] == scan:
+            for relator in relators:
+                scan_and_fill(scan, relator)
             if parent[scan] == scan:
-                for relator in relators:
-                    scan_and_fill(scan, relator)
-                if parent[scan] == scan:
-                    for d in range(cols):
-                        if table[scan * cols + d] == -1:
-                            define(scan, d)
-            scan += 1
-    except Inconclusive as exc:
-        _, exc.table = snapshot(CAPPED)
-        raise
+                for d in range(cols):
+                    if table[scan * cols + d] == -1:
+                        define(scan, d)
+        scan += 1
 
-    return snapshot(COMPLETE)
+    result = CosetTable(strands, COMPLETE, parent, table)
+    return result.index, result
 
 
 @dataclass(frozen=True)

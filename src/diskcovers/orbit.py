@@ -15,7 +15,8 @@ half-twist powers by the tree words.
 ``classify_all`` is the brute-force classification oracle: it partitions all
 sequences of a given size into classes under the action together with
 simultaneous sheet renumbering.  Both stop with :class:`CapExceeded` past
-their cap, ``DEFAULT_CAP`` unless the caller gives one.
+their cap, ``DEFAULT_CAP`` unless the caller gives one; ``all_sequences``
+refuses more than ``DEFAULT_CAP`` sequences the same way.
 
 Both run on packed sequences (see :mod:`diskcovers.core`).  ``classify_all``
 enumerates them in lexicographic pair order, which is the order of the
@@ -38,8 +39,8 @@ from typing import Iterator
 from .core import CycleType, MonodromySequence, _tables, _trusted, _union_find, _unpack, omega_class
 from .hurwitz import BraidWord, _act_packed
 
-#: The default cap: orbit elements searched, sequences classified, or cosets
-#: defined by :func:`diskcovers.cosets.todd_coxeter`.
+#: The default cap: orbit elements searched, sequences classified or listed,
+#: or cosets defined by :func:`diskcovers.cosets.todd_coxeter`.
 DEFAULT_CAP = 10**6
 
 
@@ -186,9 +187,23 @@ def _packed_sequences(degree: int, length: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(degree * (degree - 1) // 2), repeat=length)
 
 
+def _sequence_count(degree: int, length: int, cap: int | None = None) -> int:
+    """The number of sequences of the given size, refused past the cap
+    (``DEFAULT_CAP`` as it reads at call time) before any is built."""
+    if length < 0:
+        raise ValueError(f"branch point count n must be nonnegative, got {length}")
+    cap = _resolve_cap(cap)
+    total = enumeration_bound(degree, length)
+    if total > cap:
+        raise CapExceeded(f"{total} sequences exceed cap {cap}", cap)
+    return total
+
+
 def all_sequences(degree: int, length: int) -> list[MonodromySequence]:
     """Every length-``n`` transposition sequence on ``d`` sheets, in
-    lexicographic order."""
+    lexicographic order.  Raises :class:`CapExceeded` when they number more
+    than ``DEFAULT_CAP``."""
+    _sequence_count(degree, length)
     return [_unpack(degree, p) for p in _packed_sequences(degree, length)]
 
 
@@ -205,12 +220,7 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     base C(d, 2), and the union-find runs on ranks: the sequences are read
     once, in order, and each edge names the rank of its far end.
     """
-    if length < 0:
-        raise ValueError(f"branch point count n must be nonnegative, got {length}")
-    cap = _resolve_cap(cap)
-    total = enumeration_bound(degree, length)
-    if total > cap:
-        raise CapExceeded(f"{total} sequences exceed cap {cap}", cap)
+    total = _sequence_count(degree, length, cap)
     if not total:  # no pairs to choose from: fewer than two sheets
         return []
     tables = _tables(degree)

@@ -1,9 +1,15 @@
 """Coset enumeration and the generator-set verifier."""
 
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import diskcovers
 from diskcovers import orbit
 from diskcovers.core import MonodromySequence, disk_covering, omega_class
 from diskcovers.cosets import (
@@ -52,6 +58,32 @@ def test_trivial_subgroup_is_inconclusive():
             todd_coxeter(n, [], max_cosets=2000)
         assert info.value.cap == 2000
         assert info.value.table is not None and info.value.table.status == "capped"
+
+
+def test_inconclusive_is_the_cap_error():
+    # Callers, the CLI among them, catch CapExceeded alone.
+    assert issubclass(Inconclusive, orbit.CapExceeded)
+
+
+@pytest.mark.parametrize("strands", [4, 6])
+def test_capped_enumeration_makes_no_copy(strands):
+    # The partial table is the enumeration's own lists, so the traced peak
+    # stays near their size: no relabelled copy of the rows is built.
+    cap = 20_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(Inconclusive) as info:
+            todd_coxeter(strands, [], max_cosets=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = cap * 2 * (strands - 1)
+    assert peak / entries < 20, peak / entries
+    table = info.value.table
+    assert table.status == "capped" and table.defined == cap
+    rows = table.rows
+    assert table.rows is rows and len(rows) == table.index
+    assert all(-1 <= image < table.index for row in rows for image in row)
 
 
 def braid_relators(strands):
@@ -134,6 +166,22 @@ def test_verify_theorem_c_at_seven_branch_points():
     report = verify_theorem_c(7)
     assert report.all_liftable and report.passed
     assert report.orbit_index == report.tc_index == 262_144
+
+
+@pytest.mark.slow
+def test_verify_theorem_c_at_seven_branch_points_peaks_under_100_mb():
+    # In a process of its own, so that the peak RSS is this run's alone.  The
+    # child reads its peak off /proc (Linux), not ru_maxrss: a child keeps the
+    # RSS its parent had when it was spawned as a floor of its ru_maxrss.
+    code = (
+        "from diskcovers.cosets import verify_theorem_c\n"
+        "assert verify_theorem_c(7).passed\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    peak_mb = int(child.stdout) / 1024  # VmHWM counts kB
+    assert peak_mb < 100, peak_mb
 
 
 def test_verify_theorem_c_inconclusive_cap():

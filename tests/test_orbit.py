@@ -149,9 +149,10 @@ def test_schreier_word_counts():
 
 def test_default_cap_is_shared(monkeypatch, capsys):
     assert DEFAULT_CAP == 10**6
-    with pytest.raises(CapExceeded) as info:
-        classify_all(5, 7)  # 10^7 sequences, refused before enumerating
-    assert info.value.cap == DEFAULT_CAP
+    for enumerate_ in (classify_all, all_sequences):
+        with pytest.raises(CapExceeded) as info:
+            enumerate_(5, 7)  # 10^7 sequences, refused before enumerating
+        assert info.value.cap == DEFAULT_CAP
     assert main(["classify", "--degree", "5", "--n", "7"]) == 2
     assert '"cap": 1000000' in capsys.readouterr().out
     monkeypatch.setattr(orbit, "DEFAULT_CAP", 5)
@@ -159,9 +160,10 @@ def test_default_cap_is_shared(monkeypatch, capsys):
         with pytest.raises(CapExceeded) as info:
             enumerate_(disk_covering(3))
         assert info.value.cap == 5
-    with pytest.raises(CapExceeded) as info:
-        classify_all(3, 2)
-    assert info.value.cap == 5
+    for enumerate_ in (classify_all, all_sequences):
+        with pytest.raises(CapExceeded) as info:
+            enumerate_(3, 2)
+        assert info.value.cap == 5
     for command in ("orbit", "schreier"):
         assert main([command, "--covering", '{"degree": 4, "monodromy": [[1, 2], [2, 3], [3, 4]]}']) == 2
         out = capsys.readouterr().out
