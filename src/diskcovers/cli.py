@@ -13,6 +13,10 @@ braid presentation (``tcgens``, ``todd-coxeter``, ``verify-theorem-c``).
 Every run prints a single report (JSON one-liner or key-per-line text) on
 stdout and exits 0 on success, 1 on invalid input, 2 when an enumeration hit
 its cap.  Identical invocations produce byte-identical output.
+
+Each handler imports the modules it runs, so that a process loads no more of
+the package than its command needs: ``invariants`` loads only ``core`` and
+``restrict``, which ``import diskcovers`` loads.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .core import (
+    CapExceeded,
     MonodromySequence,
     _surface_invariants,
     canonical_target,
@@ -31,26 +36,10 @@ from .core import (
     is_equivalent,
     total_monodromy,
 )
-from .cosets import todd_coxeter, verify_theorem_c
-from .hurwitz import BraidWord, act, canonicalize
-from .lift import (
-    CurveRef,
-    IntervalRef,
-    curve_monodromy,
-    interval_type,
-    is_liftable,
-    is_regular_curve,
-    systems_liftable_equivalent,
-    theorem_c_generators,
-)
-from .orbit import (
-    CapExceeded,
-    classify_all,
-    enumeration_bound,
-    hurwitz_orbit,
-    schreier_generators,
-)
-from .restrict import RestrictionSpec, restrict, restricted_total_monodromy
+
+if TYPE_CHECKING:
+    from .hurwitz import BraidWord
+    from .lift import CurveRef, IntervalRef
 
 #: The most sheets a covering document may have.
 MAX_DEGREE = 100_000
@@ -151,6 +140,8 @@ def _covering_arg(value: str) -> MonodromySequence:
 
 
 def _braid_arg(value: str, strands: int) -> BraidWord:
+    from .hurwitz import BraidWord
+
     try:
         letters = tuple(int(tok) for tok in value.split())
     except ValueError as exc:
@@ -159,6 +150,8 @@ def _braid_arg(value: str, strands: int) -> BraidWord:
 
 
 def _word_doc(doc: Any, strands: int, kind: str) -> tuple[int, BraidWord]:
+    from .hurwitz import BraidWord
+
     if not isinstance(doc, dict) or set(doc) != {"base", "word"}:
         raise ValueError(f'{kind} document must have exactly the keys "base" and "word"')
     base, word = doc["base"], doc["word"]
@@ -170,14 +163,20 @@ def _word_doc(doc: Any, strands: int, kind: str) -> tuple[int, BraidWord]:
 
 
 def _curve_arg(value: str, strands: int) -> CurveRef:
+    from .lift import CurveRef
+
     return CurveRef(*_word_doc(_load_json(value), strands, "curve"))
 
 
 def _interval_arg(value: str, strands: int) -> IntervalRef:
+    from .lift import IntervalRef
+
     return IntervalRef(*_word_doc(_load_json(value), strands, "interval"))
 
 
 def _curve_list_arg(value: str, strands: int) -> list[CurveRef]:
+    from .lift import CurveRef
+
     doc = _load_json(value)
     if not isinstance(doc, list):
         raise ValueError("a curve system must be a JSON list of curve documents")
@@ -208,6 +207,8 @@ def _cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_canon(args: argparse.Namespace) -> dict[str, Any]:
+    from .hurwitz import canonicalize
+
     seq = _covering_arg(args.covering)
     result = canonicalize(seq)
     return {
@@ -231,41 +232,55 @@ def _cmd_equivalent(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_act(args: argparse.Namespace) -> dict[str, Any]:
+    from .hurwitz import act
+
     seq = _covering_arg(args.covering)
     word = _braid_arg(args.braid, seq.length)
     return {"covering": covering_document(act(seq, word))}
 
 
 def _cmd_lift(args: argparse.Namespace) -> dict[str, Any]:
+    from .lift import is_liftable
+
     seq = _covering_arg(args.covering)
     word = _braid_arg(args.braid, seq.length)
     return {"liftable": is_liftable(seq, word)}
 
 
 def _cmd_interval_type(args: argparse.Namespace) -> dict[str, Any]:
+    from .lift import interval_type
+
     seq = _covering_arg(args.covering)
     interval = _interval_arg(args.interval, seq.length)
     return {"type": interval_type(seq, interval)}
 
 
 def _cmd_tcgens(args: argparse.Namespace) -> dict[str, Any]:
+    from .lift import theorem_c_generators
+
     generators = theorem_c_generators(_strands(args.n))
     return {"count": len(generators), "generators": [list(w.letters) for w in generators]}
 
 
 def _cmd_curve(args: argparse.Namespace) -> dict[str, Any]:
+    from .lift import curve_monodromy
+
     seq = _covering_arg(args.covering)
     curve = _curve_arg(args.curve, seq.length)
     return {"monodromy": list(curve_monodromy(seq, curve).sheets)}
 
 
 def _cmd_regular(args: argparse.Namespace) -> dict[str, Any]:
+    from .lift import is_regular_curve
+
     seq = _covering_arg(args.covering)
     curve = _curve_arg(args.curve, seq.length)
     return {"regular": is_regular_curve(seq, curve)}
 
 
 def _cmd_systems(args: argparse.Namespace) -> dict[str, Any]:
+    from .lift import systems_liftable_equivalent
+
     seq = _covering_arg(args.covering)
     first = _curve_list_arg(args.curves_a, seq.length)
     second = _curve_list_arg(args.curves_b, seq.length)
@@ -273,6 +288,8 @@ def _cmd_systems(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_restrict(args: argparse.Namespace) -> dict[str, Any]:
+    from .restrict import RestrictionSpec, restrict, restricted_total_monodromy
+
     seq = _covering_arg(args.covering)
     spec = RestrictionSpec(_int_list_arg(args.indices, "indices"), args.base)
     restricted = restrict(seq, spec)
@@ -287,18 +304,24 @@ def _cmd_restrict(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> dict[str, Any]:
+    from .orbit import enumeration_bound, hurwitz_orbit
+
     seq = _covering_arg(args.covering)
     table = hurwitz_orbit(seq, args.cap)
     return {"size": len(table), "bound": enumeration_bound(seq.degree, seq.length)}
 
 
 def _cmd_schreier(args: argparse.Namespace) -> dict[str, Any]:
+    from .orbit import schreier_generators
+
     seq = _covering_arg(args.covering)
     generators = schreier_generators(seq, args.cap)
     return {"count": len(generators), "generators": [list(w.letters) for w in generators]}
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
+    from .orbit import classify_all, enumeration_bound
+
     classes = classify_all(_bounded_degree(args.degree), _branch_points(args.n), args.cap)
     return {
         "total": enumeration_bound(args.degree, args.n),
@@ -315,6 +338,8 @@ def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_todd_coxeter(args: argparse.Namespace) -> dict[str, Any]:
+    from .cosets import todd_coxeter
+
     strands = _strands(args.n)
     words = [
         _braid_arg(part, strands)
@@ -325,6 +350,8 @@ def _cmd_todd_coxeter(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_verify_theorem_c(args: argparse.Namespace) -> dict[str, Any]:
+    from .cosets import verify_theorem_c
+
     report = verify_theorem_c(_strands(args.n), args.cap)
     return {
         "orbit_index": report.orbit_index,

@@ -47,6 +47,14 @@ class DisconnectedCoveringError(ValueError):
     """Raised by operations that are only defined for connected coverings."""
 
 
+class CapExceeded(RuntimeError):
+    """An enumeration grew past the caller's cap."""
+
+    def __init__(self, message: str, cap: int):
+        super().__init__(message)
+        self.cap = cap
+
+
 @dataclass(frozen=True, order=True)
 class Permutation:
     """A permutation of the sheets ``{1, ..., d}`` stored as a tuple of images.

@@ -42,19 +42,19 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import orbit
-from .core import disk_covering
+from .core import CapExceeded, disk_covering
 from .hurwitz import BraidWord
 from .lift import _interval_powers, is_liftable, theorem_c_generators
+from .orbit import _resolve_cap, hurwitz_orbit, stabilizer_index
 
 COMPLETE = "complete"
 CAPPED = "capped"
 
 
-class Inconclusive(orbit.CapExceeded):
+class Inconclusive(CapExceeded):
     """Enumeration hit the coset cap; the index may be infinite.
 
-    A :class:`~diskcovers.orbit.CapExceeded` that carries the cap and, when
+    A :class:`~diskcovers.core.CapExceeded` that carries the cap and, when
     raised by :func:`todd_coxeter`, the partial table with status ``CAPPED``,
     no copy of it: its ``rows`` are relabelled only when read.
     """
@@ -136,7 +136,7 @@ def todd_coxeter(
     Raises :class:`Inconclusive` when more than ``max_cosets`` cosets get
     defined before the table closes (default: ``orbit.DEFAULT_CAP``).
     """
-    max_cosets = orbit._resolve_cap(max_cosets)
+    max_cosets = _resolve_cap(max_cosets)
     for word in subgroup_words:
         if word.strands != strands:
             raise ValueError("subgroup word strand count mismatch")
@@ -267,12 +267,12 @@ def interval_powers_index(
 
     One orbit search gives both the conjugators and the orbit index; it runs
     first, under ``max_cosets``, and raises
-    :class:`~diskcovers.orbit.CapExceeded` past it.  The enumeration then runs
+    :class:`~diskcovers.core.CapExceeded` past it.  The enumeration then runs
     under the same cap, as in :func:`todd_coxeter`.  With the whole tree,
     ``generates`` holds on every connected class with ``d <= 5`` and
     ``n <= 6``; the tests check all 26.
     """
-    table = orbit.hurwitz_orbit(seq, max_cosets)
+    table = hurwitz_orbit(seq, max_cosets)
     generators = _interval_powers(table, max_word_length)
     tc_index = todd_coxeter(seq.length, generators, max_cosets=max_cosets)[0]
     return IntervalGenerationReport(
@@ -304,7 +304,7 @@ def verify_theorem_c(branch_points: int, max_cosets: int | None = None) -> Theor
     (equality of indices).  A non-liftable word fails fast, skipping the
     enumeration.  ``max_cosets`` caps the enumeration, as in
     :func:`todd_coxeter`, and then the orbit search, which raises
-    :class:`~diskcovers.orbit.CapExceeded` past it.  The enumeration runs
+    :class:`~diskcovers.core.CapExceeded` past it.  The enumeration runs
     first: liftable generators give a coset index at least the orbit size, so
     an orbit past the cap stops the enumeration first.
     """
@@ -312,9 +312,9 @@ def verify_theorem_c(branch_points: int, max_cosets: int | None = None) -> Theor
     seq = disk_covering(n)
     generators = theorem_c_generators(n)
     if not all(is_liftable(seq, word) for word in generators):
-        return TheoremCReport(n, len(generators), False, orbit.stabilizer_index(seq, max_cosets), -1, False)
+        return TheoremCReport(n, len(generators), False, stabilizer_index(seq, max_cosets), -1, False)
     tc_index = todd_coxeter(n, generators, max_cosets=max_cosets)[0]
-    orbit_index = orbit.stabilizer_index(seq, max_cosets)
+    orbit_index = stabilizer_index(seq, max_cosets)
     return TheoremCReport(
         branch_points=n,
         generator_count=len(generators),

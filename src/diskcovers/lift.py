@@ -23,11 +23,14 @@ element, and after deduplication as many words as the Nielsen-Schreier rank
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .core import MonodromySequence, Transposition, _tables, _trusted, is_disk
-from .orbit import OrbitTable, hurwitz_orbit
 from .restrict import END, START, RestrictionSpec, restriction_signature
 from .hurwitz import BraidWord, _act_packed, _require_strands, act
+
+if TYPE_CHECKING:
+    from .orbit import OrbitTable
 
 
 @dataclass(frozen=True)
@@ -332,6 +335,9 @@ def liftable_interval_powers(seq: MonodromySequence, max_word_length: int | None
     >>> len(liftable_interval_powers(disk_covering(3)))  # index 16: 16 * 1 + 1
     17
     """
+    # Imported here: the curve and interval commands need no orbit search.
+    from .orbit import hurwitz_orbit
+
     return _interval_powers(hurwitz_orbit(seq), max_word_length)
 
 

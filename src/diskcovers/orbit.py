@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .core import CycleType, MonodromySequence, _tables, _trusted, _union_find, _unpack, omega_class
+from .core import CapExceeded, CycleType, MonodromySequence, _tables, _trusted, _union_find, _unpack, omega_class
 from .hurwitz import BraidWord, _act_packed
 
 #: The default cap: orbit elements searched, sequences classified or listed,
@@ -48,14 +48,6 @@ def enumeration_bound(degree: int, length: int) -> int:
     """Total number of length-``n`` transposition sequences on ``d`` sheets:
     the a priori bound on every orbit size and stabilizer index."""
     return (degree * (degree - 1) // 2) ** length
-
-
-class CapExceeded(RuntimeError):
-    """An enumeration grew past the caller's cap."""
-
-    def __init__(self, message: str, cap: int):
-        super().__init__(message)
-        self.cap = cap
 
 
 def _resolve_cap(cap: int | None) -> int:

@@ -1,0 +1,211 @@
+"""The package's public names and the modules each process loads.
+
+``import diskcovers`` loads ``core`` and ``restrict``; each of the other four
+compute modules loads on the first read of one of its names, and each CLI
+command loads only the modules it runs.  The import checks run in fresh interpreters
+and read ``sys.modules``, never timings.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import diskcovers
+
+#: Every public name of the package, by the submodule that defines it.
+OWNERS = {
+    "core": (
+        "CapExceeded",
+        "ComponentInvariants",
+        "ComponentSignature",
+        "CycleType",
+        "DisconnectedCoveringError",
+        "MonodromySequence",
+        "NotRealizable",
+        "Permutation",
+        "SurfaceInvariants",
+        "Transposition",
+        "canonical_target",
+        "components",
+        "conjugating_permutation",
+        "disk_covering",
+        "is_disk",
+        "is_equivalent",
+        "omega_class",
+        "surface_invariants",
+        "total_monodromy",
+    ),
+    "restrict": (
+        "END",
+        "START",
+        "RestrictionSpec",
+        "restrict",
+        "restricted_total_monodromy",
+        "restriction_signature",
+    ),
+    "hurwitz": (
+        "FORWARD",
+        "INVERSE",
+        "BraidWord",
+        "CanonicalizationResult",
+        "act",
+        "apply_moves",
+        "canonicalize",
+        "elementary_move",
+        "replay_certificate",
+    ),
+    "lift": (
+        "CurveRef",
+        "IntervalRef",
+        "count_regular_bases",
+        "curve_monodromy",
+        "index0_curve",
+        "index0_interval",
+        "index1_curve",
+        "index1_interval",
+        "interval_braid",
+        "interval_type",
+        "is_liftable",
+        "is_regular_curve",
+        "liftable_interval_powers",
+        "reference_alpha_monodromy",
+        "standard_curve",
+        "standard_interval",
+        "systems_liftable_equivalent",
+        "theorem_c_generators",
+        "transport_curve",
+        "transport_interval",
+        "twisted_interval",
+    ),
+    "orbit": (
+        "OrbitClass",
+        "OrbitTable",
+        "all_sequences",
+        "classify_all",
+        "enumeration_bound",
+        "hurwitz_orbit",
+        "schreier_generators",
+        "stabilizer_index",
+    ),
+    "cosets": (
+        "CosetTable",
+        "Inconclusive",
+        "IntervalGenerationReport",
+        "Presentation",
+        "TheoremCReport",
+        "braid_presentation",
+        "interval_powers_index",
+        "todd_coxeter",
+        "verify_theorem_c",
+    ),
+}
+LAZY = ("hurwitz", "lift", "orbit", "cosets")
+P3 = '{"degree": 4, "monodromy": [[1, 2], [2, 3], [3, 4]]}'
+
+#: Runs the CLI as ``python -m diskcovers.cli`` would, then prints its exit
+#: code and the diskcovers modules loaded as the last line of stdout.
+RUN_CLI = """
+import json, runpy, sys
+sys.argv = ["diskcovers", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("diskcovers.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("diskcovers"))]))
+"""
+
+
+def fresh(code: str, *args: str) -> str:
+    """The last line ``code`` prints in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return child.stdout.splitlines()[-1]
+
+
+def test_all_lists_every_public_name():
+    expected = [name for names in OWNERS.values() for name in names]
+    assert len(expected) == 72
+    assert sorted(diskcovers.__all__) == sorted(expected)
+
+
+@pytest.mark.parametrize("module", OWNERS)
+def test_each_name_is_its_modules_own_object(module):
+    owner = importlib.import_module(f"diskcovers.{module}")
+    for name in OWNERS[module]:
+        assert getattr(diskcovers, name) is getattr(owner, name), name
+
+
+def test_cap_exceeded_is_one_class():
+    from diskcovers import core, cosets, orbit
+
+    assert diskcovers.CapExceeded is core.CapExceeded is orbit.CapExceeded
+    assert cosets.Inconclusive.__bases__ == (core.CapExceeded,)
+    assert core.CapExceeded.__module__ == "diskcovers.core"
+
+
+def test_dir_and_star_import_list_every_name():
+    assert set(diskcovers.__all__) <= set(dir(diskcovers))
+    namespace: dict = {}
+    exec("from diskcovers import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(diskcovers.__all__)
+    assert all(namespace[name] is getattr(diskcovers, name) for name in namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        diskcovers.no_such_name
+
+
+def test_bare_import_loads_core_and_restrict_only():
+    loaded = fresh("import sys, diskcovers; print(sorted(m for m in sys.modules if m.startswith('diskcovers')))")
+    assert loaded == str(["diskcovers", "diskcovers.core", "diskcovers.restrict"])
+
+
+def test_submodule_import_keeps_the_restrict_function():
+    assert fresh("import diskcovers.restrict, diskcovers; print(type(diskcovers.restrict).__name__)") == "function"
+
+
+def test_lazy_submodule_resolves_after_bare_import():
+    assert fresh("import diskcovers; print(diskcovers.orbit.DEFAULT_CAP)") == str(10**6)
+
+
+@pytest.mark.parametrize(
+    "name, lazy_loaded",
+    [("act", ["hurwitz"]), ("CurveRef", ["hurwitz", "lift"]), ("verify_theorem_c", sorted(LAZY))],
+    ids=["act", "CurveRef", "verify_theorem_c"],
+)
+def test_reading_a_name_loads_its_module_only(name, lazy_loaded):
+    code = f"import sys, diskcovers; diskcovers.{name}; print(sorted(m[11:] for m in sys.modules if m[:11] == 'diskcovers.' and m[11:] in {LAZY}))"
+    assert fresh(code) == str(lazy_loaded)
+
+
+def test_submodule_import_binds_its_names_in_the_package():
+    # The benchmark's tracer imports the submodules, then patches the
+    # functions it finds in the package namespace.
+    code = "import diskcovers.hurwitz, diskcovers; print(sorted({'act', 'todd_coxeter'} & set(vars(diskcovers))))"
+    assert fresh(code) == str(["act"])
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, lazy_loaded",
+    [
+        (["invariants", "--covering", P3], 0, set()),
+        (["invariants", "--covering", '{"degree": 3, "monodromy": [[2, 2]]}'], 1, set()),
+        (["act", "--covering", P3, "--braid", "2 1 -2"], 0, {"hurwitz"}),
+        (["canon", "--covering", P3], 0, {"hurwitz"}),
+        (["curve", "--covering", P3, "--curve", '{"base": 1, "word": [2]}'], 0, {"hurwitz", "lift"}),
+        (["verify-theorem-c", "--n", "3"], 0, set(LAZY)),
+    ],
+    ids=["invariants", "malformed-covering", "act", "canon", "curve", "verify-theorem-c"],
+)
+def test_cli_command_loads_only_what_it_runs(argv, exit_code, lazy_loaded):
+    code, modules = json.loads(fresh(RUN_CLI, json.dumps(argv)))
+    assert code == exit_code
+    assert {"diskcovers.core", "diskcovers.restrict"} <= set(modules)
+    assert {m for m in LAZY if f"diskcovers.{m}" in modules} == lazy_loaded
