@@ -14,8 +14,8 @@ Conventions used throughout the package:
 - permutations compose left to right: ``(k)(s * t) == ((k)s)t``;
 - transpositions are stored with the smaller sheet first.
 
-Packed encoding.  The hot paths (the braid action, orbit search,
-classification, restriction) run on tuples of ints.  On ``d`` sheets the
+Packed encoding.  The braid action and restriction run on tuples of ints, the
+orbit search on those tuples read as integers.  On ``d`` sheets the
 transposition ``(a b)`` with ``a < b`` is packed as its position in the
 lexicographic list ``(1 2), (1 3), ..., (d-1 d)`` of all pairs, and a sequence
 as the tuple of its packed entries.  Pair order is dataclass order, so packed

@@ -12,12 +12,12 @@ replayable certificate (sheet renumbering plus a move word) taking any
 connected sequence to its canonical form.
 
 The action runs on packed sequences: tuples of positions in the
-lexicographic pair list of :mod:`diskcovers.core`, which sort as the sequences
-they encode.  One kernel, ``_act_packed``, turns the packed pair ``t, u`` into
-``u, conj[t][u]`` for ``x_i`` and into ``conj[u][t], t`` for its inverse.  The
-public functions check their input, read the packed tuple the sequence carries
-(no sequence is packed twice) and build one result on the way out with core's
-trusted constructor.
+lexicographic pair list of :mod:`diskcovers.core`.  One kernel,
+``_act_packed``, turns the packed pair ``t, u`` into ``u, conj[t][u]`` for
+``x_i`` and into ``conj[u][t], t`` for its inverse; :mod:`diskcovers.orbit`
+applies the same rule to ranks, packed tuples read as integers.  The public
+functions check their input, read the packed tuple the sequence carries and
+build one result on the way out with core's trusted constructor.
 
 Canonicalization searches no orbit.  After the sheet renumbering the
 sequence has the entry product of its canonical target

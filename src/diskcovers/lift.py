@@ -343,17 +343,17 @@ def liftable_interval_powers(seq: MonodromySequence, max_word_length: int | None
 
 def _interval_powers(table: OrbitTable, max_word_length: int | None) -> list[BraidWord]:
     """:func:`liftable_interval_powers` read off a searched orbit: element k
-    is the root transported by ``t_k``, so its entries give the interval
-    types, and the reduced word is ``t_k`` stripped of its trailing ``x_i^+-1``
-    letters, then ``x_i^m``, then the inverse of what is left."""
+    is the root transported by ``t_k``, so the digits of its rank give the
+    interval types, and the reduced word is ``t_k`` stripped of its trailing
+    ``x_i^+-1`` letters, then ``x_i^m``, then the inverse of what is left."""
     n = table.root.length
-    conj = _tables(table.root.degree).conj
+    conj, base, weights = _tables(table.root.degree).conj, table._base, table._weights
     out: dict[tuple[int, ...], BraidWord] = {}
-    for packed, word, inverse in zip(table._packed, *table._tree_words()):
+    for rank, word, inverse in zip(table._ranks, *table._tree_words()):
         if max_word_length is not None and len(word) > max_word_length:
             break  # breadth-first: no later word is shorter
         for i in range(1, n):
-            t, u = packed[i - 1], packed[i]
+            t, u = rank // weights[i - 1] % base, rank // weights[i] % base
             # Equal entries give type 1; disjoint ones commute, type 2.
             m = 1 if t == u else 2 if conj[t][u] == t else 3
             kept = len(word)

@@ -5,12 +5,11 @@ sequences altogether, and the stabilizer of a sequence is exactly its group
 of liftable braids, so the orbit size equals that subgroup's index in the
 braid group.  :class:`OrbitTable` runs the package's one breadth-first orbit
 search.  Its spanning tree, one ``(parent position, letter)`` pair per
-element, provides coset representative words, built once by
-``OrbitTable._tree_words``, which has two readers.  Schreier's construction
-reads a free basis of the stabilizer off the edges outside the tree, with no
-reduction and no deduplication, and
-:func:`~diskcovers.lift.liftable_interval_powers` conjugates the liftable
-half-twist powers by the tree words.
+element, gives coset representative words (``OrbitTable._tree_words``) with
+two readers: :meth:`OrbitTable.schreier_words` reads a free basis of the
+stabilizer off the edges outside the tree, with no reduction and no
+deduplication, and :func:`~diskcovers.lift.liftable_interval_powers`
+conjugates the liftable half-twist powers by the tree words.
 
 ``classify_all`` is the brute-force classification oracle: it partitions all
 sequences of a given size into classes under the action together with
@@ -18,14 +17,10 @@ simultaneous sheet renumbering.  Both stop with :class:`CapExceeded` past
 their cap, ``DEFAULT_CAP`` unless the caller gives one; ``all_sequences``
 refuses more than ``DEFAULT_CAP`` sequences the same way.
 
-Both run on packed sequences (see :mod:`diskcovers.core`).  ``classify_all``
-enumerates them in lexicographic pair order, which is the order of the
-sequences they encode, so a class's first member is its least.  It stores no
-sequence: it names each by its rank in that order, the packed tuple read in
-base C(d, 2), and runs the package's one union-find on the ranks.  Public
-objects are built on the way out only, with core's trusted constructor;
-:class:`OrbitTable` builds its elements on first access, so
-``stabilizer_index`` builds none.
+Both run on ranks, packed tuples (see :mod:`diskcovers.core`) read in base
+C(d, 2), which number the sequences in lexicographic order.  ``_rank_code``
+writes the braid step on ranks once.  :class:`OrbitTable` decodes its
+elements on first access only, so ``stabilizer_index`` builds none.
 """
 
 from __future__ import annotations
@@ -34,10 +29,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
-from .core import CapExceeded, CycleType, MonodromySequence, _tables, _trusted, _union_find, _unpack, omega_class
-from .hurwitz import BraidWord, _act_packed
+from .core import CapExceeded, CycleType, MonodromySequence, _Lazy, _tables, _trusted, _union_find, _unpack, omega_class
+from .hurwitz import BraidWord
 
 #: The default cap: orbit elements searched, sequences classified or listed,
 #: or cosets defined by :func:`diskcovers.cosets.todd_coxeter`.
@@ -58,52 +52,85 @@ def _resolve_cap(cap: int | None) -> int:
     return cap
 
 
-class OrbitTable:
-    """A breadth-first orbit with its spanning tree.
+def _rank_code(degree: int, length: int):
+    """Base, digit weights, braid step and letter images of the ranks of one
+    size.  ``steps[t * base + u]`` is what ``_act_packed``'s rule adds, for
+    ``x_i`` and its inverse, in units of position i's weight, when the digits
+    at 0-based positions i - 1, i are t, u; ``images`` keeps letter order."""
+    base = degree * (degree - 1) // 2
+    weights = [base ** (length - 1 - j) for j in range(length)]
+    conj, window, lower = _tables(degree).conj, base * base, weights[1:]
 
-    ``elements`` lists the orbit in discovery order starting at ``root``,
-    built from the packed search on first access; ``word_to`` reads the
-    spanning-tree word of an element off the search's parents.
+    def step(w: int) -> tuple[int, int]:
+        t, u = divmod(w, base)
+        return (u - t) * base + conj[t][u] - u, (conj[u][t] - t) * base + t - u
+
+    def images(rank: int) -> list[int]:
+        out = []
+        for w in lower:
+            forward, inverse = steps[rank // w % window]
+            out += rank + forward * w, rank + inverse * w
+        return out
+
+    steps = _Lazy(step)  # filled with the windows met
+    return base, weights, steps, images
+
+
+class OrbitTable:
+    """A breadth-first orbit with its spanning tree, searched on ranks.
+
+    ``_parents[k]`` is (parent position, letter to k).  ``elements``, decoded
+    on first access, lists the orbit in discovery order from ``root``.
     """
 
     def __init__(self, root: MonodromySequence, cap: int) -> None:
-        """Search the orbit; ``_parents[k]`` is (parent position, letter to k)."""
-        conj = _tables(root.degree).conj
-        letters = [(e,) for e in BraidWord.generator_letters(root.length)]
+        letters = BraidWord.generator_letters(root.length)
         self.root = root
-        self._packed = elements = [root._packed]
-        self._position = position = {root._packed: 0}
+        self._base, self._weights, _, images = _rank_code(root.degree, root.length)
+        self._ranks = ranks = [self._rank(root)]
+        self._position = position = {ranks[0]: 0}
         self._parents = parents = [(0, 0)]  # the root has no parent; keeps positions aligned
-        for cursor, current in enumerate(elements):  # grows as it is read
-            for letter in letters:
-                image = _act_packed(conj, current, letter)
+        for cursor, rank in enumerate(ranks):  # grows as it is read
+            for letter, image in zip(letters, images(rank)):
                 if image in position:
                     continue
-                if len(elements) >= cap:
+                if len(ranks) >= cap:
                     raise CapExceeded(f"orbit exceeds cap {cap}", cap)
-                position[image] = len(elements)
-                elements.append(image)
-                parents.append((cursor, letter[0]))
+                position[image] = len(ranks)
+                ranks.append(image)
+                parents.append((cursor, letter))
 
     def __len__(self) -> int:
-        return len(self._packed)
+        return len(self._ranks)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, seq: MonodromySequence) -> bool:
-        return seq.degree == self.root.degree and seq._packed in self._position
+        # A rank does not encode its length: (0, 0) and (0, 0, 0) share rank 0.
+        return (seq.degree, seq.length) == (self.root.degree, self.root.length) and self._rank(seq) in self._position
+
+    def _rank(self, seq: MonodromySequence) -> int:
+        return sum(t * w for t, w in zip(seq._packed, self._weights))
 
     @cached_property
     def elements(self) -> tuple[MonodromySequence, ...]:
-        degree = self.root.degree
-        return (self.root,) + tuple(_unpack(degree, p) for p in self._packed[1:])
+        degree, base, weights = self.root.degree, self._base, self._weights
+        return (self.root,) + tuple(_unpack(degree, tuple(r // w % base for w in weights)) for r in self._ranks[1:])
+
+    @cached_property
+    def layer_sizes(self) -> tuple[int, ...]:
+        """The number of elements at each distance from the root, nearest first."""
+        depth = [0]
+        for parent, _ in self._parents[1:]:
+            depth.append(depth[parent] + 1)
+        return tuple(Counter(depth).values())  # breadth-first: the depths never fall
 
     def word_to(self, element: MonodromySequence) -> BraidWord:
         """The spanning-tree word transporting the root to ``element``."""
         if element not in self:
             raise KeyError(element)
-        k, letters = self._position[element._packed], []
+        k, letters = self._position[self._rank(element)], []
         while k:  # walk the parents back to the root, last letter first
             k, letter = self._parents[k]
             letters.append(letter)
@@ -118,6 +145,33 @@ class OrbitTable:
             words.append(words[parent] + (letter,))
             inverses.append((-letter,) + inverses[parent])
         return words, inverses
+
+    def schreier_words(self) -> list[BraidWord]:
+        """Generators of the liftable-braid group from the spanning tree.
+
+        An edge ``k -> v`` of letter ``e`` gives the word ``t_k e t_v^-1``,
+        with ``t_k`` the tree word of element ``k``; its reverse gives the
+        inverse, so only the edge met first in (element, letter) order is
+        kept: ``k < v``, or ``e > 0`` on a loop.  A parent precedes its child,
+        so the tree edges left run from a parent to its child; their words are
+        trivial and are dropped.  Tree words are reduced and a letter cancels
+        at a junction only on a tree edge, so no word needs reducing.  By
+        Nielsen-Schreier the words are a free basis of the stabilizer in the
+        free group on ``n - 1`` generators, of ``index * (n - 2) + 1`` words.
+        """
+        n = self.root.length
+        _, _, _, images = _rank_code(self.root.degree, n)
+        position, parents = self._position, self._parents
+        tree_words, inverses = self._tree_words()
+        letters = BraidWord.generator_letters(n)
+        words = []
+        for k, rank in enumerate(self._ranks):
+            for e, image in zip(letters, images(rank)):
+                v = position[image]
+                if v < k or (v == k and e < 0) or parents[v] == (k, e):
+                    continue
+                words.append(_trusted(BraidWord, strands=n, letters=tree_words[k] + (e,) + inverses[v]))
+        return words
 
 
 def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:
@@ -137,31 +191,8 @@ def stabilizer_index(seq: MonodromySequence, cap: int | None = None) -> int:
 
 
 def schreier_generators(seq: MonodromySequence, cap: int | None = None) -> list[BraidWord]:
-    """Generators of the liftable-braid group from the orbit spanning tree.
-
-    An edge ``k -> v`` of letter ``e`` gives the word ``t_k e t_v^-1``, with
-    ``t_k`` the tree word of element ``k``; its reverse gives the inverse, so
-    only the edge met first in (element, letter) order is kept: ``k < v``, or
-    ``e > 0`` on a loop.  A parent precedes its child, so the tree edges left
-    run from a parent to its child; their words are trivial and are dropped.
-    Tree words are reduced and a letter cancels at a junction only on a tree
-    edge, so no word needs reducing.  By Nielsen-Schreier the words are a free
-    basis of the stabilizer in the free group on ``n - 1`` generators, of
-    ``index * (n - 2) + 1`` words.  ``cap`` is as in :func:`hurwitz_orbit`.
-    """
-    table = hurwitz_orbit(seq, cap)
-    conj = _tables(seq.degree).conj
-    position, parents = table._position, table._parents
-    tree_words, inverses = table._tree_words()
-    letters = BraidWord.generator_letters(seq.length)
-    words = []
-    for k, element in enumerate(table._packed):
-        for e in letters:
-            v = position[_act_packed(conj, element, (e,))]
-            if v < k or (v == k and e < 0) or parents[v] == (k, e):
-                continue
-            words.append(_trusted(BraidWord, strands=seq.length, letters=tree_words[k] + (e,) + inverses[v]))
-    return words
+    """:meth:`OrbitTable.schreier_words` of :func:`hurwitz_orbit`, ``cap`` as there."""
+    return hurwitz_orbit(seq, cap).schreier_words()
 
 
 @dataclass(frozen=True)
@@ -172,11 +203,6 @@ class OrbitClass:
     count: int
     omega: CycleType
     connected: bool
-
-
-def _packed_sequences(degree: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Every packed sequence of the given size, in lexicographic order."""
-    return itertools.product(range(degree * (degree - 1) // 2), repeat=length)
 
 
 def _sequence_count(degree: int, length: int, cap: int | None = None) -> int:
@@ -196,7 +222,7 @@ def all_sequences(degree: int, length: int) -> list[MonodromySequence]:
     lexicographic order.  Raises :class:`CapExceeded` when they number more
     than ``DEFAULT_CAP``."""
     _sequence_count(degree, length)
-    return [_unpack(degree, p) for p in _packed_sequences(degree, length)]
+    return [_unpack(degree, p) for p in itertools.product(range(degree * (degree - 1) // 2), repeat=length)]
 
 
 def classify_all(degree: int, length: int, cap: int | None = None) -> list[OrbitClass]:
@@ -207,28 +233,22 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     exactly the equivalence classes of coverings.  Classes are reported with
     their least member as representative, sorted by representative.
 
-    No list of the sequences is kept.  A packed sequence's position in
-    lexicographic order, its rank, is the packed tuple read as a number in
-    base C(d, 2), and the union-find runs on ranks: the sequences are read
-    once, in order, and each edge names the rank of its far end.
+    No list of the sequences is kept: the union-find runs on their ranks,
+    reading them once, in order, and each edge names the rank of its far end.
     """
     total = _sequence_count(degree, length, cap)
     if not total:  # no pairs to choose from: fewer than two sheets
         return []
     tables = _tables(degree)
     conj = tables.conj
-    base = degree * (degree - 1) // 2
-    weight = [base ** (length - 1 - j) for j in range(length)]  # of the digit at 0-based position j
+    base, weight, steps, _ = _rank_code(degree, length)
     # Renumbering by the swap (k k+1) is conjugation by that transposition.
     swaps = [tables.index(k, k + 1) for k in range(1, degree)]
 
     def edges():
-        for i, p in enumerate(_packed_sequences(degree, length)):
-            for g in range(1, length):
-                # x_g by the rule of _act_packed, inline on the rank: the digits
-                # t, u at 0-based positions g - 1, g become u, conj[t][u].
-                t, u = p[g - 1], p[g]
-                yield i, i + (u - t) * weight[g - 1] + (conj[t][u] - u) * weight[g]
+        for i, p in enumerate(itertools.product(range(base), repeat=length)):  # in rank order
+            for g in range(1, length):  # x_g
+                yield i, i + steps[p[g - 1] * base + p[g]][0] * weight[g]
             for swap in swaps:  # the rank of p renumbered by the swap
                 r = 0
                 for t in p:

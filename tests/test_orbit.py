@@ -1,9 +1,15 @@
 """Orbit enumeration, Schreier generators, and the classification oracle."""
 
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import diskcovers
 from diskcovers import orbit
 from diskcovers.cli import main
 from diskcovers.core import MonodromySequence, Transposition, disk_covering, is_equivalent, omega_class
@@ -66,6 +72,79 @@ def test_coset_soundness():
             quotient = table.word_to(u) * table.word_to(v).inverse()
             fixes = act(table.root, quotient) == table.root
             assert fixes == (u == v)
+
+
+def oracle_orbit(root):
+    """A plain breadth-first search over the public ``act``, one letter at a
+    time: the elements in discovery order and each element's tree word."""
+    elements, words = [root], {root: ()}
+    for current in elements:  # grows as it is read
+        for e in BraidWord.generator_letters(root.length):
+            image = act(current, BraidWord(root.length, (e,)))
+            if image not in words:
+                words[image] = words[current] + (e,)
+                elements.append(image)
+    return elements, words
+
+
+def oracle_layer_sizes(words):
+    depths = Counter(len(w) for w in words.values())
+    return tuple(depths[k] for k in range(len(depths)))
+
+
+def test_orbit_table_matches_a_plain_search_over_act():
+    coverings = [
+        seq(2, (1, 2), (1, 2), (1, 2)),  # base C(2, 2) = 1: every rank is 0
+        # Lazy tables (d > 16); the ranks run past 2^64, over several digits.
+        seq(18, (17, 18), (16, 17), (16, 18), *[(1, 2)] * 6),
+        MonodromySequence(3, ()),
+        seq(3, (1, 3)),
+        disk_covering(4),
+    ]
+    rng = random.Random(74)
+    while len(coverings) < 25:
+        degree, length = rng.randint(3, 5), rng.randint(4, 5)
+        s = seq(degree, *(rng.sample(range(1, degree + 1), 2) for _ in range(length)))
+        if s.is_connected():
+            coverings.append(s)
+    for s in coverings:
+        table = hurwitz_orbit(s)
+        elements, words = oracle_orbit(s)
+        assert list(table) == elements, s.pairs()
+        assert [table.word_to(u).letters for u in elements] == [words[u] for u in elements]
+        assert table.layer_sizes == oracle_layer_sizes(words)
+
+
+def test_layer_sizes_of_a_disk_covering():
+    table = hurwitz_orbit(disk_covering(3))
+    assert sum(table.layer_sizes) == 16
+    assert table.layer_sizes == oracle_layer_sizes(oracle_orbit(disk_covering(3))[1])
+
+
+def test_a_sequence_of_another_length_is_not_in_the_orbit():
+    # Both share the root's rank: (1 2) packs to 0, so leading (1 2) entries add nothing.
+    table = hurwitz_orbit(seq(3, (1, 2), (1, 3)))
+    for other in (seq(3, (1, 3)), seq(3, (1, 2), (1, 2), (1, 3))):
+        assert other not in table
+        with pytest.raises(KeyError):
+            table.word_to(other)
+    table = hurwitz_orbit(seq(3, (1, 2), (1, 2), (1, 2)))
+    assert seq(3, (1, 2), (1, 2)) not in table
+
+
+@pytest.mark.slow
+def test_orbit_search_at_seven_branch_points_peaks_under_80_mb():
+    # In a process of its own, read off /proc (Linux), as for verify_theorem_c(7).
+    code = (
+        "from diskcovers.core import disk_covering\n"
+        "from diskcovers.orbit import stabilizer_index\n"
+        "assert stabilizer_index(disk_covering(7)) == 262_144\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    peak_mb = int(child.stdout) / 1024  # VmHWM counts kB
+    assert peak_mb < 80, peak_mb
 
 
 def test_index_bound():
@@ -138,6 +217,13 @@ def test_schreier_words_are_a_free_basis():
         assert all(is_liftable(s, BraidWord(s.length, w)) for w in words)
         inverses = {tuple(-x for x in reversed(w)) for w in words}
         assert len(set(words)) == len(words) and not inverses & set(words), s.pairs()
+
+
+def test_one_search_gives_the_index_and_the_schreier_words():
+    for s in seeded_coverings(20, seed=73) + [disk_covering(4)]:
+        table = hurwitz_orbit(s)
+        assert len(table) == stabilizer_index(s)
+        assert table.schreier_words() == schreier_generators(s)
 
 
 def test_schreier_word_counts():
