@@ -44,7 +44,7 @@ from functools import cached_property
 
 from .core import CapExceeded, disk_covering
 from .hurwitz import BraidWord
-from .lift import _interval_powers, is_liftable, theorem_c_generators
+from .lift import is_liftable, theorem_c_generators
 from .orbit import _resolve_cap, hurwitz_orbit, stabilizer_index
 
 COMPLETE = "complete"
@@ -273,7 +273,7 @@ def interval_powers_index(
     ``n <= 6``; the tests check all 26.
     """
     table = hurwitz_orbit(seq, max_cosets)
-    generators = _interval_powers(table, max_word_length)
+    generators = table.interval_powers(max_word_length)
     tc_index = todd_coxeter(seq.length, generators, max_cosets=max_cosets)[0]
     return IntervalGenerationReport(
         orbit_index=len(table),
@@ -311,14 +311,13 @@ def verify_theorem_c(branch_points: int, max_cosets: int | None = None) -> Theor
     n = branch_points
     seq = disk_covering(n)
     generators = theorem_c_generators(n)
-    if not all(is_liftable(seq, word) for word in generators):
-        return TheoremCReport(n, len(generators), False, stabilizer_index(seq, max_cosets), -1, False)
-    tc_index = todd_coxeter(n, generators, max_cosets=max_cosets)[0]
+    all_liftable = all(is_liftable(seq, word) for word in generators)
+    tc_index = todd_coxeter(n, generators, max_cosets=max_cosets)[0] if all_liftable else -1
     orbit_index = stabilizer_index(seq, max_cosets)
     return TheoremCReport(
         branch_points=n,
         generator_count=len(generators),
-        all_liftable=True,
+        all_liftable=all_liftable,
         orbit_index=orbit_index,
         tc_index=tc_index,
         passed=tc_index == orbit_index,

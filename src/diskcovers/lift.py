@@ -14,23 +14,20 @@ braids.  The half-twist braid of the interval ``(base, word)`` is
 ``word + [base] + word^-1``.
 
 The liftable half-twist powers of an arbitrary covering take their transport
-words from the spanning tree of :class:`~diskcovers.orbit.OrbitTable`, the
-tree whose other reader builds the Schreier words: one conjugator per orbit
-element, and after deduplication as many words as the Nielsen-Schreier rank
-(see :func:`liftable_interval_powers`).
+words from the spanning tree of :class:`~diskcovers.orbit.OrbitTable`: one
+conjugator per orbit element, and after deduplication as many words as the
+Nielsen-Schreier rank (see :func:`liftable_interval_powers`).  The table
+builds them itself, beside its Schreier words, and reads each power off the
+action (:meth:`~diskcovers.orbit.OrbitTable.interval_powers`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .core import MonodromySequence, Transposition, _tables, _trusted, is_disk
+from .core import MonodromySequence, Transposition, _tables, is_disk
 from .restrict import END, START, RestrictionSpec, restriction_signature
 from .hurwitz import BraidWord, _act_packed, _require_strands, act
-
-if TYPE_CHECKING:
-    from .orbit import OrbitTable
 
 
 @dataclass(frozen=True)
@@ -338,28 +335,4 @@ def liftable_interval_powers(seq: MonodromySequence, max_word_length: int | None
     # Imported here: the curve and interval commands need no orbit search.
     from .orbit import hurwitz_orbit
 
-    return _interval_powers(hurwitz_orbit(seq), max_word_length)
-
-
-def _interval_powers(table: OrbitTable, max_word_length: int | None) -> list[BraidWord]:
-    """:func:`liftable_interval_powers` read off a searched orbit: element k
-    is the root transported by ``t_k``, so the digits of its rank give the
-    interval types, and the reduced word is ``t_k`` stripped of its trailing
-    ``x_i^+-1`` letters, then ``x_i^m``, then the inverse of what is left."""
-    n = table.root.length
-    conj, base, weights = _tables(table.root.degree).conj, table._base, table._weights
-    out: dict[tuple[int, ...], BraidWord] = {}
-    for rank, word, inverse in zip(table._ranks, *table._tree_words()):
-        if max_word_length is not None and len(word) > max_word_length:
-            break  # breadth-first: no later word is shorter
-        for i in range(1, n):
-            t, u = rank // weights[i - 1] % base, rank // weights[i] % base
-            # Equal entries give type 1; disjoint ones commute, type 2.
-            m = 1 if t == u else 2 if conj[t][u] == t else 3
-            kept = len(word)
-            while kept and abs(word[kept - 1]) == i:
-                kept -= 1
-            letters = word[:kept] + (i,) * m + inverse[len(word) - kept:]
-            if letters not in out:
-                out[letters] = _trusted(BraidWord, strands=n, letters=letters)
-    return list(out.values())
+    return hurwitz_orbit(seq).interval_powers(max_word_length)

@@ -6,10 +6,11 @@ of liftable braids, so the orbit size equals that subgroup's index in the
 braid group.  :class:`OrbitTable` runs the package's one breadth-first orbit
 search.  Its spanning tree, one ``(parent position, letter)`` pair per
 element, gives coset representative words (``OrbitTable._tree_words``) with
-two readers: :meth:`OrbitTable.schreier_words` reads a free basis of the
-stabilizer off the edges outside the tree, with no reduction and no
-deduplication, and :func:`~diskcovers.lift.liftable_interval_powers`
-conjugates the liftable half-twist powers by the tree words.
+two readers, both its methods: :meth:`OrbitTable.schreier_words` reads a
+free basis of the stabilizer off the edges outside the tree, with no
+reduction and no deduplication, and :meth:`OrbitTable.interval_powers`
+conjugates the liftable half-twist powers, read off the action, by the tree
+words.
 
 ``classify_all`` is the brute-force classification oracle: it partitions all
 sequences of a given size into classes under the action together with
@@ -79,14 +80,17 @@ def _rank_code(degree: int, length: int):
 class OrbitTable:
     """A breadth-first orbit with its spanning tree, searched on ranks.
 
-    ``_parents[k]`` is (parent position, letter to k).  ``elements``, decoded
-    on first access, lists the orbit in discovery order from ``root``.
+    ``_parents[k]`` is (parent position, letter to k).  ``_images``, from the
+    table's one ``_rank_code`` call, serves the search and both tree-word
+    readers.  ``elements``, decoded on first access, lists the orbit in
+    discovery order from ``root``.
     """
 
     def __init__(self, root: MonodromySequence, cap: int) -> None:
         letters = BraidWord.generator_letters(root.length)
         self.root = root
-        self._base, self._weights, _, images = _rank_code(root.degree, root.length)
+        self._base, self._weights, _, self._images = _rank_code(root.degree, root.length)
+        images = self._images
         self._ranks = ranks = [self._rank(root)]
         self._position = position = {ranks[0]: 0}
         self._parents = parents = [(0, 0)]  # the root has no parent; keeps positions aligned
@@ -160,8 +164,7 @@ class OrbitTable:
         free group on ``n - 1`` generators, of ``index * (n - 2) + 1`` words.
         """
         n = self.root.length
-        _, _, _, images = _rank_code(self.root.degree, n)
-        position, parents = self._position, self._parents
+        images, position, parents = self._images, self._position, self._parents
         tree_words, inverses = self._tree_words()
         letters = BraidWord.generator_letters(n)
         words = []
@@ -172,6 +175,28 @@ class OrbitTable:
                     continue
                 words.append(_trusted(BraidWord, strands=n, letters=tree_words[k] + (e,) + inverses[v]))
         return words
+
+    def interval_powers(self, max_word_length: int | None = None) -> list[BraidWord]:
+        """The words of :func:`~diskcovers.lift.liftable_interval_powers`.
+        The power of ``x_i`` at k is its cycle length: 1 if ``x_i`` fixes k, 2
+        if ``x_i`` and its inverse agree on k, else 3.  The reduced word is
+        ``t_k`` stripped of its trailing ``x_i^+-1`` letters, then ``x_i^m``,
+        then the inverse of what is left."""
+        n = self.root.length
+        out: dict[tuple[int, ...], BraidWord] = {}
+        for rank, word, inverse in zip(self._ranks, *self._tree_words()):
+            if max_word_length is not None and len(word) > max_word_length:
+                break  # breadth-first: no later word is shorter
+            images = self._images(rank)
+            for i, forward, backward in zip(range(1, n), images[::2], images[1::2]):
+                m = 1 if forward == rank else 2 if forward == backward else 3
+                kept = len(word)
+                while kept and abs(word[kept - 1]) == i:
+                    kept -= 1
+                letters = word[:kept] + (i,) * m + inverse[len(word) - kept:]
+                if letters not in out:
+                    out[letters] = _trusted(BraidWord, strands=n, letters=letters)
+        return list(out.values())
 
 
 def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:
@@ -208,6 +233,8 @@ class OrbitClass:
 def _sequence_count(degree: int, length: int, cap: int | None = None) -> int:
     """The number of sequences of the given size, refused past the cap
     (``DEFAULT_CAP`` as it reads at call time) before any is built."""
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
     if length < 0:
         raise ValueError(f"branch point count n must be nonnegative, got {length}")
     cap = _resolve_cap(cap)

@@ -414,6 +414,7 @@ def test_fuzzed_bad_values_exit_1(capsys, argv):
         (["canon", "--covering", '{"degree": 1000000000, "monodromy": [[1, 2]]}'], "at most 100000"),
         (["target", "--degree", "100001", "--n", "200000"], "degree must be at most 100000, got 100001"),
         (["classify", "--degree", "100001", "--n", "0"], "degree must be at most 100000, got 100001"),
+        (["classify", "--degree", "0", "--n", "1"], "degree must be at least 1, got 0"),
         (["target", "--degree", "3", "--n", "200001"], "branch point count n must be at most 200000, got 200001"),
         (["classify", "--degree", "2", "--n", "200001"], "branch point count n must be at most 200000, got 200001"),
         (["tcgens", "--n", "17"], "strand count n must be at most 16, got 17"),
@@ -428,6 +429,7 @@ def test_fuzzed_bad_values_exit_1(capsys, argv):
         "degree-1e9",
         "target-degree-past-bound",
         "classify-degree-past-bound",
+        "classify-degree-zero",
         "target-n-past-bound",
         "classify-n-past-bound",
         "tcgens-n-past-bound",

@@ -405,13 +405,13 @@ def interval_powers_oracle(s, max_word_length=None):
 def test_interval_powers_match_the_public_construction():
     from diskcovers.orbit import classify_all
 
-    for degree in range(2, 5):
-        for length in range(2, 6):
-            for c in classify_all(degree, length):
-                if not c.connected:
-                    continue
-                s = c.representative
-                for bound in (None, 1):
-                    words = liftable_interval_powers(s, bound)
-                    assert [w.letters for w in words] == interval_powers_oracle(s, bound), (s.pairs(), bound)
-                    assert words == [BraidWord(length, w.letters) for w in words]
+    # Every class, disconnected ones included, on the dense tables, and one
+    # covering on 18 sheets, on the lazily filled ones.  Each has equal,
+    # disjoint and overlapping adjacent pairs somewhere in its orbit.
+    coverings = [c.representative for degree in range(2, 5) for length in range(2, 6) for c in classify_all(degree, length)]
+    coverings.append(MonodromySequence.from_pairs(18, [(17, 18), (16, 17), (16, 18), (1, 2), (1, 2), (1, 2)]))
+    for s in coverings:
+        for bound in (None, 1):
+            words = liftable_interval_powers(s, bound)
+            assert [w.letters for w in words] == interval_powers_oracle(s, bound), (s.pairs(), bound)
+            assert words == [BraidWord(s.length, w.letters) for w in words]

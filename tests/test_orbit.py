@@ -226,6 +226,16 @@ def test_one_search_gives_the_index_and_the_schreier_words():
         assert table.schreier_words() == schreier_generators(s)
 
 
+def test_the_rank_code_is_built_once_per_table(monkeypatch):
+    calls = []
+    rank_code = orbit._rank_code
+    monkeypatch.setattr(orbit, "_rank_code", lambda *size: calls.append(size) or rank_code(*size))
+    table = hurwitz_orbit(disk_covering(4))
+    table.schreier_words()
+    table.interval_powers()
+    assert calls == [(5, 4)]
+
+
 def test_schreier_word_counts():
     assert len(schreier_generators(disk_covering(5))) == 3_889
     s = seq(5, (4, 5), (2, 4), (2, 4), (2, 5), (1, 4), (2, 3))
@@ -343,6 +353,10 @@ def test_all_sequences_counts():
     assert len(all_sequences(3, 2)) == 9
     assert len(all_sequences(2, 0)) == 1
     assert len(all_sequences(1, 1)) == 0
+    # Degree 0 is refused, not counted: C(0, 2) ** 2 = 0 would pass as an empty answer.
+    for call in (lambda: all_sequences(0, 2), lambda: classify_all(0, 3), lambda: classify_all(-1, 0)):
+        with pytest.raises(ValueError, match="degree must be at least 1, got"):
+            call()
 
 
 def classify_oracle(degree, length):
