@@ -18,11 +18,12 @@ Packed encoding.  The braid action and restriction run on tuples of ints, the
 orbit search on those tuples read as integers.  On ``d`` sheets the
 transposition ``(a b)`` with ``a < b`` is packed as its position in the
 lexicographic list ``(1 2), (1 3), ..., (d-1 d)`` of all pairs, and a sequence
-as the tuple of its packed entries.  Pair order is dataclass order, so packed
-tuples sort as the sequences they encode.  Every ``MonodromySequence`` carries
-its packed tuple as ``_packed``: the public constructor packs the entries in
-the pass that validates them, and ``_unpack`` keeps the tuple it is given, so
-no sequence is packed twice.  The tables of one degree (``_tables``, a bounded
+as the tuple of its packed entries.  Pair order is the order of
+transpositions, which compare as the tuples ``(a, b)``, so packed tuples sort
+as the sequences they encode.  Every ``MonodromySequence`` carries its packed
+tuple as ``_packed``: the public constructor packs the entries in the pass
+that validates them, and ``_unpack`` keeps the tuple it is given, so no
+sequence is packed twice.  The tables of one degree (``_tables``, a bounded
 cache) are plain tuples built whole for a small degree, d <= 16, which the
 hot loops read fastest; for a larger degree they are filled one entry at a
 time on first lookup, so their size follows the transpositions met, not the
@@ -33,7 +34,6 @@ with the unchecked constructor ``_trusted``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator
@@ -55,8 +55,62 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class _Record:
+    """Base of the package's value types: immutable records of named fields.
+
+    A subclass's fields are its own annotated names, in order, apart from
+    those that start with ``_``.  ``class T(_Record, order=True)`` gets,
+    written as source once when the class is made, the methods that
+    ``@dataclass(frozen=True, order=True)`` would give it: ``__init__`` taking
+    the fields by position or name and then calling ``__post_init__`` if the
+    class has one; ``__eq__`` and ``__hash__`` on the tuple of the fields,
+    ``__repr__`` ``T(f1=..., f2=...)`` and ``__match_args__``; with
+    ``order=True`` also ``<``, ``<=``, ``>`` and ``>=`` on the field tuples.
+    Equality and order hold between instances of one class only.  Every
+    method reads its fields by name, so a call costs what the dataclass's
+    costs; methods that read the field names at call time were 1.7-3 times
+    slower.  Assignment raises ``AttributeError``; the constructors set
+    fields through ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls, order: bool = False) -> None:
+        fields = tuple(name for name in cls.__dict__.get("__annotations__", ()) if not name.startswith("_"))
+        mine = "".join(f"self.{name}, " for name in fields)
+        theirs = "".join(f"other.{name}, " for name in fields)
+        shown = ", ".join(f"{name}={{self.{name}!r}}" for name in fields)
+        source = [
+            f"def __init__(self, {', '.join(fields)}):",
+            *(f"    _set(self, {name!r}, {name})" for name in fields),
+            "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
+            "def __repr__(self):",
+            f"    return f'{cls.__qualname__}({shown})'",
+            "def __hash__(self):",
+            f"    return hash(({mine}))",
+        ]
+        comparisons = {"__eq__": "=="}
+        if order:
+            comparisons.update(__lt__="<", __le__="<=", __gt__=">", __ge__=">=")
+        for name, op in comparisons.items():
+            source += [
+                f"def {name}(self, other):",
+                "    if other.__class__ is self.__class__:",
+                f"        return ({mine}) {op} ({theirs})",
+                "    return NotImplemented",
+            ]
+        methods: dict = {}
+        exec("\n".join(source), {"_set": object.__setattr__}, methods)
+        for name, method in methods.items():
+            setattr(cls, name, method)
+        cls.__match_args__ = fields
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Record, order=True):
     """A permutation of the sheets ``{1, ..., d}`` stored as a tuple of images.
 
     ``images[k - 1]`` is the image of sheet ``k``.  Composition is left to
@@ -126,8 +180,7 @@ class Permutation:
         return self.degree - sum(len(c) - 1 for c in self.cycles())
 
 
-@dataclass(frozen=True, order=True)
-class Transposition:
+class Transposition(_Record, order=True):
     """An unordered swap of two distinct sheets, stored with ``a < b``."""
 
     a: int
@@ -173,8 +226,7 @@ class Transposition:
         return Permutation(tuple(images))
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(_Record):
     """Nontrivial cycle lengths of a permutation, sorted descending.
 
     Fixed points are omitted; the ambient degree is carried separately so
@@ -205,8 +257,7 @@ class CycleType:
         return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class MonodromySequence:
+class MonodromySequence(_Record, order=True):
     """The monodromy data of a simple branched covering of the disk.
 
     ``degree`` counts the sheets; ``entries`` lists, in order, the
@@ -218,7 +269,7 @@ class MonodromySequence:
 
     degree: int
     entries: tuple[Transposition, ...]
-    _packed: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _packed: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -253,8 +304,7 @@ class MonodromySequence:
         return len(components(self).blocks) == 1
 
 
-@dataclass(frozen=True)
-class ComponentSignature:
+class ComponentSignature(_Record):
     """The partition of the sheets into components, with branch counts.
 
     Each block is a pair ``(sheets, branch_points)`` where ``sheets`` is the
@@ -273,16 +323,16 @@ class ComponentSignature:
         return tuple(sheets[0] for sheets, _ in self.blocks if len(sheets) == 1)
 
 
-@dataclass(frozen=True)
-class ComponentInvariants:
+class ComponentInvariants(_Record):
+    """The invariants of one component of the covering surface, on its sheets."""
+
     sheets: tuple[int, ...]
     euler: int
     boundary: int
     genus: int
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(_Record):
     """Topological invariants of the covering surface.
 
     ``euler`` is the Euler characteristic ``d - n``; ``boundary`` counts the
@@ -471,8 +521,8 @@ def conjugating_permutation(source: Permutation, target: Permutation) -> Permuta
 # --- the packed encoding and the helpers shared by the hot paths -------------
 
 def _trusted(cls, **fields):
-    """An instance of a validated frozen dataclass built without its checks,
-    for field values derived from validated ones only."""
+    """An instance of a validated record type built without its checks, for
+    field values derived from validated ones only."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)

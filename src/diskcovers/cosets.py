@@ -39,10 +39,9 @@ group exactly when the coset count matches the orbit count.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import CapExceeded, disk_covering
+from .core import CapExceeded, _Record, disk_covering
 from .hurwitz import BraidWord
 from .lift import is_liftable, theorem_c_generators
 from .orbit import _resolve_cap, hurwitz_orbit, stabilizer_index
@@ -64,8 +63,7 @@ class Inconclusive(CapExceeded):
         self.table = table
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """The standard presentation of the braid group on ``strands`` strands."""
 
     strands: int
@@ -242,8 +240,7 @@ def todd_coxeter(
     return result.index, result
 
 
-@dataclass(frozen=True)
-class IntervalGenerationReport:
+class IntervalGenerationReport(_Record):
     """Whether the liftable interval powers of
     :func:`~diskcovers.lift.liftable_interval_powers` generate the liftable
     group of a covering.  The words are liftable by construction, so
@@ -283,8 +280,7 @@ def interval_powers_index(
     )
 
 
-@dataclass(frozen=True)
-class TheoremCReport:
+class TheoremCReport(_Record):
     """Outcome of the generator-set certification for one disk covering."""
 
     branch_points: int

@@ -42,12 +42,11 @@ length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     DisconnectedCoveringError,
     MonodromySequence,
     Permutation,
+    _Record,
     _tables,
     _unpack,
     canonical_target,
@@ -62,8 +61,7 @@ INVERSE = "inverse"
 MoveWord = tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     """A word in the standard braid generators on a fixed number of strands.
 
     Letters are nonzero integers: ``+i`` is the generator ``x_i``, ``-i`` its
@@ -168,8 +166,7 @@ def apply_moves(seq: MonodromySequence, moves: MoveWord) -> MonodromySequence:
     return act(seq, BraidWord(seq.length, tuple(letters)))
 
 
-@dataclass(frozen=True)
-class CanonicalizationResult:
+class CanonicalizationResult(_Record):
     """A replayable certificate reducing a sequence to canonical form.
 
     Renumbering the input's sheets by ``relabel`` and then applying ``moves``

@@ -23,15 +23,12 @@ action (:meth:`~diskcovers.orbit.OrbitTable.interval_powers`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import MonodromySequence, Transposition, _tables, is_disk
+from .core import MonodromySequence, Transposition, _Record, _tables, is_disk
 from .restrict import END, START, RestrictionSpec, restriction_signature
 from .hurwitz import BraidWord, _act_packed, _require_strands, act
 
 
-@dataclass(frozen=True)
-class CurveRef:
+class CurveRef(_Record):
     """A curve from the boundary base point to branch point ``base``,
     transported by ``word``."""
 
@@ -43,8 +40,7 @@ class CurveRef:
             raise ValueError(f"curve base {self.base} out of range for {self.word.strands} branch points")
 
 
-@dataclass(frozen=True)
-class IntervalRef:
+class IntervalRef(_Record):
     """An interval joining two branch points, transported by ``word``.
 
     The untransported interval ``x_i`` joins the endpoints of the adjacent

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import CapExceeded, CycleType, MonodromySequence, _Lazy, _tables, _trusted, _union_find, _unpack, omega_class
+from .core import (
+    CapExceeded, CycleType, MonodromySequence, _Lazy, _Record, _tables, _trusted, _union_find, _unpack, omega_class
+)
 from .hurwitz import BraidWord
 
 #: The default cap: orbit elements searched, sequences classified or listed,
@@ -220,8 +221,7 @@ def schreier_generators(seq: MonodromySequence, cap: int | None = None) -> list[
     return hurwitz_orbit(seq, cap).schreier_words()
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(_Record):
     """One class of sequences under the action plus sheet renumbering."""
 
     representative: MonodromySequence

@@ -18,12 +18,11 @@ component signatures can be compared sheet by sheet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     ComponentSignature,
     MonodromySequence,
     Permutation,
+    _Record,
     _product,
     _tables,
     _unpack,
@@ -34,8 +33,7 @@ START = "start"
 END = "end"
 
 
-@dataclass(frozen=True)
-class RestrictionSpec:
+class RestrictionSpec(_Record):
     """Which curves to cut along (sorted, 1-based) and which base point to use."""
 
     indices: tuple[int, ...]

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, dispatch, exit codes, determinism."""
 
+import argparse
 import json
 import random
 
@@ -272,6 +273,41 @@ def test_parser_offers_every_contracted_command():
         a for a in parser._actions if isinstance(a, type(parser._actions[-1])) and hasattr(a, "choices")
     )
     assert set(COMMANDS) <= set(subparsers.choices)
+
+
+#: Invocations answered by the parser alone: each command's help and its
+#: missing-flag error, then top-level help, an unknown command, no command and
+#: an argument no parser takes.
+PARSER_ONLY = [
+    *([name, "--help"] for name in COMMANDS),
+    *([name] for name in COMMANDS),
+    ["--help"],
+    ["no-such-command"],
+    [],
+    ["tcgens", "--n", "3", "extra"],
+]
+
+
+def parser_outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ONLY, ids=lambda argv: " ".join(argv) or "no-command")
+def test_one_command_parser_answers_as_the_full_parser(monkeypatch, capsys, argv):
+    build = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(build(command)) or built[-1])
+    answer = parser_outcome(capsys, argv)
+    (commands,) = (a.choices for a in built[0]._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands) == (argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS))
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert answer == parser_outcome(capsys, argv)
+    assert answer[0] == (0 if "--help" in argv else 1)
 
 
 # --- seeded fuzzing of the argument parsers ---------------------------------
