@@ -5,16 +5,17 @@ For ``BraidWord``, ``Transposition``, ``RestrictionSpec``, ``Permutation`` and
 ``order=True`` where the type is ordered, on the same fields and the same
 ``__post_init__``.  It then times construction, ``repr``, ``==`` between
 equal instances, ``hash`` and, on the ordered types, ``<``, for the type and
-its twin in turn, ``--rounds`` times.  Each figure is the best round, in
-nanoseconds per call of ``--number`` calls.  Taking turns in one process
-keeps the host's drift in speed out of the comparison.
+its twin in turn, ``ROUNDS`` times of ``NUMBER`` calls each.  Taking turns in
+one process keeps the host's drift in speed out of the comparison.  Each line
+gives the median round of each side, in nanoseconds per call, and the number
+of rounds in which the record was not slower than its twin.
 
-    python tools/record_bench.py [--number N] [--rounds R]
+    python tools/record_bench.py
 """
 
 from __future__ import annotations
 
-import argparse
+import statistics
 import sys
 import timeit
 from dataclasses import dataclass
@@ -23,6 +24,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from diskcovers import BraidWord, MonodromySequence, Permutation, RestrictionSpec, Transposition  # noqa: E402
+
+NUMBER = 20_000
+ROUNDS = 25
 
 #: Each type with the field values that build it.
 CASES = (
@@ -40,30 +44,23 @@ def twin(cls: type, ordered: bool) -> type:
     return dataclass(frozen=True, order=ordered)(type(cls.__name__, (), namespace))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--number", type=int, default=100_000)
-    parser.add_argument("--rounds", type=int, default=7)
-    args = parser.parse_args(argv)
-    print(f"{'type':<18} {'operation':<10} {'record':>7} {'dataclass':>10}  (ns per call, best round)")
+def main() -> int:
+    print(f"{'type':<18} {'operation':<10} {'record':>7} {'dataclass':>10} {'wins':>6}  (ns per call, median round)")
     for cls, values in CASES:
         ordered = cls.__lt__ is not object.__lt__
-        sides = {
-            side: {"T": side, "args": values, "x": side(*values), "y": side(*values)}
-            for side in (cls, twin(cls, ordered))
+        record, dataclass_twin = cls, twin(cls, ordered)
+        namespaces = {
+            side: {"T": side, "args": values, "x": side(*values), "y": side(*values)} for side in (record, dataclass_twin)
         }
-        statements = ["T(*args)", "repr(x)", "x == y", "hash(x)", *(["x < y"] if ordered else [])]
-        best = {(side, s): float("inf") for side in sides for s in statements}
-        for _ in range(args.rounds):
-            for statement in statements:
-                for side, namespace in sides.items():
-                    seconds = timeit.timeit(statement, globals=namespace, number=args.number)
-                    best[side, statement] = min(best[side, statement], seconds / args.number * 1e9)
-        record, dataclass_twin = sides
-        for statement in statements:
+        for statement in ["T(*args)", "repr(x)", "x == y", "hash(x)", *(["x < y"] if ordered else [])]:
+            times = {side: [] for side in namespaces}
+            for _ in range(ROUNDS):
+                for side, namespace in namespaces.items():
+                    times[side].append(timeit.timeit(statement, globals=namespace, number=NUMBER) / NUMBER * 1e9)
+            wins = sum(r <= d for r, d in zip(times[record], times[dataclass_twin]))
             print(
-                f"{cls.__name__:<18} {statement:<10} {best[record, statement]:>7.0f}"
-                f" {best[dataclass_twin, statement]:>10.0f}"
+                f"{cls.__name__:<18} {statement:<10} {statistics.median(times[record]):>7.0f}"
+                f" {statistics.median(times[dataclass_twin]):>10.0f} {wins:>3}/{ROUNDS}"
             )
     return 0
 
