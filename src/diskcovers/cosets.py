@@ -1,19 +1,28 @@
 """Coset enumeration over the standard braid-group presentation.
 
-Todd-Coxeter in the HLT order with Holt's scan-and-fill (Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5; cf. the
-exposition at https://math.berkeley.edu/~kmill/notes/todd_coxeter.html).
-Each subgroup word is closed at the first coset; then every live coset, in
-order, has each relator closed at it and every generator column filled.  To
-close a word at a coset, scan it forward from the coset until an entry is
-unknown, then backward from the coset through the inverse columns.  Scans
-that meet end at cosets that must coincide, and the two are merged through a
-union-find table.  A gap of one letter is a deduction: that entry and its
-inverse are filled.  Only a wider gap defines a new coset, after which the
-forward scan goes on.  Defining a coset only where nothing can be deduced
-keeps the count of cosets defined (``CosetTable.defined``) close to the
-index.  The table is one flat list, indexed ``coset * columns + column``,
-and it is stored once: :class:`CosetTable` keeps that list and the
+Todd-Coxeter in the HLT order with Holt's scan-and-fill and coincidence
+routine (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+2005, ch. 5; cf. the exposition at
+https://math.berkeley.edu/~kmill/notes/todd_coxeter.html).  Each subgroup
+word is closed at the first coset; then every live coset, in order, has each
+relator closed at it and every generator column filled.  To close a word at a
+coset, scan it forward from the coset until an entry is unknown, then
+backward from the coset through the inverse columns.  A relator that already
+closes is only traced forward.  Scans that meet end at cosets that must
+coincide.  A gap of one letter is a deduction: that entry and its inverse are
+filled.  Only a wider gap defines a new coset, after which the forward scan
+goes on.  Defining a coset only where nothing can be deduced keeps the count
+of cosets defined (``CosetTable.defined``) close to the index.
+
+The table is one list per column, indexed by coset, and a list indexed by the
+signed letter gives each letter's column; negative letters index it from the
+end, so ``column[-e]`` is the inverse of ``column[e]``.  A coincidence merges
+the larger coset into the smaller and queues it; each entry of a queued
+coset's row then moves to its live coset's row, or queues the merge of two
+entries, and the entry that named it back is cleared.  So no live row names a
+dead coset once a coincidence is processed, and a scan steps from entry to
+entry with no union-find lookup; the union-find serves only the queue and a
+scan coset merged away.  :class:`CosetTable` keeps the columns and the
 union-find, finished or capped, and builds ``rows`` only when they are read.
 
 Enumeration is deterministic for fixed inputs.  On completion the table is a
@@ -26,9 +35,11 @@ are numbered past the scan, so every coset live at the end was live, with
 every relator closed and every column filled, when the scan reached it.  A
 deduction fills an entry and its inverse together, so the table stays a
 partial permutation action, and filling an entry never opens a closed
-relator.  A merge is a quotient: it keeps closed relators closed and defined
-entries defined.  Subgroup words are closed at coset 0 before the scan, and
-coset 0 is never merged away.
+relator.  A coincidence is a quotient: it keeps closed relators closed and
+defined entries defined.  Its result does not depend on the order of the
+merges: the finest such quotient that makes the two cosets one, with the
+smallest coset of each class kept.  Subgroup words are closed at coset 0
+before the scan, and coset 0 is never merged away.
 
 The end-to-end verifier cross-checks the two independent index computations:
 a subgroup of liftable braids has index equal to the orbit size of the
@@ -91,37 +102,33 @@ class CosetTable:
 
     Row ``c`` holds, per column, the coset reached from ``c``; columns come in
     pairs (generator, inverse) for generators ``1 .. strands - 1``.  The table
-    keeps the enumeration's own union-find and flat table, so building it
-    copies nothing; ``rows`` numbers the live cosets in order and relabels
-    their entries on first read.  ``index`` counts the live cosets, and
-    ``defined`` every coset defined, those later merged away included; both
-    are deterministic for fixed inputs.
+    keeps the enumeration's own union-find and column lists, one list per
+    column indexed by coset, so building it copies nothing; ``rows`` numbers
+    the live cosets in order and relabels their entries on first read.  No
+    live row names a dead coset.  ``index`` counts the live cosets,
+    ``defined`` every coset defined, those later merged away included, and
+    ``peak_live`` the most cosets live at once (one more per definition, one
+    fewer per coset merged away); all three are deterministic for fixed
+    inputs.
     """
 
-    def __init__(self, strands: int, status: str, parent: list[int], table: list[int]) -> None:
+    def __init__(self, strands: int, status: str, parent: list[int], columns: list[list[int]], peak_live: int) -> None:
         self.strands = strands
         self.status = status
         self.defined = len(parent)
         self.index = sum(map(operator.eq, parent, range(len(parent))))
+        self.peak_live = max(peak_live, self.index)
         self._parent = parent
-        self._table = table
+        self._columns = columns
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        # A merge keeps the smaller coset and path halving points a coset at
-        # an ancestor, so parent[c] <= c: it is labelled before c, with its
-        # live coset's label.  The trailing -1 is label[-1], which keeps
-        # unknown entries unknown.
-        cols = 2 * (self.strands - 1)
-        label, live_cosets = [], []
-        for c, p in enumerate(self._parent):
-            if p == c:
-                label.append(len(live_cosets))
-                live_cosets.append(c)
-            else:
-                label.append(label[p])
-        label.append(-1)
-        return tuple(tuple(label[x] for x in self._table[c * cols : (c + 1) * cols]) for c in live_cosets)
+        live_cosets = [c for c, p in enumerate(self._parent) if p == c]
+        # The trailing -1 is label[-1], which keeps unknown entries unknown.
+        label = [-1] * (self.defined + 1)
+        for k, c in enumerate(live_cosets):
+            label[c] = k
+        return tuple(tuple(label[column[c]] for column in self._columns) for c in live_cosets)
 
 
 def todd_coxeter(
@@ -138,16 +145,16 @@ def todd_coxeter(
     for word in subgroup_words:
         if word.strands != strands:
             raise ValueError("subgroup word strand count mismatch")
-    presentation = braid_presentation(strands)
-    cols = 2 * presentation.generators
-    column = {e: d for d, e in enumerate(BraidWord.generator_letters(strands))}.__getitem__
-    relators = [tuple(map(column, relator)) for relator in presentation.relators]
-    words = [tuple(map(column, word.letters)) for word in subgroup_words]
-
-    blank = [-1] * cols
+    relators = braid_presentation(strands).relators
+    letters = BraidWord.generator_letters(strands)
     parent = [0]
-    # Entry c * cols + d is the coset column d sends coset c to, -1 if unknown.
-    table = blank[:]
+    # columns[d][c] is the coset column d sends coset c to, -1 if unknown;
+    # column[e] is letter e's column, so column[-e] is its inverse's.  A
+    # relator's path is its letters' columns, for the forward trace.
+    columns = [[-1] for _ in letters]
+    column = [None, *columns[::2], *reversed(columns[1::2])]
+    paths = [[column[e] for e in relator] for relator in relators]
+    merged = peak_live = 0
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -155,88 +162,105 @@ def todd_coxeter(
             c = parent[c]
         return c
 
-    def define(c: int, d: int) -> None:
+    def define(c: int, e: int) -> None:
         if len(parent) >= max_cosets:
             message = f"no conclusion within {max_cosets} cosets"
-            raise Inconclusive(message, max_cosets, CosetTable(strands, CAPPED, parent, table))
+            raise Inconclusive(message, max_cosets, CosetTable(strands, CAPPED, parent, columns, peak_live))
         v = len(parent)
         parent.append(v)
-        table.extend(blank)
-        table[c * cols + d] = v
-        table[v * cols + (d ^ 1)] = c
+        for col in columns:
+            col.append(-1)
+        column[e][c] = v
+        column[-e][v] = c
 
-    def merge(a: int, b: int) -> None:
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
+    def merge(a: int, b: int, queue: list[int]) -> None:
+        a, b = find(a), find(b)
+        if a != b:
             if a > b:
                 a, b = b, a
             parent[b] = a
-            ra, rb = a * cols, b * cols
-            for d in range(cols):
-                nb = table[rb + d]
-                if nb == -1:
+            queue.append(b)
+
+    def coincidence(a: int, b: int) -> None:
+        """Merge cosets a and b, and every pair that follows (Holt's
+        COINCIDENCE): each entry of a dead coset's row moves to its live
+        coset's row or queues a merge, and the entry back to it is cleared."""
+        nonlocal merged, peak_live
+        # Only definitions add live cosets, so they peak before a coincidence
+        # or at the end, where CosetTable counts them.
+        peak_live = max(peak_live, len(parent) - merged)
+        queue: list[int] = []
+        merge(a, b, queue)
+        for dead in queue:
+            for e in letters:
+                forward, back = column[e], column[-e]
+                x = forward[dead]
+                if x < 0:
                     continue
-                na = table[ra + d]
-                if na == -1:
-                    table[ra + d] = nb
+                back[x] = -1
+                a, x = find(dead), find(x)
+                if forward[a] >= 0:
+                    merge(forward[a], x, queue)
+                elif back[x] >= 0:
+                    merge(a, back[x], queue)
                 else:
-                    stack.append((na, nb))
+                    forward[a], back[x] = x, a
+        merged += len(queue)
 
     def scan_and_fill(c: int, word: tuple[int, ...]) -> None:
-        """Close ``word``, a tuple of columns, at coset ``c``: merge where the
-        scans meet, deduce a gap of one, define a coset in a wider gap."""
-        f = b = find(c)
+        """Close ``word`` at live coset ``c``: merge where the scans meet,
+        deduce a gap of one, define a coset in a wider gap."""
+        f = b = c
         i, j = 0, len(word) - 1
         while True:
             # Forward from c while entries are known ...
             while i <= j:
-                x = table[f * cols + word[i]]
-                if x == -1:
+                x = column[word[i]][f]
+                if x < 0:
                     break
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
                 f = x
                 i += 1
             # ... then backward from c, through the inverse columns.
             while j >= i:
-                x = table[b * cols + (word[j] ^ 1)]
-                if x == -1:
+                x = column[-word[j]][b]
+                if x < 0:
                     break
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
                 b = x
                 j -= 1
             if j < i:
                 if f != b:
-                    merge(f, b)
+                    coincidence(f, b)
                 return
             if i == j:
-                table[f * cols + word[i]] = b
-                table[b * cols + (word[i] ^ 1)] = f
+                column[word[i]][f] = b
+                column[-word[i]][b] = f
                 return
             define(f, word[i])
 
-    for word in words:
-        scan_and_fill(0, word)
+    for word in subgroup_words:
+        scan_and_fill(0, word.letters)
 
     scan = 0
     while scan < len(parent):
         if parent[scan] == scan:
-            for relator in relators:
-                scan_and_fill(scan, relator)
-            if parent[scan] == scan:
-                for d in range(cols):
-                    if table[scan * cols + d] == -1:
-                        define(scan, d)
+            c = scan
+            for relator, path in zip(relators, paths):
+                # Most relators already close: trace forward before scanning.
+                f = c
+                for col in path:
+                    f = col[f]
+                    if f < 0:
+                        break
+                if f != c:
+                    scan_and_fill(c, relator)
+                    c = find(c)
+            if c == scan:
+                for e in letters:
+                    if column[e][scan] < 0:
+                        define(scan, e)
         scan += 1
 
-    result = CosetTable(strands, COMPLETE, parent, table)
+    result = CosetTable(strands, COMPLETE, parent, columns, peak_live)
     return result.index, result
 
 

@@ -57,7 +57,9 @@ def test_trivial_subgroup_is_inconclusive():
         with pytest.raises(Inconclusive) as info:
             todd_coxeter(n, [], max_cosets=2000)
         assert info.value.cap == 2000
-        assert info.value.table is not None and info.value.table.status == "capped"
+        table = info.value.table
+        assert table.status == "capped" and table.defined == 2000
+        assert all(-1 <= image < table.index for row in table.rows for image in row)
 
 
 def test_inconclusive_is_the_cap_error():
@@ -142,13 +144,191 @@ def test_table_is_a_permutation_action():
         assert_closed_action(table, generators)
 
 
+def reference_todd_coxeter(strands, subgroup_words, max_cosets):
+    """The enumerator as it was before the column lists, kept as the oracle:
+    one flat table indexed ``coset * columns + column``, a lazy union-find
+    walk after every scan step, and a stack ``merge`` that leaves entries
+    naming dead cosets in live rows.  Returns ``(status, defined, index,
+    rows)``, with the live cosets numbered in order in ``rows``."""
+    cols = 2 * (strands - 1)
+    column = {e: d for d, e in enumerate(BraidWord.generator_letters(strands))}.__getitem__
+    relators = [tuple(map(column, relator)) for relator in braid_presentation(strands).relators]
+    words = [tuple(map(column, w.letters)) for w in subgroup_words]
+
+    blank = [-1] * cols
+    parent = [0]
+    table = blank[:]
+
+    class Capped(Exception):
+        pass
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def define(c, d):
+        if len(parent) >= max_cosets:
+            raise Capped
+        v = len(parent)
+        parent.append(v)
+        table.extend(blank)
+        table[c * cols + d] = v
+        table[v * cols + (d ^ 1)] = c
+
+    def merge(a, b):
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            ra, rb = a * cols, b * cols
+            for d in range(cols):
+                nb = table[rb + d]
+                if nb == -1:
+                    continue
+                na = table[ra + d]
+                if na == -1:
+                    table[ra + d] = nb
+                else:
+                    stack.append((na, nb))
+
+    def scan_and_fill(c, word):
+        f = b = find(c)
+        i, j = 0, len(word) - 1
+        while True:
+            while i <= j:
+                x = table[f * cols + word[i]]
+                if x == -1:
+                    break
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                f = x
+                i += 1
+            while j >= i:
+                x = table[b * cols + (word[j] ^ 1)]
+                if x == -1:
+                    break
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                b = x
+                j -= 1
+            if j < i:
+                if f != b:
+                    merge(f, b)
+                return
+            if i == j:
+                table[f * cols + word[i]] = b
+                table[b * cols + (word[i] ^ 1)] = f
+                return
+            define(f, word[i])
+
+    status = "complete"
+    try:
+        for w in words:
+            scan_and_fill(0, w)
+        scan = 0
+        while scan < len(parent):
+            if parent[scan] == scan:
+                for relator in relators:
+                    scan_and_fill(scan, relator)
+                if parent[scan] == scan:
+                    for d in range(cols):
+                        if table[scan * cols + d] == -1:
+                            define(scan, d)
+            scan += 1
+    except Capped:
+        status = "capped"
+    # parent[c] <= c, so c's live coset is labelled before c.
+    label, live_cosets = [], []
+    for c, p in enumerate(parent):
+        if p == c:
+            label.append(len(live_cosets))
+            live_cosets.append(c)
+        else:
+            label.append(label[p])
+    label.append(-1)
+    rows = tuple(tuple(label[x] for x in table[c * cols : (c + 1) * cols]) for c in live_cosets)
+    return status, len(parent), len(live_cosets), rows
+
+
+def random_subgroups(count):
+    """Seeded random subgroups on 2 to 5 strands, each with a cap of 50, 500
+    or 3,000 cosets; many have infinite index and hit the cap."""
+    cases = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        strands = 2 + seed % 4
+        letters = BraidWord.generator_letters(strands)
+        words = [
+            BraidWord(strands, tuple(rng.choice(letters) for _ in range(rng.randint(1, 8))))
+            for _ in range(rng.randint(1, 4))
+        ]
+        cases.append((strands, words, (50, 500, 3000)[seed % 3]))
+    return cases
+
+
+def finished_or_capped(strands, words, cap):
+    """The enumerator's table, finished or capped."""
+    try:
+        return todd_coxeter(strands, words, cap)[1]
+    except Inconclusive as capped:
+        return capped.table
+
+
+def assert_no_dead_entries(table):
+    """No live row names a dead coset, and every entry's inverse entry
+    points back."""
+    parent, columns = table._parent, table._columns
+    live = [c for c, p in enumerate(parent) if p == c]
+    for d, column in enumerate(columns):
+        inverse = columns[d ^ 1]
+        for c in live:
+            x = column[c]
+            assert x == -1 or (parent[x] == x and inverse[x] == c), (c, d, x)
+
+
+def test_enumerator_matches_the_reference():
+    cases = [(n, theorem_c_generators(n), 200_000) for n in range(1, 7)]
+    cases += [(s.length, schreier_generators(s), 200_000) for s in schreier_cases()]
+    cases += random_subgroups(240)
+    statuses = set()
+    for strands, words, cap in cases:
+        table = finished_or_capped(strands, words, cap)
+        assert_no_dead_entries(table)
+        got = (table.status, table.defined, table.index, table.rows)
+        assert got == reference_todd_coxeter(strands, words, cap), (strands, [w.letters for w in words], cap)
+        statuses.add(table.status)
+    assert statuses == {"complete", "capped"}
+
+
+def test_peak_live_counts_cosets_live_at_once():
+    for strands, words, cap in [(5, theorem_c_generators(5), 10_000), *random_subgroups(12)]:
+        first, second = (finished_or_capped(strands, words, cap) for _ in range(2))
+        assert first.index <= first.peak_live <= first.defined
+        assert first.peak_live == second.peak_live
+    # Schreier words define no coset that is later merged away.
+    for s in schreier_cases():
+        _, table = todd_coxeter(s.length, schreier_generators(s), max_cosets=200_000)
+        assert table.defined == table.index == table.peak_live
+
+
 def test_generator_set_indexes():
     index, _ = todd_coxeter(3, theorem_c_generators(3))
     assert index == 16
     index, _ = todd_coxeter(4, theorem_c_generators(4))
     assert index == 125
     index, table = todd_coxeter(5, theorem_c_generators(5))
-    assert index == 1296 and table.defined == 2499
+    # 1,349: counted independently, as live cosets after each definition and
+    # merge of the reference enumerator.
+    assert index == 1296 and table.defined == 2499 and table.peak_live == 1349
 
 
 def test_verify_theorem_c_small():
