@@ -29,7 +29,7 @@ hot loops read fastest; for a larger degree they are filled one entry at a
 time on first lookup, so their size follows the transpositions met, not the
 degree.  Both forms are read alike.  The public types validate whatever a
 caller builds; the package builds its results, from validated values only,
-with the unchecked constructor ``_trusted``.
+with each type's unchecked constructor ``T._unchecked`` (see ``_Record``).
 """
 
 from __future__ import annotations
@@ -71,10 +71,20 @@ class _Record:
     costs; methods that read the field names at call time were 1.7-3 times
     slower.  Assignment raises ``AttributeError``; the constructors set
     fields through ``object.__setattr__``.
+
+    Each type also gets the classmethod ``T._unchecked``, for the package's
+    own results built from validated values: it takes every annotated name,
+    ``_``-prefixed ones included, by position, and skips ``__post_init__``.
+    It sets the fields through ``object.__setattr__`` too and never touches
+    ``obj.__dict__``: filling the dict directly was faster, but took a
+    ``BraidWord`` from 96 to 248 bytes, since the instance loses the dict
+    layout it shares with its class's other instances (CPython 3.11,
+    ``tracemalloc``).  Certification holds thousands of such words at once.
     """
 
     def __init_subclass__(cls, order: bool = False) -> None:
-        fields = tuple(name for name in cls.__dict__.get("__annotations__", ()) if not name.startswith("_"))
+        stored = tuple(cls.__dict__.get("__annotations__", ()))
+        fields = tuple(name for name in stored if not name.startswith("_"))
         mine = "".join(f"self.{name}, " for name in fields)
         theirs = "".join(f"other.{name}, " for name in fields)
         shown = ", ".join(f"{name}={{self.{name}!r}}" for name in fields)
@@ -82,6 +92,11 @@ class _Record:
             f"def __init__(self, {', '.join(fields)}):",
             *(f"    _set(self, {name!r}, {name})" for name in fields),
             "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
+            "@classmethod",
+            f"def _unchecked(cls, {', '.join(stored)}):",
+            "    self = _new(cls)",
+            *(f"    _set(self, {name!r}, {name})" for name in stored),
+            "    return self",
             "def __repr__(self):",
             f"    return f'{cls.__qualname__}({shown})'",
             "def __hash__(self):",
@@ -98,7 +113,7 @@ class _Record:
                 "    return NotImplemented",
             ]
         methods: dict = {}
-        exec("\n".join(source), {"_set": object.__setattr__}, methods)
+        exec("\n".join(source), {"_set": object.__setattr__, "_new": object.__new__}, methods)
         for name, method in methods.items():
             setattr(cls, name, method)
         cls.__match_args__ = fields
@@ -520,15 +535,6 @@ def conjugating_permutation(source: Permutation, target: Permutation) -> Permuta
 
 # --- the packed encoding and the helpers shared by the hot paths -------------
 
-def _trusted(cls, **fields):
-    """An instance of a validated record type built without its checks, for
-    field values derived from validated ones only."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 class _Lazy(dict):
     """A dict that fills a missing key with ``make(key)`` on its first lookup."""
 
@@ -549,10 +555,12 @@ class _Tables:
     ``pairs[t]`` is the pair ``(a, b)``, ``interned[t]`` its one
     ``Transposition``, and ``conj[t][u]`` is t conjugated by u, the swap of
     ``u(a)`` and ``u(b)``.  Renumbering sheets by u is conjugating by u.
+    ``index_of[a][b]`` is ``index(a, b)`` for two distinct sheets, in either
+    order, without the method call.
 
     Their form is a property of the degree.  A degree whose conjugation table
     has at most 2^14 entries, that is d <= 16 (C(16, 2)^2 = 14,400), gets all
-    three built whole, as plain tuples, on first use: the build takes well
+    four built whole, as plain tuples, on first use: the build takes well
     under 1 ms, and CPython reads tuples faster than dict subclasses.  A larger
     degree fills them one entry at a time on first lookup, so they grow with
     the transpositions a caller meets, not with the ``d(d-1)/2`` pairs.  Both
@@ -563,17 +571,21 @@ class _Tables:
         self.degree = degree
         size = degree * (degree - 1) // 2
         if size * size > 1 << 14:
-            self.pairs, self.interned, self.conj = self._lazy()
+            self.pairs, self.interned, self.conj, self.index_of = self._lazy()
             return
         self.pairs = tuple(map(self._pair, range(size)))
-        self.interned = tuple(_trusted(Transposition, a=a, b=b) for a, b in self.pairs)
+        self.interned = tuple(Transposition._unchecked(a, b) for a, b in self.pairs)
         self.conj = tuple(map(self._conj_row, range(size)))
+        sheets = range(degree + 1)  # row and column 0, and the diagonal, are never read
+        self.index_of = tuple(tuple(self.index(a, b) for b in sheets) for a in sheets)
 
-    def _lazy(self) -> tuple[_Lazy, _Lazy, _Lazy]:
-        """``pairs``, ``interned`` and ``conj`` in the lazily filled form."""
+    def _lazy(self) -> tuple[_Lazy, _Lazy, _Lazy, _Lazy]:
+        """``pairs``, ``interned``, ``conj`` and ``index_of`` in the lazily
+        filled form."""
         pairs = _Lazy(self._pair)
-        interned = _Lazy(lambda t: _trusted(Transposition, a=pairs[t][0], b=pairs[t][1]))
-        return pairs, interned, _Lazy(lambda t: _Lazy(lambda u: self._conj(t, u)))
+        interned = _Lazy(lambda t: Transposition._unchecked(*pairs[t]))
+        conj = _Lazy(lambda t: _Lazy(lambda u: self._conj(t, u)))
+        return pairs, interned, conj, _Lazy(lambda a: _Lazy(lambda b: self.index(a, b)))
 
     def index(self, a: int, b: int) -> int:
         """The packed transposition (a b) of two distinct sheets."""
@@ -615,9 +627,7 @@ def _tables(degree: int) -> _Tables:
 def _unpack(degree: int, packed: tuple[int, ...]) -> MonodromySequence:
     """The sequence of a packed tuple, which it keeps as its packed form."""
     interned = _tables(degree).interned
-    return _trusted(
-        MonodromySequence, degree=degree, entries=tuple(map(interned.__getitem__, packed)), _packed=packed
-    )
+    return MonodromySequence._unchecked(degree, tuple(map(interned.__getitem__, packed)), packed)
 
 
 def _product(degree: int, packed: tuple[int, ...]) -> Permutation:
@@ -629,7 +639,7 @@ def _product(degree: int, packed: tuple[int, ...]) -> Permutation:
     for t in reversed(packed):
         a, b = pairs[t]
         images[a], images[b] = images[b], images[a]
-    return _trusted(Permutation, images=tuple(images[1:]))
+    return Permutation._unchecked(tuple(images[1:]))
 
 
 def _union_find(size: int, edges: Iterable[tuple[int, int]]) -> list[int]:

@@ -17,7 +17,7 @@ lexicographic pair list of :mod:`diskcovers.core`.  One kernel,
 ``x_i`` and into ``conj[u][t], t`` for its inverse; :mod:`diskcovers.orbit`
 applies the same rule to ranks, packed tuples read as integers.  The public
 functions check their input, read the packed tuple the sequence carries and
-build one result on the way out with core's trusted constructor.
+build one result on the way out with the unchecked constructor.
 
 Canonicalization searches no orbit.  After the sheet renumbering the
 sequence has the entry product of its canonical target
@@ -92,18 +92,18 @@ class BraidWord(_Record):
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
             raise ValueError("cannot concatenate words on different strand counts")
-        return BraidWord(self.strands, self.letters + other.letters)
+        return BraidWord._unchecked(self.strands, self.letters + other.letters)
 
     def __pow__(self, exponent: int) -> "BraidWord":
         if exponent >= 0:
-            return BraidWord(self.strands, self.letters * exponent)
+            return BraidWord._unchecked(self.strands, self.letters * exponent)
         return self.inverse() ** (-exponent)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-e for e in reversed(self.letters)))
+        return BraidWord._unchecked(self.strands, tuple([-e for e in reversed(self.letters)]))
 
     def reduced(self) -> "BraidWord":
         """Freely reduce, cancelling adjacent letters ``e, -e``."""
@@ -113,7 +113,7 @@ class BraidWord(_Record):
                 stack.pop()
             else:
                 stack.append(e)
-        return BraidWord(self.strands, tuple(stack))
+        return BraidWord._unchecked(self.strands, tuple(stack))
 
 
 def _act_packed(conj, packed: tuple[int, ...], letters) -> tuple[int, ...]:

@@ -88,12 +88,11 @@ def standard_interval(branch_points: int, i: int) -> IntervalRef:
 
 def _carried_interval(branch_points: int, i: int, j: int, power: int) -> IntervalRef:
     """``x_i`` carried over the branch points between ``i`` and ``j`` by the
-    given power (+1 or -1) of each adjacent half-twist."""
+    given power (+1 or -1) of each adjacent half-twist: transported by
+    ``x_{i+1}^power``, then ``x_{i+2}^power`` and so on, each prepended, so
+    its word is ``x_{j-1}^power ... x_{i+1}^power``."""
     i, j = min(i, j), max(i, j)
-    ref = standard_interval(branch_points, i)
-    for m in range(i + 1, j):
-        ref = transport_interval(ref, interval_braid(standard_interval(branch_points, m), power))
-    return ref
+    return IntervalRef(i, BraidWord(branch_points, tuple(range(power * (j - 1), power * i, -power))))
 
 
 def twisted_interval(branch_points: int, i: int, j: int) -> IntervalRef:

@@ -31,7 +31,7 @@ from collections import Counter
 from functools import cached_property
 
 from .core import (
-    CapExceeded, CycleType, MonodromySequence, _Lazy, _Record, _tables, _trusted, _union_find, _unpack, omega_class
+    CapExceeded, CycleType, MonodromySequence, _Lazy, _Record, _tables, _union_find, _unpack, omega_class
 )
 from .hurwitz import BraidWord
 
@@ -174,7 +174,7 @@ class OrbitTable:
                 v = position[image]
                 if v < k or (v == k and e < 0) or parents[v] == (k, e):
                     continue
-                words.append(_trusted(BraidWord, strands=n, letters=tree_words[k] + (e,) + inverses[v]))
+                words.append(BraidWord._unchecked(n, tree_words[k] + (e,) + inverses[v]))
         return words
 
     def interval_powers(self, max_word_length: int | None = None) -> list[BraidWord]:
@@ -196,7 +196,7 @@ class OrbitTable:
                     kept -= 1
                 letters = word[:kept] + (i,) * m + inverse[len(word) - kept:]
                 if letters not in out:
-                    out[letters] = _trusted(BraidWord, strands=n, letters=letters)
+                    out[letters] = BraidWord._unchecked(n, letters)
         return list(out.values())
 
 

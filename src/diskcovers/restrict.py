@@ -60,7 +60,10 @@ def restrict(seq: MonodromySequence, spec: RestrictionSpec) -> MonodromySequence
     """The monodromy sequence of the covering restricted to the cut disk."""
     spec.validate_for(seq)
     tables = _tables(seq.degree)
-    packed = seq._packed
+    pairs, index_of, packed = tables.pairs, tables.index_of, seq._packed
+    removed = bytearray(seq.length)
+    for i in spec.indices:
+        removed[i - 1] = 1
     # Walk away from the base point.  image[s] is sheet s under the removed
     # entries passed so far, the nearest applied first: passing one more, r,
     # composes it in front, which swaps the images of r's two sheets.
@@ -68,11 +71,11 @@ def restrict(seq: MonodromySequence, spec: RestrictionSpec) -> MonodromySequence
     positions = range(seq.length) if spec.base == START else range(seq.length - 1, -1, -1)
     kept: list[int] = []
     for j in positions:
-        a, b = tables.pairs[packed[j]]
-        if j + 1 in spec.indices:
+        a, b = pairs[packed[j]]
+        if removed[j]:
             image[a], image[b] = image[b], image[a]
         else:
-            kept.append(tables.index(image[a], image[b]))
+            kept.append(index_of[image[a]][image[b]])
     if spec.base == END:
         kept.reverse()
     return _unpack(seq.degree, tuple(kept))

@@ -248,10 +248,11 @@ def test_dense_tables_match_the_closed_form_and_the_lazy_tables():
     for degree in range(1, 18):
         tables = _Tables(degree)
         assert isinstance(tables.conj, tuple) == (degree <= 16)
-        pairs, interned, conj = tables._lazy()
+        pairs, interned, conj, index_of = tables._lazy()
         closed = list(itertools.combinations(range(1, degree + 1), 2))
         for t, (a, b) in enumerate(closed):
             assert tables.pairs[t] == pairs[t] == (a, b)
+            assert tables.index_of[a][b] == tables.index_of[b][a] == index_of[a][b] == index_of[b][a] == t
             assert tables.interned[t] == interned[t] == Transposition(a, b)
             for u, (c, e) in enumerate(closed):
                 image = Transposition(a, b).image_under(Transposition(c, e))

@@ -1,4 +1,4 @@
-"""Golden outputs and the public/trusted constructor contract.
+"""Golden outputs and the public/unchecked constructor contract.
 
 ``golden_cli.json`` holds exact CLI reports captured before the braid action,
 orbit search and classifier moved to the packed encoding: Schreier words,
@@ -104,7 +104,7 @@ def test_public_constructors_reject_bad_input():
         Permutation((2, 3))
 
 
-def test_trusted_objects_equal_public_ones():
+def test_unchecked_objects_equal_public_ones():
     table = hurwitz_orbit(disk_covering(3))
     for element in table.elements:
         public = MonodromySequence.from_pairs(element.degree, element.pairs())
@@ -130,6 +130,10 @@ def test_trusted_objects_equal_public_ones():
     assert all_sequences(3, 2)[4] == MonodromySequence.from_pairs(3, [(1, 3), (1, 3)])
     relabelled = s.renumber_sheets(Permutation((5, 4, 3, 2, 1)))
     assert relabelled._packed == MonodromySequence.from_pairs(5, relabelled.pairs())._packed
+    w = BraidWord(4, (1, -3, 3, 2))
+    for built in (w * w, w ** 3, w ** -2, w.inverse(), w.reduced()):
+        public = BraidWord(4, built.letters)
+        assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
 
 
 def test_packed_form_stays_out_of_repr_equality_and_order():

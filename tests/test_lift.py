@@ -1,10 +1,12 @@
 """Liftability, the curve/interval catalog, types, and generator sets."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from diskcovers import lift
 from diskcovers.core import MonodromySequence, Transposition, disk_covering
 from diskcovers.hurwitz import BraidWord, act
 from diskcovers.lift import (
@@ -113,6 +115,54 @@ def test_interval_symmetric_constructors():
     assert index1_interval(5, 2, 4, 4) == index0_interval(5, 2, 4)
     with pytest.raises(ValueError):
         index1_interval(5, 2, 3, 2)
+
+
+def reference_carried_interval(branch_points, i, j, power):
+    """``lift._carried_interval`` as it was written before its word was built
+    in closed form: ``x_i`` transported across each branch point in turn."""
+    i, j = min(i, j), max(i, j)
+    ref = standard_interval(branch_points, i)
+    for m in range(i + 1, j):
+        ref = transport_interval(ref, interval_braid(standard_interval(branch_points, m), power))
+    return ref
+
+
+#: The catalog constructors, each with its number of indices.
+CATALOG = ((twisted_interval, 2), (index0_interval, 2), (index1_interval, 3), (index0_curve, 2), (index1_curve, 3))
+#: SHA-256 of ``catalog_outcomes()``, captured from the transport loop.
+CATALOG_SHA256 = "b3d56cd0b31296dda84a04f813486e3ca37e5cf2d1b29bce23259f0bb5e0e6f7"
+
+
+def catalog_outcomes():
+    """The ``repr`` of every catalog object, or its error, for n = 2..9 and
+    all indices in 1..n: 4,900 cases."""
+    out = []
+    for n in range(2, 10):
+        for build, arity in CATALOG:
+            for indices in itertools.product(range(1, n + 1), repeat=arity):
+                try:
+                    out.append(repr(build(n, *indices)))
+                except ValueError as error:
+                    out.append(f"ValueError: {error}")
+    return out
+
+
+def test_catalog_matches_the_transport_loop(monkeypatch):
+    outcomes = catalog_outcomes()
+    assert len(outcomes) == 4900
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == CATALOG_SHA256
+    monkeypatch.setattr(lift, "_carried_interval", reference_carried_interval)
+    assert catalog_outcomes() == outcomes
+
+
+@pytest.mark.parametrize("build", [twisted_interval, index0_interval])
+def test_carried_intervals_reject_indices_out_of_range(build):
+    for n in range(1, 6):
+        for i, j in [(0, 2), (1, n + 1), (n, n + 2), (-1, 1)]:
+            with pytest.raises(ValueError):
+                build(n, i, j)
+            with pytest.raises(ValueError):
+                reference_carried_interval(n, i, j, 1)
 
 
 def test_reference_monodromy_examples():

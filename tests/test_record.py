@@ -26,7 +26,6 @@ from diskcovers import (
     TheoremCReport,
     Transposition,
 )
-from diskcovers.core import _trusted
 
 WORD = BraidWord(3, (1, -2))
 SEQ = MonodromySequence.from_pairs(3, [(1, 2), (2, 3)])
@@ -70,6 +69,18 @@ RECORDS = [
         "TheoremCReport(branch_points=3, generator_count=3, all_liftable=True, orbit_index=4, tc_index=4, passed=True)",
     ),
 ]
+#: Each type whose public constructor checks its fields, with values that it
+#: rejects.
+REJECTED = {
+    Permutation: ((1, 1),),
+    Transposition: (2, 2),
+    CycleType: ((1,), 1),
+    MonodromySequence: (0, (), ()),
+    RestrictionSpec: ((), "middle"),
+    BraidWord: (2, (0, 5)),
+    CurveRef: (4, WORD),
+    IntervalRef: (3, WORD),
+}
 #: Each ordered type, with a pair of instances in ascending order.
 ORDERED = {
     Permutation: (Permutation((1, 2, 3)), Permutation((2, 3, 1))),
@@ -111,8 +122,30 @@ def test_types_with_the_same_fields_are_never_equal():
         Transposition(1, 2) < Permutation((2, 1))  # noqa: B015
 
 
+@pytest.mark.parametrize("cls, values, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_unchecked_constructor_equals_the_public_one(cls, values, text):
+    public = cls(*values)
+    stored = tuple(cls.__annotations__)  # every field, ``_packed`` included
+    unchecked = cls._unchecked(*(getattr(public, name) for name in stored))
+    assert type(unchecked) is cls
+    assert unchecked == public and hash(unchecked) == hash(public) and repr(unchecked) == text
+    assert all(getattr(unchecked, name) is getattr(public, name) for name in stored)
+    with pytest.raises(AttributeError):
+        setattr(unchecked, stored[0], values[0])
+
+
+@pytest.mark.parametrize("cls", REJECTED, ids=[cls.__name__ for cls in REJECTED])
+def test_unchecked_constructor_skips_the_checks(cls):
+    values = REJECTED[cls]
+    with pytest.raises(ValueError):
+        cls(*values[: len(cls.__match_args__)])
+    unchecked = cls._unchecked(*values)
+    assert tuple(getattr(unchecked, name) for name in cls.__annotations__) == values
+
+
 def test_packed_form_is_neither_shown_nor_compared():
-    other = _trusted(MonodromySequence, degree=3, entries=SEQ.entries, _packed=(2, 2))
+    other = MonodromySequence._unchecked(3, SEQ.entries, (2, 2))
+    assert other._packed == (2, 2)
     assert other == SEQ and hash(other) == hash(SEQ) and not other < SEQ and not SEQ < other
     assert repr(other) == SEQ_REPR
     assert MonodromySequence.__match_args__ == ("degree", "entries")

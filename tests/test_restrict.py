@@ -7,6 +7,8 @@ import pytest
 
 from diskcovers.core import (
     MonodromySequence,
+    _tables,
+    _unpack,
     components,
     disk_covering,
     is_disk,
@@ -30,6 +32,51 @@ def seq(degree, *pairs):
 def nonempty_subsets(n):
     for size in range(1, n + 1):
         yield from itertools.combinations(range(1, n + 1), size)
+
+
+def reference_restrict(seq, spec):
+    """``restrict`` as it was written before it marked the removed positions:
+    a membership test against ``spec.indices`` at every position."""
+    spec.validate_for(seq)
+    tables = _tables(seq.degree)
+    packed = seq._packed
+    image = list(range(seq.degree + 1))
+    positions = range(seq.length) if spec.base == START else range(seq.length - 1, -1, -1)
+    kept = []
+    for j in positions:
+        a, b = tables.pairs[packed[j]]
+        if j + 1 in spec.indices:
+            image[a], image[b] = image[b], image[a]
+        else:
+            kept.append(tables.index(image[a], image[b]))
+    if spec.base == END:
+        kept.reverse()
+    return _unpack(seq.degree, tuple(kept))
+
+
+def assert_restrictions_match_the_reference(s, specs):
+    for spec in specs:
+        restricted, expected = restrict(s, spec), reference_restrict(s, spec)
+        assert restricted == expected and restricted._packed == expected._packed, (s, spec)
+
+
+def test_restrict_matches_the_reference_exhaustive():
+    for length in range(1, 6):
+        specs = [RestrictionSpec(indices, base) for indices in nonempty_subsets(length) for base in (START, END)]
+        for degree in (2, 3, 4):
+            for s in all_sequences(degree, length):
+                assert_restrictions_match_the_reference(s, specs)
+
+
+def test_restrict_matches_the_reference_on_lazy_tables():
+    # Degrees above 16 fill their tables one entry at a time.
+    rng = random.Random(47)
+    for degree in (17, 18, 19, 20):
+        for _ in range(5):
+            length = rng.randint(1, 8)
+            s = MonodromySequence.from_pairs(degree, [rng.sample(range(1, degree + 1), 2) for _ in range(length)])
+            specs = [RestrictionSpec(indices, base) for indices in nonempty_subsets(length) for base in (START, END)]
+            assert_restrictions_match_the_reference(s, specs)
 
 
 def test_restriction_spec_validation():
