@@ -14,9 +14,11 @@ words.
 
 ``classify_all`` is the brute-force classification oracle: it partitions all
 sequences of a given size into classes under the action together with
-simultaneous sheet renumbering.  Both stop with :class:`CapExceeded` past
-their cap, ``DEFAULT_CAP`` unless the caller gives one; ``all_sequences``
-refuses more than ``DEFAULT_CAP`` sequences the same way.
+simultaneous sheet renumbering.  It labels the braid orbits in one sweep,
+then joins them by renumbering one member of each.  Both stop with
+:class:`CapExceeded` past their cap, ``DEFAULT_CAP`` unless the caller gives
+one; ``all_sequences`` refuses more than ``DEFAULT_CAP`` sequences the same
+way.
 
 Both run on ranks, packed tuples (see :mod:`diskcovers.core`) read in base
 C(d, 2), which number the sequences in lexicographic order.  ``_rank_code``
@@ -260,33 +262,48 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     exactly the equivalence classes of coverings.  Classes are reported with
     their least member as representative, sorted by representative.
 
-    No list of the sequences is kept: the union-find runs on their ranks,
-    reading them once, in order, and each edge names the rank of its far end.
+    No list of the sequences is kept; each is named by its rank.  A sweep in
+    rank order labels the braid orbits: a rank not yet labelled starts an
+    orbit as its least member, and a search by the forward letters fills it
+    (each permutes a finite set, so its inverse is one of its powers).
+    Renumbering commutes with the action, so a swap maps an orbit onto an
+    orbit: the union-find joins the orbits by renumbering each least member.
     """
     total = _sequence_count(degree, length, cap)
     if not total:  # no pairs to choose from: fewer than two sheets
         return []
     tables = _tables(degree)
-    conj = tables.conj
-    base, weight, steps, _ = _rank_code(degree, length)
-    # Renumbering by the swap (k k+1) is conjugation by that transposition.
-    swaps = [tables.index(k, k + 1) for k in range(1, degree)]
-
-    def edges():
-        for i, p in enumerate(itertools.product(range(base), repeat=length)):  # in rank order
-            for g in range(1, length):  # x_g
-                yield i, i + steps[p[g - 1] * base + p[g]][0] * weight[g]
-            for swap in swaps:  # the rank of p renumbered by the swap
-                r = 0
-                for t in p:
-                    r = r * base + conj[t][swap]
-                yield i, r
-
-    # Each class is named by its least rank, which is its least member.
-    counts = Counter(_union_find(total, edges()))
+    base, weights, steps, _ = _rank_code(degree, length)
+    window, lower = base * base, weights[1:]
+    label: list[int | None] = [None] * total  # each rank's orbit, numbered in order of least member
+    starts, sizes = [], []
+    for start, seen in enumerate(label):
+        if seen is not None:
+            continue
+        label[start] = orbit = len(starts)
+        starts.append(start)
+        queue = [start]
+        for rank in queue:  # grows as it is read
+            for w in lower:
+                image = rank + steps[rank // w % window][0] * w
+                if label[image] is None:
+                    label[image] = orbit
+                    queue.append(image)
+        sizes.append(len(queue))
+    # Renumbering by the swap (k k+1) conjugates each digit by that transposition.
+    swaps = [[tables.conj[t][tables.index(k, k + 1)] for t in range(base)] for k in range(1, degree)]
+    joins = (
+        (orbit, label[sum(swap[start // w % base] * w for w in weights)])
+        for orbit, start in enumerate(starts)
+        for swap in swaps
+    )
+    # Orbits are numbered by least member, so each class is named by its least.
+    counts = Counter()
+    for root, size in zip(_union_find(len(starts), joins), sizes):
+        counts[root] += size
     classes = []
     for root in sorted(counts):
-        representative = _unpack(degree, tuple(root // w % base for w in weight))
+        representative = _unpack(degree, tuple(starts[root] // w % base for w in weights))
         classes.append(
             OrbitClass(
                 representative=representative,

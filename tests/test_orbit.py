@@ -12,7 +12,7 @@ import pytest
 import diskcovers
 from diskcovers import orbit
 from diskcovers.cli import main
-from diskcovers.core import MonodromySequence, Transposition, disk_covering, is_equivalent, omega_class
+from diskcovers.core import MonodromySequence, Permutation, Transposition, disk_covering, is_equivalent, omega_class
 from diskcovers.cosets import Inconclusive, interval_powers_index, todd_coxeter, verify_theorem_c
 from diskcovers.hurwitz import BraidWord, act, canonicalize, replay_certificate
 from diskcovers.lift import is_liftable
@@ -364,34 +364,67 @@ def classify_oracle(degree, length):
     the public ``act`` of each generator and ``renumber_sheets`` by each
     adjacent sheet swap: (least member, size) per class."""
     sequences = all_sequences(degree, length)
-    parent = {s: s for s in sequences}
+    position = {s: k for k, s in enumerate(sequences)}
+    parent = list(range(len(sequences)))
 
-    def find(s):
-        while parent[s] != s:
-            s = parent[s]
-        return s
+    def find(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]  # path halving
+        return k
 
     swaps = [Transposition(k, k + 1).as_permutation(degree) for k in range(1, degree)]
-    for s in sequences:
+    for k, s in enumerate(sequences):
         neighbours = [act(s, BraidWord(length, (g,))) for g in range(1, length)]
         neighbours += [s.renumber_sheets(swap) for swap in swaps]
         for other in neighbours:
-            a, b = find(s), find(other)
+            a, b = find(k), find(position[other])
             if a != b:
                 parent[max(a, b)] = min(a, b)
-    sizes = {}
-    for s in sequences:
-        root = find(s)
-        sizes[root] = sizes.get(root, 0) + 1
-    return sorted(sizes.items())
+    classes = {}
+    for k, s in enumerate(sequences):
+        classes.setdefault(find(k), []).append(s)
+    return sorted((min(members), len(members)) for members in classes.values())
 
 
 def test_classify_all_matches_an_independent_union_find():
-    # Pins the rank arithmetic classify_all does inline for each braid edge.
-    for degree in range(1, 5):
-        for length in range(0, 5):
-            classes = classify_all(degree, length)
-            assert [(c.representative, c.count) for c in classes] == classify_oracle(degree, length)
-            for c in classes:
-                assert c.omega == omega_class(c.representative)
-                assert c.connected == c.representative.is_connected()
+    # Pins the braid orbits classify_all sweeps on ranks with forward letters
+    # only, and their joining by renumbering one member each: (4, 5) joins 42
+    # braid orbits into 6 classes, (5, 4) 214 into 10, (3, 6) 6 into 3.
+    cells = [(degree, length) for degree in range(1, 5) for length in range(0, 5)] + [(4, 5), (5, 4), (3, 6)]
+    for degree, length in cells:
+        classes = classify_all(degree, length)
+        assert [(c.representative, c.count) for c in classes] == classify_oracle(degree, length)
+        for c in classes:
+            assert c.omega == omega_class(c.representative)
+            assert c.connected == c.representative.is_connected()
+
+
+def test_renumbering_commutes_with_the_braid_action():
+    # classify_all joins whole braid orbits through one member each, which
+    # holds only if renumbering sheets commutes with every braid word.
+    rng = random.Random(18)
+    for _ in range(60):
+        degree, length = rng.randint(2, 7), rng.randint(2, 7)
+        s = seq(degree, *(rng.sample(range(1, degree + 1), 2) for _ in range(length)))
+        letters = BraidWord.generator_letters(length)
+        word = BraidWord(length, tuple(rng.choice(letters) for _ in range(rng.randint(0, 12))))
+        relabels = [Transposition(k, k + 1).as_permutation(degree) for k in range(1, degree)]
+        relabels += [Permutation(tuple(rng.sample(range(1, degree + 1), degree))) for _ in range(3)]
+        for p in relabels:
+            assert act(s.renumber_sheets(p), word) == act(s, word).renumber_sheets(p), (s.pairs(), word, p)
+
+
+@pytest.mark.slow
+def test_classify_all_at_the_cap_peaks_under_40_mb():
+    # (5, 6) has exactly DEFAULT_CAP = 10^6 sequences.  In a process of its
+    # own, read off /proc (Linux), as for the n = 7 orbit.
+    code = (
+        "from diskcovers.orbit import classify_all\n"
+        "classes = classify_all(5, 6)\n"
+        "assert len(classes) == 17 and sum(c.count for c in classes) == 10**6\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    peak_mb = int(child.stdout) / 1024  # VmHWM counts kB
+    assert peak_mb < 40, peak_mb
