@@ -1,19 +1,15 @@
 """Coset enumeration and the generator-set verifier."""
 
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-import diskcovers
-from diskcovers import orbit
+from diskcovers import cosets, orbit
 from diskcovers.core import MonodromySequence, disk_covering, omega_class
 from diskcovers.cosets import (
     Inconclusive,
+    TheoremCReport,
     braid_presentation,
     interval_powers_index,
     todd_coxeter,
@@ -332,35 +328,30 @@ def test_generator_set_indexes():
 
 
 def test_verify_theorem_c_small():
-    report = verify_theorem_c(1)
-    assert report.passed and report.orbit_index == 1 and report.tc_index == 1
-    report = verify_theorem_c(2)
-    assert report.passed and report.orbit_index == 3 and report.tc_index == 3
-    report = verify_theorem_c(3)
-    assert report.passed and report.orbit_index == 16 and report.tc_index == 16
-    assert report.all_liftable
+    for n in range(1, 6):
+        # n - 1 cubes of adjacent half-twists and C(n - 1, 2) squares of the
+        # others; the index is (n + 1)^(n - 1).
+        words, index = n - 1 + (n - 1) * (n - 2) // 2, (n + 1) ** (n - 1)
+        assert verify_theorem_c(n) == TheoremCReport(n, words, True, index, index, True)
+
+
+def test_verify_theorem_c_fails_fast_on_a_word_that_does_not_lift(monkeypatch):
+    generators, enumerate_cosets = cosets.theorem_c_generators, cosets.todd_coxeter
+    monkeypatch.setattr(cosets, "theorem_c_generators", lambda n: [*generators(n), BraidWord(n, (1,))])
+    calls = []
+    monkeypatch.setattr(cosets, "todd_coxeter", lambda *args, **kw: calls.append(args) or enumerate_cosets(*args, **kw))
+    assert verify_theorem_c(4) == TheoremCReport(4, 7, False, 125, -1, False)
+    assert calls == []
 
 
 @pytest.mark.slow
-def test_verify_theorem_c_at_seven_branch_points():
-    report = verify_theorem_c(7)
-    assert report.all_liftable and report.passed
-    assert report.orbit_index == report.tc_index == 262_144
-
-
-@pytest.mark.slow
-def test_verify_theorem_c_at_seven_branch_points_peaks_under_100_mb():
-    # In a process of its own, so that the peak RSS is this run's alone.  The
-    # child reads its peak off /proc (Linux), not ru_maxrss: a child keeps the
-    # RSS its parent had when it was spawned as a floor of its ru_maxrss.
-    code = (
+def test_verify_theorem_c_at_seven_branch_points_peaks_under_100_mb(peak_rss_mb):
+    peak_mb = peak_rss_mb(
         "from diskcovers.cosets import verify_theorem_c\n"
-        "assert verify_theorem_c(7).passed\n"
-        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        "report = verify_theorem_c(7)\n"
+        "assert report.all_liftable and report.passed\n"
+        "assert report.orbit_index == report.tc_index == 262_144\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    peak_mb = int(child.stdout) / 1024  # VmHWM counts kB
     assert peak_mb < 100, peak_mb
 
 

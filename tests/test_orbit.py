@@ -1,15 +1,10 @@
 """Orbit enumeration, Schreier generators, and the classification oracle."""
 
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import diskcovers
 from diskcovers import orbit
 from diskcovers.cli import main
 from diskcovers.core import MonodromySequence, Permutation, Transposition, disk_covering, is_equivalent, omega_class
@@ -133,17 +128,12 @@ def test_a_sequence_of_another_length_is_not_in_the_orbit():
 
 
 @pytest.mark.slow
-def test_orbit_search_at_seven_branch_points_peaks_under_80_mb():
-    # In a process of its own, read off /proc (Linux), as for verify_theorem_c(7).
-    code = (
+def test_orbit_search_at_seven_branch_points_peaks_under_80_mb(peak_rss_mb):
+    peak_mb = peak_rss_mb(
         "from diskcovers.core import disk_covering\n"
         "from diskcovers.orbit import stabilizer_index\n"
         "assert stabilizer_index(disk_covering(7)) == 262_144\n"
-        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    peak_mb = int(child.stdout) / 1024  # VmHWM counts kB
     assert peak_mb < 80, peak_mb
 
 
@@ -415,16 +405,11 @@ def test_renumbering_commutes_with_the_braid_action():
 
 
 @pytest.mark.slow
-def test_classify_all_at_the_cap_peaks_under_40_mb():
-    # (5, 6) has exactly DEFAULT_CAP = 10^6 sequences.  In a process of its
-    # own, read off /proc (Linux), as for the n = 7 orbit.
-    code = (
+def test_classify_all_at_the_cap_peaks_under_40_mb(peak_rss_mb):
+    # (5, 6) has exactly DEFAULT_CAP = 10^6 sequences.
+    peak_mb = peak_rss_mb(
         "from diskcovers.orbit import classify_all\n"
         "classes = classify_all(5, 6)\n"
         "assert len(classes) == 17 and sum(c.count for c in classes) == 10**6\n"
-        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    peak_mb = int(child.stdout) / 1024  # VmHWM counts kB
     assert peak_mb < 40, peak_mb

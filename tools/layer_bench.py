@@ -1,0 +1,257 @@
+"""Time three layers of the package on fixed cases and check every answer.
+
+The layers, each written to its own file at the root of the checkout:
+
+- coset enumeration (``BENCH_todd_coxeter.json``): ``todd_coxeter`` on the
+  theorem C generators at n = 5 and 6, on the Schreier words of
+  ``disk_covering(5)`` and on the trivial subgroup on 4 strands, which stops
+  at a cap of 20,000 cosets.  Each run's status and index are checked, or
+  for the capped case that it defined exactly the cap.  Each case records
+  the median seconds, ``defined``, ``index`` and ``peak_live``.
+- the kernel (``BENCH_kernel.json``): ``restrict``,
+  ``restricted_total_monodromy``, ``total_monodromy``, ``core._unpack``,
+  ``act`` with a 48-letter word, the index-0 and index-1 catalog curves and
+  the public and unchecked ``BraidWord`` constructors.  The inputs are one
+  covering on 6 sheets with 7 branch points, cut along each of its 254 index
+  sets at each base point, 20 coverings on 6 sheets acted on by one
+  48-letter word, and the whole catalog at n = 7, whose 301 words the
+  constructors build again.  A round runs ``NUMBER`` batches of a case; each
+  case records the calls per batch and the median microseconds per call.
+- classification (``BENCH_classify.json``): ``classify_all`` on the cells
+  (d, n) = (3, 5), (4, 4), (4, 5) and (4, 6), from 243 to 46,656
+  sequences.  Each cell records the median seconds, the class count and the
+  sequences classified.
+
+Each case runs ``ROUNDS`` rounds.  For the kernel and classification cases,
+the SHA-256 of the ``repr`` of every round's answer is checked against the
+digest captured when the case was written.  On a wrong answer the script
+names the case and exits 1.
+
+The numbers go under the label of the tree the script sits in: its git
+commit, with ``+`` appended when ``src/`` has uncommitted changes.  Entries
+under other labels stay: to set two trees side by side, run the script in
+one checkout, copy its JSON files into the other and run it there.  Compare
+timings only within one machine and one session.
+
+    python tools/layer_bench.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from diskcovers import (  # noqa: E402
+    END,
+    START,
+    BraidWord,
+    MonodromySequence,
+    RestrictionSpec,
+    act,
+    disk_covering,
+    index0_curve,
+    index1_curve,
+    restrict,
+    restricted_total_monodromy,
+    schreier_generators,
+    stabilizer_index,
+    theorem_c_generators,
+    total_monodromy,
+)
+from diskcovers.core import _unpack  # noqa: E402
+from diskcovers.cosets import CAPPED, COMPLETE, CosetTable, Inconclusive, todd_coxeter  # noqa: E402
+from diskcovers.orbit import classify_all  # noqa: E402
+
+ROUNDS = 9
+NUMBER = 20
+CAP = 20_000
+
+
+def label() -> str:
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True).stdout
+
+    try:
+        return git("rev-parse", "--short", "HEAD").strip() + ("+" if git("status", "--porcelain", "--", "src") else "")
+    except (OSError, subprocess.CalledProcessError):
+        return "unversioned"
+
+
+def digest(answer: object) -> str:
+    return hashlib.sha256(repr(answer).encode()).hexdigest()
+
+
+def enumerate_cosets(strands: int, words: list, cap: int | None) -> CosetTable:
+    try:
+        return todd_coxeter(strands, words, cap)[1]
+    except Inconclusive as capped:
+        return capped.table
+
+
+def coset_answer(table: CosetTable) -> tuple[str, int]:
+    # A finished table is checked by its index, a capped one by its count of
+    # cosets defined.
+    return table.status, table.index if table.status == COMPLETE else table.defined
+
+
+def coset_cases() -> dict:
+    """Name: (call, expected ``coset_answer``)."""
+    schreier = schreier_generators(disk_covering(5))
+    return {
+        "theorem_c n=5": (partial(enumerate_cosets, 5, theorem_c_generators(5), None), (COMPLETE, 6**4)),
+        "theorem_c n=6": (partial(enumerate_cosets, 6, theorem_c_generators(6), None), (COMPLETE, 7**5)),
+        f"schreier disk_covering(5), {len(schreier)} words": (
+            partial(enumerate_cosets, 5, schreier, 200_000),
+            (COMPLETE, stabilizer_index(disk_covering(5))),
+        ),
+        f"trivial subgroup n=4, cap {CAP}": (partial(enumerate_cosets, 4, [], CAP), (CAPPED, CAP)),
+    }
+
+
+#: ``_unpack`` rebuilds the restrictions, and the total monodromy of a
+#: restriction is its restricted total monodromy, so those cases share their
+#: digests.
+RESTRICTIONS, MONODROMIES, WORDS = (
+    "a0ec6c1d6c9bc59e550fcdfb27ae23b71456f5886bb9945899ff2717effd11d2",
+    "e3d2156bca7ae6e5d2f2793f506180b00f2af926843dc5c56feb955fae8f4242",
+    "89a25c5b9cf1bb9515143883822345c6debcc637ab87ef0f975e129b9698f54a",
+)
+
+
+def kernel_cases() -> dict:
+    """Name: (a call that returns the case's list of answers, its digest)."""
+    rng = random.Random(17)
+
+    def covering() -> MonodromySequence:
+        return MonodromySequence.from_pairs(6, [rng.sample(range(1, 7), 2) for _ in range(7)])
+
+    seq = covering()
+    specs = [
+        RestrictionSpec(indices, base)
+        for size in range(1, 8)
+        for indices in itertools.combinations(range(1, 8), size)
+        for base in (START, END)
+    ]
+    restricted = [restrict(seq, spec) for spec in specs]
+    coverings = [covering() for _ in range(20)]
+    word = BraidWord(7, tuple(rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(48)))
+    triples = [t for t in itertools.product(range(1, 8), repeat=3) if t[0] != t[1] != t[2]]
+
+    def catalog() -> list:
+        return [index0_curve(7, i, j) for i in range(1, 8) for j in range(1, 8)] + [
+            index1_curve(7, *t) for t in triples
+        ]
+
+    letters = [curve.word.letters for curve in catalog()]
+    return {
+        "restrict": (lambda: [restrict(seq, spec) for spec in specs], RESTRICTIONS),
+        "restricted_total_monodromy": (
+            lambda: [restricted_total_monodromy(seq, spec) for spec in specs],
+            MONODROMIES,
+        ),
+        "total_monodromy": (lambda: [total_monodromy(r) for r in restricted], MONODROMIES),
+        "_unpack": (lambda: [_unpack(6, r._packed) for r in restricted], RESTRICTIONS),
+        "act, 48 letters": (
+            lambda: [act(c, word) for c in coverings],
+            "aa5eaafbf9f022e8b23cce52bcab7329ab7a21e3f14f6a10e4657b2a1ed64f34",
+        ),
+        "index0_curve/index1_curve, n=7": (
+            catalog,
+            "d49272e9002953fd0e7e18e5790aa770ffe5eea9abf50bee6ea4f45ebd39b63f",
+        ),
+        "BraidWord public": (lambda: [BraidWord(7, w) for w in letters], WORDS),
+        "BraidWord._unchecked": (lambda: [BraidWord._unchecked(7, w) for w in letters], WORDS),
+    }
+
+
+def classify_cases() -> dict:
+    """Name: (call, SHA-256 of the ``repr`` of its classes)."""
+    digests = {
+        (3, 5): "0324e68b7d31ec89fb8949b3d10682f143a1a5ebad2f184c0685d32e5a371115",
+        (4, 4): "49316a65743defc7b95183d4ad9823256fa587a05fe83c0a36fe6325e9947c66",
+        (4, 5): "932fe7431318879518c502308b65c031328a15ddae53b8bdbf66da463740b4ea",
+        (4, 6): "e2fa9df4842880a88e57ff1a307fa438f61cf11fd3f4eedf3c97190c23fc0ffd",
+    }
+    return {f"classify_all({d}, {n})": (partial(classify_all, d, n), expected) for (d, n), expected in digests.items()}
+
+
+#: Output file, calls per round, cases, what a round's answer is checked by,
+#: and what a case records from its last answer and median seconds per round.
+LAYERS = (
+    (
+        "BENCH_todd_coxeter.json",
+        1,
+        coset_cases,
+        coset_answer,
+        lambda table, median: {
+            "median_s": round(median, 4),
+            "defined": table.defined,
+            "index": table.index,
+            "peak_live": table.peak_live,
+        },
+    ),
+    (
+        "BENCH_kernel.json",
+        NUMBER,
+        kernel_cases,
+        digest,
+        lambda answers, median: {
+            "calls": len(answers),
+            "median_us_per_call": round(median / NUMBER / len(answers) * 1e6, 3),
+        },
+    ),
+    (
+        "BENCH_classify.json",
+        1,
+        classify_cases,
+        digest,
+        lambda classes, median: {
+            "median_s": round(median, 4),
+            "classes": len(classes),
+            "sequences": sum(c.count for c in classes),
+        },
+    ),
+)
+
+
+def main() -> int:
+    tree = label()
+    for output, number, cases, check, record in LAYERS:
+        results = {}
+        for name, (call, expected) in cases().items():
+            seconds = []
+            for _ in range(ROUNDS):
+                start = time.perf_counter()
+                for _ in range(number):
+                    answer = call()
+                seconds.append(time.perf_counter() - start)
+                if check(answer) != expected:
+                    print(f"{name}: wrong answer {check(answer)}, expected {expected}", file=sys.stderr)
+                    return 1
+            results[name] = record(answer, statistics.median(seconds))
+            print(name, json.dumps(results[name]))
+        entry = {"python": platform.python_version(), "rounds": ROUNDS}
+        if number > 1:
+            entry["number"] = number
+        entry["cases"] = results
+        path = ROOT / output
+        document = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        document.setdefault("trees", {})[tree] = entry
+        path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
