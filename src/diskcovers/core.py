@@ -34,7 +34,7 @@ with each type's unchecked constructor ``T._unchecked`` (see ``_Record``).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -565,11 +565,17 @@ class _Tables:
     degree fills them one entry at a time on first lookup, so they grow with
     the transpositions a caller meets, not with the ``d(d-1)/2`` pairs.  Both
     forms are read alike, ``pairs[t]`` and ``conj[t][u]``.
+
+    ``steps``, the braid step on the ranks of :mod:`diskcovers.orbit`, has
+    the same two forms, but is built on first read: ``steps[t * size + u]``,
+    with ``size`` the number C(d, 2) of pairs, is what ``_act_packed``'s rule
+    adds, for ``x_i`` and its inverse, in units of position i's weight, when
+    the digits at 0-based positions i - 1, i are t, u.
     """
 
     def __init__(self, degree: int) -> None:
         self.degree = degree
-        size = degree * (degree - 1) // 2
+        self.size = size = degree * (degree - 1) // 2
         if size * size > 1 << 14:
             self.pairs, self.interned, self.conj, self.index_of = self._lazy()
             return
@@ -587,6 +593,18 @@ class _Tables:
         conj = _Lazy(lambda t: _Lazy(lambda u: self._conj(t, u)))
         return pairs, interned, conj, _Lazy(lambda a: _Lazy(lambda b: self.index(a, b)))
 
+    @cached_property
+    def steps(self) -> tuple[tuple[int, int], ...] | _Lazy:
+        if isinstance(self.conj, _Lazy):
+            return _Lazy(self._step)
+        return tuple(map(self._step, range(self.size * self.size)))
+
+    def _step(self, window: int) -> tuple[int, int]:
+        # x_i turns digits t, u into u, conj[t][u]; its inverse into conj[u][t], t.
+        size, conj = self.size, self.conj
+        t, u = divmod(window, size)
+        return (u - t) * size + conj[t][u] - u, (conj[u][t] - t) * size + t - u
+
     def index(self, a: int, b: int) -> int:
         """The packed transposition (a b) of two distinct sheets."""
         if a > b:
@@ -595,7 +613,7 @@ class _Tables:
 
     def _pair(self, t: int) -> tuple[int, int]:
         # The k(k+1)/2 last pairs are those whose first sheet exceeds d - 1 - k.
-        from_end = self.degree * (self.degree - 1) // 2 - 1 - t
+        from_end = self.size - 1 - t
         a = self.degree - 1 - (isqrt(8 * from_end + 1) - 1) // 2
         return a, t - self.index(a, a + 1) + a + 1
 
@@ -609,7 +627,7 @@ class _Tables:
         # Only a swap sharing one sheet with t = (a b) moves it: (a x) makes it
         # (x b), and (b x) makes it (a x).
         a, b = self.pairs[t]
-        row = [t] * (self.degree * (self.degree - 1) // 2)
+        row = [t] * self.size
         for x in range(1, self.degree + 1):
             if x != a and x != b:
                 row[self.index(a, x)] = self.index(x, b)

@@ -7,23 +7,30 @@ https://math.berkeley.edu/~kmill/notes/todd_coxeter.html).  Each subgroup
 word is closed at the first coset; then every live coset, in order, has each
 relator closed at it and every generator column filled.  To close a word at a
 coset, scan it forward from the coset until an entry is unknown, then
-backward from the coset through the inverse columns.  A relator that already
-closes is only traced forward.  Scans that meet end at cosets that must
-coincide.  A gap of one letter is a deduction: that entry and its inverse are
-filled.  Only a wider gap defines a new coset, after which the forward scan
-goes on.  Defining a coset only where nothing can be deduced keeps the count
-of cosets defined (``CosetTable.defined``) close to the index.
+backward from the coset through the inverse columns.  Most relators already
+close, and those are only checked by halves: a relator u v closes at c when
+c u = c v^-1, and for the braid presentation both halves read forward
+columns only.  In a partial permutation table that check closes exactly when
+the whole relator traces back to c, so a scan runs where a full trace would
+call for one.  Scans that meet end at cosets that must coincide.  A gap of
+one letter is a deduction: that entry and its inverse are filled.  Only a
+wider gap defines a new coset, after which the forward scan goes on.
+Defining a coset only where nothing can be deduced keeps the count of cosets
+defined (``CosetTable.defined``) close to the index.
 
 The table is one list per column, indexed by coset, and a list indexed by the
 signed letter gives each letter's column; negative letters index it from the
-end, so ``column[-e]`` is the inverse of ``column[e]``.  A coincidence merges
-the larger coset into the smaller and queues it; each entry of a queued
-coset's row then moves to its live coset's row, or queues the merge of two
-entries, and the entry that named it back is cleared.  So no live row names a
-dead coset once a coincidence is processed, and a scan steps from entry to
-entry with no union-find lookup; the union-find serves only the queue and a
-scan coset merged away.  :class:`CosetTable` keeps the columns and the
-union-find, finished or capped, and builds ``rows`` only when they are read.
+end, so ``column[-e]`` is the inverse of ``column[e]``.  The columns grow a
+block of cosets at a time and keep an unknown entry past the last coset, so
+a trace that meets an unknown entry reads unknown to its end.  A coincidence
+merges the larger coset into the smaller and queues it; each entry of a
+queued coset's row then moves to its live coset's row, or queues the merge
+of two entries, and the entry that named it back is cleared.  So no live row
+names a dead coset once a coincidence is processed, and a scan steps from
+entry to entry with no union-find lookup; the union-find serves only the
+queue and a scan coset merged away.  :class:`CosetTable` keeps the columns
+and the union-find, finished or capped, and builds ``rows`` only when they
+are read.
 
 Enumeration is deterministic for fixed inputs.  On completion the table is a
 genuine permutation action on the cosets and the coset count is the
@@ -59,6 +66,9 @@ from .orbit import _resolve_cap, hurwitz_orbit, stabilizer_index
 
 COMPLETE = "complete"
 CAPPED = "capped"
+
+#: Coset slots added to every column at once when it fills up.
+_BLOCK = 1024
 
 
 class Inconclusive(CapExceeded):
@@ -149,11 +159,19 @@ def todd_coxeter(
     letters = BraidWord.generator_letters(strands)
     parent = [0]
     # columns[d][c] is the coset column d sends coset c to, -1 if unknown;
-    # column[e] is letter e's column, so column[-e] is its inverse's.  A
-    # relator's path is its letters' columns, for the forward trace.
-    columns = [[-1] for _ in letters]
+    # column[e] is letter e's column, so column[-e] is its inverse's, and
+    # pairs holds (column[e], column[-e]) for each letter e in order.  The
+    # columns grow a block at a time and always keep a slot past the last
+    # coset, so column[e][-1] reads -1: a trace that meets an unknown entry
+    # stays -1.
+    columns = [[-1] * _BLOCK for _ in letters]
     column = [None, *columns[::2], *reversed(columns[1::2])]
-    paths = [[column[e] for e in relator] for relator in relators]
+    pairs = [(column[e], column[-e]) for e in letters]
+    # A relator u v closes at c when c u = c v^-1, and both halves read
+    # forward columns only: x_i x_j against x_j x_i for a commutator
+    # (j > i + 1), x_i x_j x_i against x_j x_i x_j for a braid relator
+    # (j = i + 1).  a and b are the columns of x_i and x_j.
+    checks = [(relator, column[relator[0]], column[relator[1]], len(relator) == 6) for relator in relators]
     merged = peak_live = 0
 
     def find(c: int) -> int:
@@ -162,16 +180,17 @@ def todd_coxeter(
             c = parent[c]
         return c
 
-    def define(c: int, e: int) -> None:
-        if len(parent) >= max_cosets:
+    def define(c: int, forward: list[int], back: list[int]) -> None:
+        v = len(parent)
+        if v >= max_cosets:
             message = f"no conclusion within {max_cosets} cosets"
             raise Inconclusive(message, max_cosets, CosetTable(strands, CAPPED, parent, columns, peak_live))
-        v = len(parent)
         parent.append(v)
-        for col in columns:
-            col.append(-1)
-        column[e][c] = v
-        column[-e][v] = c
+        if v + 1 == len(forward):
+            for col in columns:
+                col += [-1] * _BLOCK
+        forward[c] = v
+        back[v] = c
 
     def merge(a: int, b: int, queue: list[int]) -> None:
         a, b = find(a), find(b)
@@ -192,8 +211,7 @@ def todd_coxeter(
         queue: list[int] = []
         merge(a, b, queue)
         for dead in queue:
-            for e in letters:
-                forward, back = column[e], column[-e]
+            for forward, back in pairs:
                 x = forward[dead]
                 if x < 0:
                     continue
@@ -235,7 +253,7 @@ def todd_coxeter(
                 column[word[i]][f] = b
                 column[-word[i]][b] = f
                 return
-            define(f, word[i])
+            define(f, column[word[i]], column[-word[i]])
 
     for word in subgroup_words:
         scan_and_fill(0, word.letters)
@@ -244,20 +262,19 @@ def todd_coxeter(
     while scan < len(parent):
         if parent[scan] == scan:
             c = scan
-            for relator, path in zip(relators, paths):
-                # Most relators already close: trace forward before scanning.
-                f = c
-                for col in path:
-                    f = col[f]
-                    if f < 0:
-                        break
-                if f != c:
+            for relator, a, b, braid in checks:
+                # Most relators already close: compare the halves first.
+                if braid:
+                    x, y = a[b[a[c]]], b[a[b[c]]]
+                else:
+                    x, y = b[a[c]], a[b[c]]
+                if x < 0 or x != y:
                     scan_and_fill(c, relator)
                     c = find(c)
             if c == scan:
-                for e in letters:
-                    if column[e][scan] < 0:
-                        define(scan, e)
+                for forward, back in pairs:
+                    if forward[scan] < 0:
+                        define(scan, forward, back)
         scan += 1
 
     result = CosetTable(strands, COMPLETE, parent, columns, peak_live)

@@ -21,9 +21,11 @@ one; ``all_sequences`` refuses more than ``DEFAULT_CAP`` sequences the same
 way.
 
 Both run on ranks, packed tuples (see :mod:`diskcovers.core`) read in base
-C(d, 2), which number the sequences in lexicographic order.  ``_rank_code``
-writes the braid step on ranks once.  :class:`OrbitTable` decodes its
-elements on first access only, so ``stabilizer_index`` builds none.
+C(d, 2), which number the sequences in lexicographic order.  The braid
+step on ranks is written once, as ``core._Tables.steps`` (a whole tuple for
+d <= 16, like the other tables of a degree), and ``_rank_code`` applies it.
+:class:`OrbitTable` decodes its elements on first access only, so
+``stabilizer_index`` builds none.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import Counter
 from functools import cached_property
 
 from .core import (
-    CapExceeded, CycleType, MonodromySequence, _Lazy, _Record, _tables, _union_find, _unpack, omega_class
+    CapExceeded, CycleType, MonodromySequence, _Record, _tables, _union_find, _unpack, omega_class
 )
 from .hurwitz import BraidWord
 
@@ -58,16 +60,11 @@ def _resolve_cap(cap: int | None) -> int:
 
 def _rank_code(degree: int, length: int):
     """Base, digit weights, braid step and letter images of the ranks of one
-    size.  ``steps[t * base + u]`` is what ``_act_packed``'s rule adds, for
-    ``x_i`` and its inverse, in units of position i's weight, when the digits
-    at 0-based positions i - 1, i are t, u; ``images`` keeps letter order."""
+    size.  ``steps`` is ``core._Tables.steps``, indexed by the two digits at
+    positions i - 1, i read as one number; ``images`` keeps letter order."""
     base = degree * (degree - 1) // 2
     weights = [base ** (length - 1 - j) for j in range(length)]
-    conj, window, lower = _tables(degree).conj, base * base, weights[1:]
-
-    def step(w: int) -> tuple[int, int]:
-        t, u = divmod(w, base)
-        return (u - t) * base + conj[t][u] - u, (conj[u][t] - t) * base + t - u
+    steps, window, lower = _tables(degree).steps, base * base, weights[1:]
 
     def images(rank: int) -> list[int]:
         out = []
@@ -76,7 +73,6 @@ def _rank_code(degree: int, length: int):
             out += rank + forward * w, rank + inverse * w
         return out
 
-    steps = _Lazy(step)  # filled with the windows met
     return base, weights, steps, images
 
 

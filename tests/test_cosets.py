@@ -325,6 +325,9 @@ def test_generator_set_indexes():
     # 1,349: counted independently, as live cosets after each definition and
     # merge of the reference enumerator.
     assert index == 1296 and table.defined == 2499 and table.peak_live == 1349
+    # n = 6, the largest size the benchmark certifies.
+    index, table = todd_coxeter(6, theorem_c_generators(6))
+    assert index == 16_807 and table.defined == 32_599 and table.peak_live == 17_005
 
 
 def test_verify_theorem_c_small():

@@ -38,6 +38,7 @@ from diskcovers.core import (
     MonodromySequence,
     Permutation,
     Transposition,
+    _Lazy,
     _Tables,
     _tables,
     disk_covering,
@@ -192,3 +193,6 @@ def test_packed_tables_grow_with_the_entries_not_the_degree():
     tables = _tables(degree)
     touched = [tables.pairs, tables.interned, tables.conj, *tables.conj.values()]
     assert max(len(table) for table in touched) <= 10
+    # The orbit search stepped through the lazy step table: at most one
+    # window per element and letter position of the 32-element orbit.
+    assert isinstance(tables.steps, _Lazy) and 0 < len(tables.steps) <= 32 * 3

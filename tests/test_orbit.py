@@ -1,5 +1,6 @@
 """Orbit enumeration, Schreier generators, and the classification oracle."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -224,6 +225,25 @@ def test_the_rank_code_is_built_once_per_table(monkeypatch):
     table.schreier_words()
     table.interval_powers()
     assert calls == [(5, 4)]
+
+
+def test_whole_and_lazy_step_tables_agree():
+    # Degrees up to 16 read a whole tuple, larger ones a lazily filled dict.
+    # Both give, on every window of two digits t, u, the rank step of one
+    # braid letter acting on the two-entry sequence (t, u).
+    from diskcovers.core import _Lazy, _Tables, _unpack
+
+    for degree in range(2, 7):
+        tables = _Tables(degree)
+        base, lazy = tables.size, _Lazy(tables._step)
+        assert isinstance(tables.steps, tuple) and len(tables.steps) == base * base
+        for t, u in itertools.product(range(base), repeat=2):
+            window = t * base + u
+            assert tables.steps[window] == lazy[window]
+            for step, letter in zip(lazy[window], (1, -1)):
+                image = act(_unpack(degree, (t, u)), BraidWord(2, (letter,)))._packed
+                assert window + step == image[0] * base + image[1]
+    assert isinstance(_Tables(17).steps, _Lazy)
 
 
 def test_schreier_word_counts():

@@ -1,4 +1,4 @@
-"""Time three layers of the package on fixed cases and check every answer.
+"""Time four layers of the package on fixed cases and check every answer.
 
 The layers, each written to its own file at the root of the checkout:
 
@@ -8,6 +8,11 @@ The layers, each written to its own file at the root of the checkout:
   at a cap of 20,000 cosets.  Each run's status and index are checked, or
   for the capped case that it defined exactly the cap.  Each case records
   the median seconds, ``defined``, ``index`` and ``peak_live``.
+- the orbit search (``BENCH_orbit.json``): ``stabilizer_index`` of
+  ``disk_covering(6)``, index 16,807, and ``schreier_generators`` on the
+  (4, 6) covering of cycle type (2, 2), index 3,840 and 15,361 words.  Each
+  round's index and word count are checked, and each case records them with
+  the median seconds.
 - the kernel (``BENCH_kernel.json``): ``restrict``,
   ``restricted_total_monodromy``, ``total_monodromy``, ``core._unpack``,
   ``act`` with a 48-letter word, the index-0 and index-1 catalog curves and
@@ -187,6 +192,28 @@ def classify_cases() -> dict:
     return {f"classify_all({d}, {n})": (partial(classify_all, d, n), expected) for (d, n), expected in digests.items()}
 
 
+def orbit_cases() -> dict:
+    """Name: (call, expected ``orbit_answer``)."""
+    # The (4, 6) class of cycle type (2, 2) whose Schreier words
+    # tests/golden_cli.json pins.
+    covering = MonodromySequence.from_pairs(4, [(1, 2), (3, 4), (2, 3), (2, 4), (1, 2), (2, 4)])
+    return {
+        "stabilizer_index(disk_covering(6))": (partial(stabilizer_index, disk_covering(6)), {"index": 7**5}),
+        "schreier_generators, (4, 6) omega=(2, 2)": (
+            partial(schreier_generators, covering),
+            {"index": 3_840, "words": 15_361},
+        ),
+    }
+
+
+def orbit_answer(answer: int | list) -> dict:
+    """An orbit index, or Schreier words with the index they give: a free
+    basis of index * (n - 2) + 1 words (Nielsen-Schreier)."""
+    if isinstance(answer, int):
+        return {"index": answer}
+    return {"index": (len(answer) - 1) // (answer[0].strands - 2), "words": len(answer)}
+
+
 #: Output file, calls per round, cases, what a round's answer is checked by,
 #: and what a case records from its last answer and median seconds per round.
 LAYERS = (
@@ -201,6 +228,13 @@ LAYERS = (
             "index": table.index,
             "peak_live": table.peak_live,
         },
+    ),
+    (
+        "BENCH_orbit.json",
+        1,
+        orbit_cases,
+        orbit_answer,
+        lambda answer, median: {"median_s": round(median, 4), **orbit_answer(answer)},
     ),
     (
         "BENCH_kernel.json",
