@@ -570,7 +570,10 @@ class _Tables:
     the same two forms, but is built on first read: ``steps[t * size + u]``,
     with ``size`` the number C(d, 2) of pairs, is what ``_act_packed``'s rule
     adds, for ``x_i`` and its inverse, in units of position i's weight, when
-    the digits at 0-based positions i - 1, i are t, u.
+    the digits at 0-based positions i - 1, i are t, u.  It is built whole
+    only up to 2^10 windows, that is d <= 8 (C(8, 2)^2 = 784): one orbit
+    search meets few of the C(d, 2)^2 windows of a larger degree, and
+    building them all can cost more than the search.
     """
 
     def __init__(self, degree: int) -> None:
@@ -595,7 +598,7 @@ class _Tables:
 
     @cached_property
     def steps(self) -> tuple[tuple[int, int], ...] | _Lazy:
-        if isinstance(self.conj, _Lazy):
+        if self.size * self.size > 1 << 10:
             return _Lazy(self._step)
         return tuple(map(self._step, range(self.size * self.size)))
 

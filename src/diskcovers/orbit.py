@@ -23,9 +23,10 @@ way.
 Both run on ranks, packed tuples (see :mod:`diskcovers.core`) read in base
 C(d, 2), which number the sequences in lexicographic order.  The braid
 step on ranks is written once, as ``core._Tables.steps`` (a whole tuple for
-d <= 16, like the other tables of a degree), and ``_rank_code`` applies it.
-:class:`OrbitTable` decodes its elements on first access only, so
-``stabilizer_index`` builds none.
+d <= 8, filled on first lookup above), and each reader steps straight off
+it: one lookup per element and generator ``x_i`` gives the images under
+``x_i`` and its inverse.  :class:`OrbitTable` decodes its elements on first
+access only, so ``stabilizer_index`` builds none.
 """
 
 from __future__ import annotations
@@ -59,49 +60,49 @@ def _resolve_cap(cap: int | None) -> int:
 
 
 def _rank_code(degree: int, length: int):
-    """Base, digit weights, braid step and letter images of the ranks of one
-    size.  ``steps`` is ``core._Tables.steps``, indexed by the two digits at
-    positions i - 1, i read as one number; ``images`` keeps letter order."""
+    """Base, digit weights, braid step, letter columns and window of the
+    ranks of one size.  ``columns`` pairs each letter i with the weight w of
+    position i, and ``steps[rank // w % window]``, from
+    ``core._Tables.steps``, is what ``x_i`` and its inverse add to ``rank``,
+    in units of w."""
     base = degree * (degree - 1) // 2
     weights = [base ** (length - 1 - j) for j in range(length)]
-    steps, window, lower = _tables(degree).steps, base * base, weights[1:]
-
-    def images(rank: int) -> list[int]:
-        out = []
-        for w in lower:
-            forward, inverse = steps[rank // w % window]
-            out += rank + forward * w, rank + inverse * w
-        return out
-
-    return base, weights, steps, images
+    return base, weights, _tables(degree).steps, list(zip(range(1, length), weights[1:])), base * base
 
 
 class OrbitTable:
     """A breadth-first orbit with its spanning tree, searched on ranks.
 
-    ``_parents[k]`` is (parent position, letter to k).  ``_images``, from the
-    table's one ``_rank_code`` call, serves the search and both tree-word
-    readers.  ``elements``, decoded on first access, lists the orbit in
-    discovery order from ``root``.
+    ``_parents[k]`` is (parent position, letter to k).  ``_steps``,
+    ``_columns`` and ``_window``, from the table's one ``_rank_code`` call,
+    serve the search and both tree-word readers.  ``elements``, decoded on
+    first access, lists the orbit in discovery order from ``root``.
     """
 
     def __init__(self, root: MonodromySequence, cap: int) -> None:
-        letters = BraidWord.generator_letters(root.length)
         self.root = root
-        self._base, self._weights, _, self._images = _rank_code(root.degree, root.length)
-        images = self._images
+        self._base, self._weights, steps, columns, window = _rank_code(root.degree, root.length)
+        self._steps, self._columns, self._window = steps, columns, window
         self._ranks = ranks = [self._rank(root)]
         self._position = position = {ranks[0]: 0}
         self._parents = parents = [(0, 0)]  # the root has no parent; keeps positions aligned
         for cursor, rank in enumerate(ranks):  # grows as it is read
-            for letter, image in zip(letters, images(rank)):
-                if image in position:
-                    continue
-                if len(ranks) >= cap:
-                    raise CapExceeded(f"orbit exceeds cap {cap}", cap)
-                position[image] = len(ranks)
-                ranks.append(image)
-                parents.append((cursor, letter))
+            for i, w in columns:  # x_i, then its inverse
+                forward, inverse = steps[rank // w % window]
+                image = rank + forward * w
+                if image not in position:
+                    if len(ranks) >= cap:
+                        raise CapExceeded(f"orbit exceeds cap {cap}", cap)
+                    position[image] = len(ranks)
+                    ranks.append(image)
+                    parents.append((cursor, i))
+                image = rank + inverse * w
+                if image not in position:
+                    if len(ranks) >= cap:
+                        raise CapExceeded(f"orbit exceeds cap {cap}", cap)
+                    position[image] = len(ranks)
+                    ranks.append(image)
+                    parents.append((cursor, -i))
 
     def __len__(self) -> int:
         return len(self._ranks)
@@ -162,17 +163,20 @@ class OrbitTable:
         Nielsen-Schreier the words are a free basis of the stabilizer in the
         free group on ``n - 1`` generators, of ``index * (n - 2) + 1`` words.
         """
-        n = self.root.length
-        images, position, parents = self._images, self._position, self._parents
+        n, steps, window = self.root.length, self._steps, self._window
+        position, parents = self._position, self._parents
         tree_words, inverses = self._tree_words()
-        letters = BraidWord.generator_letters(n)
         words = []
         for k, rank in enumerate(self._ranks):
-            for e, image in zip(letters, images(rank)):
-                v = position[image]
-                if v < k or (v == k and e < 0) or parents[v] == (k, e):
-                    continue
-                words.append(BraidWord._unchecked(n, tree_words[k] + (e,) + inverses[v]))
+            word = tree_words[k]
+            for i, w in self._columns:
+                forward, inverse = steps[rank // w % window]
+                v = position[rank + forward * w]  # a loop is kept for x_i, not for its inverse
+                if v >= k and parents[v] != (k, i):
+                    words.append(BraidWord._unchecked(n, word + (i,) + inverses[v]))
+                v = position[rank + inverse * w]
+                if v > k and parents[v] != (k, -i):
+                    words.append(BraidWord._unchecked(n, word + (-i,) + inverses[v]))
         return words
 
     def interval_powers(self, max_word_length: int | None = None) -> list[BraidWord]:
@@ -181,14 +185,14 @@ class OrbitTable:
         if ``x_i`` and its inverse agree on k, else 3.  The reduced word is
         ``t_k`` stripped of its trailing ``x_i^+-1`` letters, then ``x_i^m``,
         then the inverse of what is left."""
-        n = self.root.length
+        n, steps, window = self.root.length, self._steps, self._window
         out: dict[tuple[int, ...], BraidWord] = {}
         for rank, word, inverse in zip(self._ranks, *self._tree_words()):
             if max_word_length is not None and len(word) > max_word_length:
                 break  # breadth-first: no later word is shorter
-            images = self._images(rank)
-            for i, forward, backward in zip(range(1, n), images[::2], images[1::2]):
-                m = 1 if forward == rank else 2 if forward == backward else 3
+            for i, w in self._columns:
+                forward, backward = steps[rank // w % window]
+                m = 1 if not forward else 2 if forward == backward else 3
                 kept = len(word)
                 while kept and abs(word[kept - 1]) == i:
                     kept -= 1
@@ -269,8 +273,7 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     if not total:  # no pairs to choose from: fewer than two sheets
         return []
     tables = _tables(degree)
-    base, weights, steps, _ = _rank_code(degree, length)
-    window, lower = base * base, weights[1:]
+    base, weights, steps, columns, window = _rank_code(degree, length)
     label: list[int | None] = [None] * total  # each rank's orbit, numbered in order of least member
     starts, sizes = [], []
     for start, seen in enumerate(label):
@@ -280,7 +283,7 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
         starts.append(start)
         queue = [start]
         for rank in queue:  # grows as it is read
-            for w in lower:
+            for _, w in columns:
                 image = rank + steps[rank // w % window][0] * w
                 if label[image] is None:
                     label[image] = orbit

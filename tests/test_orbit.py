@@ -50,8 +50,23 @@ def test_orbit_size_of_disk_coverings():
 
 
 def test_orbit_cap():
-    with pytest.raises(CapExceeded):
-        hurwitz_orbit(disk_covering(3), cap=5)
+    # Every cap from 1 to the orbit size: the search stops exactly when one
+    # more element would pass the cap.  The last element of these orbits
+    # comes by a forward letter in some and by an inverse in others, so the
+    # check on each of the search's two branches is pinned.
+    coverings = [disk_covering(3), disk_covering(4), seq(18, (17, 18), (16, 17), (16, 18), *[(1, 2)] * 6)]
+    rng = random.Random(21)
+    while len(coverings) < 5:
+        s = seq(4, *(rng.sample(range(1, 5), 2) for _ in range(5)))
+        if s.is_connected():
+            coverings.append(s)
+    for s in coverings:
+        full = hurwitz_orbit(s)
+        for cap in range(1, len(full)):
+            with pytest.raises(CapExceeded) as info:
+                hurwitz_orbit(s, cap)
+            assert info.value.cap == cap, (s.pairs(), cap)
+        assert list(hurwitz_orbit(s, len(full))) == list(full)
 
 
 def test_orbit_tree_words_transport_root():
@@ -228,7 +243,7 @@ def test_the_rank_code_is_built_once_per_table(monkeypatch):
 
 
 def test_whole_and_lazy_step_tables_agree():
-    # Degrees up to 16 read a whole tuple, larger ones a lazily filled dict.
+    # Degrees up to 8 read a whole tuple, larger ones a lazily filled dict.
     # Both give, on every window of two digits t, u, the rank step of one
     # braid letter acting on the two-entry sequence (t, u).
     from diskcovers.core import _Lazy, _Tables, _unpack
@@ -243,7 +258,7 @@ def test_whole_and_lazy_step_tables_agree():
             for step, letter in zip(lazy[window], (1, -1)):
                 image = act(_unpack(degree, (t, u)), BraidWord(2, (letter,)))._packed
                 assert window + step == image[0] * base + image[1]
-    assert isinstance(_Tables(17).steps, _Lazy)
+    assert isinstance(_Tables(8).steps, tuple) and isinstance(_Tables(9).steps, _Lazy)
 
 
 def test_schreier_word_counts():

@@ -9,10 +9,11 @@ The layers, each written to its own file at the root of the checkout:
   for the capped case that it defined exactly the cap.  Each case records
   the median seconds, ``defined``, ``index`` and ``peak_live``.
 - the orbit search (``BENCH_orbit.json``): ``stabilizer_index`` of
-  ``disk_covering(6)``, index 16,807, and ``schreier_generators`` on the
-  (4, 6) covering of cycle type (2, 2), index 3,840 and 15,361 words.  Each
-  round's index and word count are checked, and each case records them with
-  the median seconds.
+  ``disk_covering(6)``, index 16,807, ``schreier_generators`` on the (4, 6)
+  covering of cycle type (2, 2), index 3,840 and 15,361 words, and
+  ``liftable_interval_powers`` of ``disk_covering(5)``, index 1,296 and
+  3,889 words.  Each round's index and word count are checked, and each case
+  records them with the median seconds.
 - the kernel (``BENCH_kernel.json``): ``restrict``,
   ``restricted_total_monodromy``, ``total_monodromy``, ``core._unpack``,
   ``act`` with a 48-letter word, the index-0 and index-1 catalog curves and
@@ -68,6 +69,7 @@ from diskcovers import (  # noqa: E402
     disk_covering,
     index0_curve,
     index1_curve,
+    liftable_interval_powers,
     restrict,
     restricted_total_monodromy,
     schreier_generators,
@@ -203,12 +205,17 @@ def orbit_cases() -> dict:
             partial(schreier_generators, covering),
             {"index": 3_840, "words": 15_361},
         ),
+        "liftable_interval_powers(disk_covering(5))": (
+            partial(liftable_interval_powers, disk_covering(5)),
+            {"index": 6**4, "words": 3_889},
+        ),
     }
 
 
 def orbit_answer(answer: int | list) -> dict:
-    """An orbit index, or Schreier words with the index they give: a free
-    basis of index * (n - 2) + 1 words (Nielsen-Schreier)."""
+    """An orbit index, or Schreier words or interval powers with the index
+    they give: the whole tree gives index * (n - 2) + 1 of either
+    (Nielsen-Schreier)."""
     if isinstance(answer, int):
         return {"index": answer}
     return {"index": (len(answer) - 1) // (answer[0].strands - 2), "words": len(answer)}
