@@ -48,10 +48,12 @@ merges: the finest such quotient that makes the two cosets one, with the
 smallest coset of each class kept.  Subgroup words are closed at coset 0
 before the scan, and coset 0 is never merged away.
 
-The end-to-end verifier cross-checks the two independent index computations:
-a subgroup of liftable braids has index equal to the orbit size of the
-monodromy sequence, so catalogued generators generate the whole liftable
-group exactly when the coset count matches the orbit count.
+One certifier, :func:`_certify`, serves both generating sets, theorem C's
+and the interval powers.  It checks that every word lifts, then compares two
+independent index computations: a subgroup of liftable braids has index
+equal to the orbit size of the monodromy sequence, so liftable words
+generate the whole liftable group exactly when the coset count matches the
+orbit count.  A word that does not lift fails before either search runs.
 """
 
 from __future__ import annotations
@@ -281,12 +283,32 @@ def todd_coxeter(
     return result.index, result
 
 
+def _certify(seq, words: list[BraidWord], max_cosets: int | None, orbit_index=None) -> tuple[bool, int, int]:
+    """Whether ``words`` generate the liftable braid group of ``seq``, as
+    ``(all_liftable, tc_index, orbit_index)``: they do exactly when every word
+    lifts and the two indices agree.
+
+    Every word must fix ``seq`` (containment), and the coset count of the
+    subgroup they generate must equal the orbit size (equality of indices).
+    A word that does not lift fails fast: ``_certify`` returns
+    ``(False, -1, -1)`` and runs neither search.  Otherwise the enumeration runs first, under
+    ``max_cosets`` as in :func:`todd_coxeter`: liftable words give a coset
+    index at least the orbit size, so an orbit past the cap stops the
+    enumeration first.  The orbit search then runs under the same cap, and
+    raises :class:`~diskcovers.core.CapExceeded` past it, unless the caller
+    passes the ``orbit_index`` it already has.
+    """
+    if not all(is_liftable(seq, word) for word in words):
+        return False, -1, -1
+    tc_index = todd_coxeter(seq.length, words, max_cosets=max_cosets)[0]
+    return True, tc_index, orbit_index or stabilizer_index(seq, max_cosets)
+
+
 class IntervalGenerationReport(_Record):
     """Whether the liftable interval powers of
     :func:`~diskcovers.lift.liftable_interval_powers` generate the liftable
-    group of a covering.  The words are liftable by construction, so
-    ``generates`` (coset index equal to orbit index) certifies that they
-    generate it."""
+    group of a covering: ``generates`` holds when every word lifts and the
+    coset index equals the orbit index."""
 
     orbit_index: int
     tc_index: int
@@ -299,25 +321,24 @@ def interval_powers_index(
     max_word_length: int | None = None,
     max_cosets: int | None = None,
 ) -> IntervalGenerationReport:
-    """Feed the liftable interval powers, with conjugators up to
-    ``max_word_length`` long (``None``: the whole orbit spanning tree), to the
-    coset enumerator and compare against the orbit index.
+    """Certify the liftable interval powers, with conjugators up to
+    ``max_word_length`` long (``None``: the whole orbit spanning tree), as
+    :func:`_certify` does.
 
     One orbit search gives both the conjugators and the orbit index; it runs
     first, under ``max_cosets``, and raises
-    :class:`~diskcovers.core.CapExceeded` past it.  The enumeration then runs
-    under the same cap, as in :func:`todd_coxeter`.  With the whole tree,
+    :class:`~diskcovers.core.CapExceeded` past it.  With the whole tree,
     ``generates`` holds on every connected class with ``d <= 5`` and
     ``n <= 6``; the tests check all 26.
     """
     table = hurwitz_orbit(seq, max_cosets)
     generators = table.interval_powers(max_word_length)
-    tc_index = todd_coxeter(seq.length, generators, max_cosets=max_cosets)[0]
+    all_liftable, tc_index, orbit_index = _certify(seq, generators, max_cosets, len(table))
     return IntervalGenerationReport(
-        orbit_index=len(table),
+        orbit_index=orbit_index,
         tc_index=tc_index,
         generator_count=len(generators),
-        generates=tc_index == len(table),
+        generates=all_liftable and tc_index == orbit_index,
     )
 
 
@@ -333,29 +354,17 @@ class TheoremCReport(_Record):
 
 
 def verify_theorem_c(branch_points: int, max_cosets: int | None = None) -> TheoremCReport:
-    """Certify that the catalogued half-twist powers generate the liftable
-    braid group of the canonical disk covering.
-
-    Every generator word must fix the monodromy sequence (containment), and
-    the coset count of the subgroup they generate must equal the orbit size
-    (equality of indices).  A non-liftable word fails fast, skipping the
-    enumeration.  ``max_cosets`` caps the enumeration, as in
-    :func:`todd_coxeter`, and then the orbit search, which raises
-    :class:`~diskcovers.core.CapExceeded` past it.  The enumeration runs
-    first: liftable generators give a coset index at least the orbit size, so
-    an orbit past the cap stops the enumeration first.
-    """
+    """Certify, as :func:`_certify` does, that the catalogued half-twist powers
+    generate the liftable braid group of the canonical disk covering."""
     n = branch_points
     seq = disk_covering(n)
     generators = theorem_c_generators(n)
-    all_liftable = all(is_liftable(seq, word) for word in generators)
-    tc_index = todd_coxeter(n, generators, max_cosets=max_cosets)[0] if all_liftable else -1
-    orbit_index = stabilizer_index(seq, max_cosets)
+    all_liftable, tc_index, orbit_index = _certify(seq, generators, max_cosets)
     return TheoremCReport(
         branch_points=n,
         generator_count=len(generators),
         all_liftable=all_liftable,
         orbit_index=orbit_index,
         tc_index=tc_index,
-        passed=tc_index == orbit_index,
+        passed=all_liftable and tc_index == orbit_index,
     )

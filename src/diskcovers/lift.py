@@ -308,8 +308,9 @@ def liftable_interval_powers(seq: MonodromySequence, max_word_length: int | None
     ``x_i``-cycle through k.  ``max_word_length`` bounds the length of
     ``t_k``; ``None`` takes the whole tree.  The orbit search stops past
     ``orbit.DEFAULT_CAP``, as in :func:`~diskcovers.orbit.hurwitz_orbit`.
-    Whether the words generate the liftable group is what
-    :func:`~diskcovers.cosets.interval_powers_index` certifies.
+    Whether the words lift and generate the liftable group is what
+    :func:`~diskcovers.cosets.interval_powers_index` certifies, with the
+    certifier that theorem C's generators share.
 
     The whole tree gives exactly ``index * (n - 2) + 1`` words, the
     Nielsen-Schreier rank.  Strip from ``t_k`` its trailing letters ``x_i``

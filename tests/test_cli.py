@@ -456,6 +456,8 @@ def test_fuzzed_bad_values_exit_1(capsys, argv):
         (["tcgens", "--n", "17"], "strand count n must be at most 16, got 17"),
         (["todd-coxeter", "--n", "17", "--words", ""], "strand count n must be at most 16, got 17"),
         (["verify-theorem-c", "--n", "17"], "strand count n must be at most 16, got 17"),
+        (["verify-theorem-c", "--n", "-1"], "branch point count must be nonnegative"),
+        (["verify-theorem-c", "--n", "0"], "branch point count must be at least 1"),
     ],
     ids=[
         "omega-letter",
@@ -471,6 +473,8 @@ def test_fuzzed_bad_values_exit_1(capsys, argv):
         "tcgens-n-past-bound",
         "todd-coxeter-n-past-bound",
         "verify-theorem-c-n-past-bound",
+        "verify-theorem-c-negative-n",
+        "verify-theorem-c-zero-n",
     ],
 )
 def test_bad_argument_report_names_it(capsys, argv, message):

@@ -338,13 +338,42 @@ def test_verify_theorem_c_small():
         assert verify_theorem_c(n) == TheoremCReport(n, words, True, index, index, True)
 
 
+def count_searches(monkeypatch) -> tuple[list, list]:
+    """Record every orbit search (``OrbitTable`` built) and every
+    ``todd_coxeter`` call that the certifier makes, in two lists."""
+    searches, enumerations = [], []
+    search, enumerate_cosets = orbit.OrbitTable.__init__, cosets.todd_coxeter
+
+    def counted_search(table, *args):
+        searches.append(table)
+        search(table, *args)
+
+    monkeypatch.setattr(orbit.OrbitTable, "__init__", counted_search)
+    monkeypatch.setattr(
+        cosets, "todd_coxeter", lambda *args, **kw: enumerations.append(args) or enumerate_cosets(*args, **kw)
+    )
+    return searches, enumerations
+
+
 def test_verify_theorem_c_fails_fast_on_a_word_that_does_not_lift(monkeypatch):
-    generators, enumerate_cosets = cosets.theorem_c_generators, cosets.todd_coxeter
+    generators = cosets.theorem_c_generators
     monkeypatch.setattr(cosets, "theorem_c_generators", lambda n: [*generators(n), BraidWord(n, (1,))])
-    calls = []
-    monkeypatch.setattr(cosets, "todd_coxeter", lambda *args, **kw: calls.append(args) or enumerate_cosets(*args, **kw))
-    assert verify_theorem_c(4) == TheoremCReport(4, 7, False, 125, -1, False)
-    assert calls == []
+    searches, enumerations = count_searches(monkeypatch)
+    assert verify_theorem_c(4) == TheoremCReport(4, 7, False, -1, -1, False)
+    assert searches == [] and enumerations == []
+
+
+def test_interval_powers_fail_fast_on_a_word_that_does_not_lift(monkeypatch):
+    powers = orbit.OrbitTable.interval_powers
+    monkeypatch.setattr(
+        orbit.OrbitTable,
+        "interval_powers",
+        lambda table, *args: [*powers(table, *args), BraidWord(table.root.length, (1,))],
+    )
+    searches, enumerations = count_searches(monkeypatch)
+    report = interval_powers_index(disk_covering(4))
+    assert not report.generates and report.orbit_index == report.tc_index == -1, report
+    assert len(searches) == 1 and enumerations == []  # the one search gives the words
 
 
 @pytest.mark.slow
@@ -396,14 +425,7 @@ CONNECTED_CLASSES = {
 def test_interval_powers_certify_every_class(monkeypatch, degree, length):
     # The whole tree's words generate the liftable group of every class, and
     # number exactly the Nielsen-Schreier rank (see liftable_interval_powers).
-    searches = []
-    search = orbit.OrbitTable.__init__
-
-    def counted_search(table, *args):
-        searches.append(table)
-        search(table, *args)
-
-    monkeypatch.setattr(orbit.OrbitTable, "__init__", counted_search)
+    searches, _ = count_searches(monkeypatch)
     classes = [c for c in classify_all(degree, length) if c.connected]
     assert len(classes) == CONNECTED_CLASSES[degree, length]
     for c in classes:

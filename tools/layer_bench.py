@@ -7,7 +7,11 @@ The layers, each written to its own file at the root of the checkout:
   ``disk_covering(5)`` and on the trivial subgroup on 4 strands, which stops
   at a cap of 20,000 cosets.  Each run's status and index are checked, or
   for the capped case that it defined exactly the cap.  Each case records
-  the median seconds, ``defined``, ``index`` and ``peak_live``.
+  the median seconds, ``defined``, ``index`` and ``peak_live``.  Two more
+  cases run the certifier whole: ``verify_theorem_c(5)``, both indices
+  1,296, and ``interval_powers_index(disk_covering(5))``, both indices 1,296
+  over 3,889 words.  Each round's report is checked whole, and each case
+  records the median seconds and the report's fields.
 - the orbit search (``BENCH_orbit.json``): ``stabilizer_index`` of
   ``disk_covering(6)``, index 16,807, ``schreier_generators`` on the (4, 6)
   covering of cycle type (2, 2), index 3,840 and 15,361 words, and
@@ -78,7 +82,17 @@ from diskcovers import (  # noqa: E402
     total_monodromy,
 )
 from diskcovers.core import _unpack  # noqa: E402
-from diskcovers.cosets import CAPPED, COMPLETE, CosetTable, Inconclusive, todd_coxeter  # noqa: E402
+from diskcovers.cosets import (  # noqa: E402
+    CAPPED,
+    COMPLETE,
+    CosetTable,
+    Inconclusive,
+    IntervalGenerationReport,
+    TheoremCReport,
+    interval_powers_index,
+    todd_coxeter,
+    verify_theorem_c,
+)
 from diskcovers.orbit import classify_all  # noqa: E402
 
 ROUNDS = 9
@@ -107,10 +121,23 @@ def enumerate_cosets(strands: int, words: list, cap: int | None) -> CosetTable:
         return capped.table
 
 
-def coset_answer(table: CosetTable) -> tuple[str, int]:
+def coset_answer(answer: CosetTable | TheoremCReport | IntervalGenerationReport) -> object:
     # A finished table is checked by its index, a capped one by its count of
-    # cosets defined.
-    return table.status, table.index if table.status == COMPLETE else table.defined
+    # cosets defined, and a certifier's report whole.
+    if not isinstance(answer, CosetTable):
+        return answer
+    return answer.status, answer.index if answer.status == COMPLETE else answer.defined
+
+
+def coset_record(answer: CosetTable | TheoremCReport | IntervalGenerationReport, median: float) -> dict:
+    if not isinstance(answer, CosetTable):
+        return {"median_s": round(median, 4), **vars(answer)}
+    return {
+        "median_s": round(median, 4),
+        "defined": answer.defined,
+        "index": answer.index,
+        "peak_live": answer.peak_live,
+    }
 
 
 def coset_cases() -> dict:
@@ -124,6 +151,16 @@ def coset_cases() -> dict:
             (COMPLETE, stabilizer_index(disk_covering(5))),
         ),
         f"trivial subgroup n=4, cap {CAP}": (partial(enumerate_cosets, 4, [], CAP), (CAPPED, CAP)),
+        "verify_theorem_c(5)": (
+            partial(verify_theorem_c, 5),
+            TheoremCReport(
+                branch_points=5, generator_count=10, all_liftable=True, orbit_index=6**4, tc_index=6**4, passed=True
+            ),
+        ),
+        "interval_powers_index(disk_covering(5))": (
+            partial(interval_powers_index, disk_covering(5)),
+            IntervalGenerationReport(orbit_index=6**4, tc_index=6**4, generator_count=3_889, generates=True),
+        ),
     }
 
 
@@ -229,12 +266,7 @@ LAYERS = (
         1,
         coset_cases,
         coset_answer,
-        lambda table, median: {
-            "median_s": round(median, 4),
-            "defined": table.defined,
-            "index": table.index,
-            "peak_live": table.peak_live,
-        },
+        coset_record,
     ),
     (
         "BENCH_orbit.json",
