@@ -255,10 +255,13 @@ def systems_liftable_equivalent(
     """Decide whether some liftable braid carries one system of curves to the
     other, curve by curve.
 
+    Systems are matched in order: ``first[k]`` must go to ``second[k]``.
     Requires the curves within each system to share one transport word.  The
-    criterion: matched curves have equal monodromies, and the restrictions
-    along the two systems have identical component signatures at both base
-    points of the cut disk.
+    criterion: the matching keeps the order of the bases, which is the order
+    in which the curves leave the boundary base point and which every braid
+    keeps; matched curves have equal monodromies; and the restrictions along
+    the two systems have identical component signatures at both base points
+    of the cut disk.
     """
     if len(first) != len(second) or not first:
         raise ValueError("systems must be nonempty and of equal length")
@@ -271,6 +274,9 @@ def systems_liftable_equivalent(
             if c.word.strands != seq.length:
                 raise ValueError("system strand count does not match the covering")
 
+    positions = range(len(first))
+    if sorted(positions, key=lambda k: first[k].base) != sorted(positions, key=lambda k: second[k].base):
+        return False
     if any(
         curve_monodromy(seq, a) != curve_monodromy(seq, b) for a, b in zip(first, second)
     ):

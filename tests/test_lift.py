@@ -339,10 +339,11 @@ def test_systems_equivalence_examples():
 
 
 def test_systems_equivalence_is_monodromy_and_signature_equality():
-    """The criterion, spelt out: matched monodromies and equal restriction
-    signatures at both base points, over seeded random systems.  Half of the
-    second systems are the first carried by a liftable interval power, so
-    that the signature comparison decides."""
+    """The criterion, spelt out: a matching that keeps the order of the
+    bases, matched monodromies and equal restriction signatures at both base
+    points, over seeded random systems.  Half of the second systems are the
+    first carried by a liftable interval power, so that the signature
+    comparison decides."""
     rng = random.Random(20)
 
     def signatures(seq, system):
@@ -365,12 +366,25 @@ def test_systems_equivalence_is_monodromy_and_signature_equality():
         else:
             second_word = word(n, *(rng.choice(letters) for _ in range(rng.randint(0, 4))))
             second = [CurveRef(base, second_word) for base in rng.sample(range(1, n + 1), len(bases))]
-        expected = all(
+        pairs = itertools.combinations(zip(first, second), 2)
+        ordered = all((a.base < b.base) == (c.base < d.base) for (a, c), (b, d) in pairs)
+        expected = ordered and all(
             curve_monodromy(seq, a) == curve_monodromy(seq, b) for a, b in zip(first, second)
         ) and signatures(seq, first) == signatures(seq, second)
         assert systems_liftable_equivalent(seq, first, second) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def test_systems_equivalence_keeps_the_order_of_the_bases():
+    # Every braid keeps the order in which curves leave the boundary base
+    # point, so none carries c1 to c2 and c2 to c1 at once: it would carry
+    # the boundary loop g1 g2 to g2 g1.
+    seq = MonodromySequence.from_pairs(2, [(1, 2), (1, 2)])
+    c1, c2 = standard_curve(2, 1), standard_curve(2, 2)
+    assert systems_liftable_equivalent(seq, [c1, c2], [c1, c2])
+    assert systems_liftable_equivalent(seq, [c2, c1], [c2, c1])
+    assert not systems_liftable_equivalent(seq, [c1, c2], [c2, c1])
 
 
 def test_systems_equivalence_validates_input():

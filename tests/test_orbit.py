@@ -153,6 +153,19 @@ def test_orbit_search_at_seven_branch_points_peaks_under_80_mb(peak_rss_mb):
     assert peak_mb < 80, peak_mb
 
 
+@pytest.mark.slow
+def test_schreier_words_of_the_largest_five_six_class_peak_under_41_mb(peak_rss_mb):
+    # Index 15,625, so 15,625 * 4 + 1 = 62,501 BraidWords at once.  The bound
+    # holds while a record is one slotted object: 38.7 MB, against 42.4 MB
+    # with a per-instance dict.
+    peak_mb = peak_rss_mb(
+        "from diskcovers.core import canonical_target\n"
+        "from diskcovers.orbit import schreier_generators\n"
+        "assert len(schreier_generators(canonical_target(5, 6, (5,)))) == 62_501\n"
+    )
+    assert peak_mb < 41, peak_mb
+
+
 def test_index_bound():
     assert enumeration_bound(3, 2) == 9
     assert enumeration_bound(4, 3) == 216

@@ -1,10 +1,15 @@
 """The value types' record methods: construction, ``repr``, equality, hashing,
-order and immutability, the same for every public value type.
+order, immutability, copying and pickling, the same for every public value
+type, and their slotted layout.
 
 The ``repr`` strings are golden, the strings the ``dataclass`` methods wrote
 before the value types shared one record base; callers such as the
 benchmark's oracles format them, so they must not move.
 """
+
+import copy
+import importlib
+import pickle
 
 import pytest
 
@@ -26,6 +31,7 @@ from diskcovers import (
     TheoremCReport,
     Transposition,
 )
+from diskcovers.core import _Record
 
 WORD = BraidWord(3, (1, -2))
 SEQ = MonodromySequence.from_pairs(3, [(1, 2), (2, 3)])
@@ -153,3 +159,22 @@ def test_packed_form_is_neither_shown_nor_compared():
         MonodromySequence(3, SEQ.entries, (0, 2))
     with pytest.raises(TypeError):
         MonodromySequence(3, SEQ.entries, _packed=(0, 2))
+
+
+@pytest.mark.parametrize("cls, values, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_copies_and_pickles_are_equal_records(cls, values, text):
+    record = cls(*values)
+    stored = tuple(cls.__annotations__)  # ``_packed`` included
+    for duplicate in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(duplicate) is cls and duplicate == record and repr(duplicate) == text
+        assert tuple(getattr(duplicate, name) for name in stored) == tuple(getattr(record, name) for name in stored)
+
+
+def test_every_record_type_is_slotted():
+    names = ("core", "hurwitz", "orbit", "lift", "cosets", "restrict")
+    modules = [importlib.import_module(f"diskcovers.{name}") for name in names]
+    types = {v for m in modules for v in vars(m).values() if isinstance(v, type) and issubclass(v, _Record)}
+    assert types - {_Record} == {cls for cls, _, _ in RECORDS}
+    for cls, values, _ in RECORDS:
+        assert cls.__slots__ == tuple(cls.__annotations__), cls
+        assert not hasattr(cls(*values), "__dict__"), cls

@@ -131,7 +131,7 @@ def coset_answer(answer: CosetTable | TheoremCReport | IntervalGenerationReport)
 
 def coset_record(answer: CosetTable | TheoremCReport | IntervalGenerationReport, median: float) -> dict:
     if not isinstance(answer, CosetTable):
-        return {"median_s": round(median, 4), **vars(answer)}
+        return {"median_s": round(median, 4), **{name: getattr(answer, name) for name in answer.__match_args__}}
     return {
         "median_s": round(median, 4),
         "defined": answer.defined,
