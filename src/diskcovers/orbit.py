@@ -298,7 +298,7 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     )
     # Orbits are numbered by least member, so each class is named by its least.
     counts = Counter()
-    for root, size in zip(_union_find(len(starts), joins), sizes):
+    for root, size in zip(_union_find(len(starts), joins)[0], sizes):
         counts[root] += size
     classes = []
     for root in sorted(counts):

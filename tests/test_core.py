@@ -262,3 +262,107 @@ def test_dense_tables_match_the_closed_form_and_the_lazy_tables():
             assert all(len(row) == len(closed) for row in tables.conj)
         else:
             assert isinstance(tables.conj, _Lazy)
+
+
+# --- the classification kernel against references written here ---------------
+
+
+def reference_is_connected(s):
+    """A breadth-first search over the sheets, along the entries."""
+    neighbours = {k: set() for k in range(1, s.degree + 1)}
+    for a, b in s.pairs():
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    reached = [1]
+    for k in reached:  # grows as it is read
+        reached += sorted(neighbours[k] - set(reached))
+    return len(reached) == s.degree
+
+
+def reference_cycles(images):
+    """The cycle decomposition of an image list, fixed points included, each
+    cycle from its least sheet and the cycles by that sheet."""
+    left = list(range(1, len(images) + 1))
+    out = []
+    while left:
+        cycle = [left[0]]
+        while images[cycle[-1] - 1] != cycle[0]:
+            cycle.append(images[cycle[-1] - 1])
+        out.append(tuple(cycle))
+        left = [k for k in left if k not in cycle]
+    return out
+
+
+def reference_components(s):
+    """A plain union-find on a dict of parents: the sorted blocks, each with
+    the entries inside it."""
+    parent = {k: k for k in range(1, s.degree + 1)}
+
+    def root(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for a, b in s.pairs():
+        parent[root(a)] = root(b)
+    blocks = {}
+    for k in range(1, s.degree + 1):
+        blocks.setdefault(root(k), []).append(k)
+    return tuple(
+        (tuple(sheets), sum(root(a) == r for a, _ in s.pairs()))
+        for r, sheets in sorted(blocks.items(), key=lambda block: block[1][0])
+    )
+
+
+def kernel_sequences():
+    """Every sequence with d <= 4 and n <= 5 (degree 1 and n = 0 among them),
+    then seeded ones on 17 and 18 sheets, where the tables are lazy."""
+    for degree in range(1, 5):
+        for length in range(6):
+            yield from all_sequences(degree, length)
+    rng = random.Random(25)
+    for degree in (17, 18):
+        for length in (0, 1, 16, 24, 40, 60):
+            for _ in range(15):
+                yield seq(degree, *(rng.sample(range(1, degree + 1), 2) for _ in range(length)))
+
+
+def test_classification_kernel_matches_the_references():
+    seen = set()
+    for s in kernel_sequences():
+        connected = reference_is_connected(s)
+        assert s.is_connected() == connected, s
+        assert components(s).blocks == reference_components(s), s
+        p = total_monodromy(s)
+        cycles = reference_cycles(list(p.images))
+        assert p.cycles(include_fixed=True) == tuple(cycles), s
+        assert p.cycles() == tuple(c for c in cycles if len(c) > 1), s
+        parts = sorted((len(c) for c in cycles if len(c) > 1), reverse=True)
+        # Equal to the validated construction, so the parts are a tuple.
+        assert p.cycle_type() == CycleType(tuple(parts), p.degree), s
+        assert p.orbit_count() == len(cycles), s
+        seen.add((s.degree > 16, connected))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_packed_results_equal_their_validated_constructions():
+    # == ignores _packed, so the packed tuples are compared directly.
+    for degree in range(1, 8):
+        for length in range(9):
+            for parts in all_cycle_types(degree):
+                try:
+                    target = canonical_target(degree, length, parts)
+                except NotRealizable:
+                    continue
+                rebuilt = MonodromySequence.from_pairs(degree, target.pairs())
+                assert target._packed == rebuilt._packed, (degree, length, parts)
+                assert type(target._packed) is tuple
+                assert target == rebuilt
+                omega = total_monodromy(target)
+                assert omega.cycle_type() == CycleType(parts, degree)
+                # Conjugate the target's monodromy by a seeded renumbering.
+                relabel = Permutation(tuple(random.Random(length).sample(range(1, degree + 1), degree)))
+                source = relabel.inverse() * omega * relabel
+                r = conjugating_permutation(source, omega)
+                assert r == Permutation(tuple(r.images))
+                assert r.inverse() * source * r == omega

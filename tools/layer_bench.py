@@ -30,7 +30,11 @@ The layers, each written to its own file at the root of the checkout:
 - classification (``BENCH_classify.json``): ``classify_all`` on the cells
   (d, n) = (3, 5), (4, 4), (4, 5) and (4, 6), from 243 to 46,656
   sequences.  Each cell records the median seconds, the class count and the
-  sequences classified.
+  sequences classified.  The classify stream takes 200 seeded connected
+  coverings with d in 3..5 and n in 4..6 through ``canonicalize``, then
+  ``canonical_target`` from the cycle type computed beside each covering and
+  ``is_equivalent`` of the covering and that target; it records the median
+  seconds, the coverings and the moves of all their certificates.
 
 Each case runs ``ROUNDS`` rounds.  For the kernel and classification cases,
 the SHA-256 of the ``repr`` of every round's answer is checked against the
@@ -68,11 +72,15 @@ from diskcovers import (  # noqa: E402
     START,
     BraidWord,
     MonodromySequence,
+    OrbitClass,
     RestrictionSpec,
     act,
+    canonical_target,
+    canonicalize,
     disk_covering,
     index0_curve,
     index1_curve,
+    is_equivalent,
     liftable_interval_powers,
     restrict,
     restricted_total_monodromy,
@@ -220,15 +228,47 @@ def kernel_cases() -> dict:
     }
 
 
+CLASSIFY_STREAM = 200
+
+
 def classify_cases() -> dict:
-    """Name: (call, SHA-256 of the ``repr`` of its classes)."""
+    """Name: (call, SHA-256 of the ``repr`` of its answer)."""
     digests = {
         (3, 5): "0324e68b7d31ec89fb8949b3d10682f143a1a5ebad2f184c0685d32e5a371115",
         (4, 4): "49316a65743defc7b95183d4ad9823256fa587a05fe83c0a36fe6325e9947c66",
         (4, 5): "932fe7431318879518c502308b65c031328a15ddae53b8bdbf66da463740b4ea",
         (4, 6): "e2fa9df4842880a88e57ff1a307fa438f61cf11fd3f4eedf3c97190c23fc0ffd",
     }
-    return {f"classify_all({d}, {n})": (partial(classify_all, d, n), expected) for (d, n), expected in digests.items()}
+    cases = {f"classify_all({d}, {n})": (partial(classify_all, d, n), expected) for (d, n), expected in digests.items()}
+    rng = random.Random(25)
+    stream = []
+    while len(stream) < CLASSIFY_STREAM:
+        degree, length = rng.choice((3, 4, 5)), rng.choice((4, 5, 6))
+        covering = MonodromySequence.from_pairs(degree, [rng.sample(range(1, degree + 1), 2) for _ in range(length)])
+        if covering.is_connected():
+            stream.append((covering, total_monodromy(covering).cycle_type().parts))
+
+    def classify_stream() -> list:
+        answers = []
+        for covering, omega in stream:
+            result = canonicalize(covering)
+            target = canonical_target(covering.degree, covering.length, omega)
+            answers.append((result, target == result.canonical, is_equivalent(covering, target)))
+        return answers
+
+    cases[f"classify stream, {CLASSIFY_STREAM} coverings"] = (
+        classify_stream,
+        "ac523c4a8cad907ac72447ec6f64c30123d9d03323812e9ed31b00d2333342e2",
+    )
+    return cases
+
+
+def classify_record(answer: list, median: float) -> dict:
+    """A ``classify_all`` cell's classes and sequences, or the stream's
+    coverings and certificate moves."""
+    if isinstance(answer[0], OrbitClass):
+        return {"median_s": round(median, 4), "classes": len(answer), "sequences": sum(c.count for c in answer)}
+    return {"median_s": round(median, 4), "coverings": len(answer), "moves": sum(len(r.moves) for r, _, _ in answer)}
 
 
 def orbit_cases() -> dict:
@@ -290,11 +330,7 @@ LAYERS = (
         1,
         classify_cases,
         digest,
-        lambda classes, median: {
-            "median_s": round(median, 4),
-            "classes": len(classes),
-            "sequences": sum(c.count for c in classes),
-        },
+        classify_record,
     ),
 )
 
