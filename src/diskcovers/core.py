@@ -339,8 +339,7 @@ class MonodromySequence(_Record, order=True):
         """Apply a sheet renumbering to every entry simultaneously."""
         if relabel.degree != self.degree:
             raise ValueError("relabelling permutation degree mismatch")
-        index_of, images = _tables(self.degree).index_of, relabel.images
-        return _unpack(self.degree, tuple([index_of[images[t.a - 1]][images[t.b - 1]] for t in self.entries]))
+        return _unpack(self.degree, _renumbered(self.degree, self._packed, relabel.images))
 
     def is_connected(self) -> bool:
         pairs = _tables(self.degree).pairs
@@ -681,6 +680,13 @@ def _unpack(degree: int, packed: tuple[int, ...]) -> MonodromySequence:
     """The sequence of a packed tuple, which it keeps as its packed form."""
     interned = _tables(degree).interned
     return MonodromySequence._unchecked(degree, tuple(map(interned.__getitem__, packed)), packed)
+
+
+def _renumbered(degree: int, packed: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
+    """A packed sequence with each sheet k renumbered ``images[k - 1]``."""
+    tables = _tables(degree)
+    index_of = tables.index_of
+    return tuple([index_of[images[a - 1]][images[b - 1]] for a, b in map(tables.pairs.__getitem__, packed)])
 
 
 def _product(degree: int, packed: tuple[int, ...]) -> Permutation:

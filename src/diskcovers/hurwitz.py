@@ -47,6 +47,7 @@ from .core import (
     MonodromySequence,
     Permutation,
     _Record,
+    _renumbered,
     _tables,
     _unpack,
     canonical_target,
@@ -107,13 +108,18 @@ class BraidWord(_Record):
 
     def reduced(self) -> "BraidWord":
         """Freely reduce, cancelling adjacent letters ``e, -e``."""
-        stack: list[int] = []
-        for e in self.letters:
-            if stack and stack[-1] == -e:
-                stack.pop()
-            else:
-                stack.append(e)
-        return BraidWord._unchecked(self.strands, tuple(stack))
+        return BraidWord._unchecked(self.strands, _free_reduce(self.letters))
+
+
+def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters freely reduced, in one pass."""
+    stack: list[int] = []
+    for e in letters:
+        if stack and stack[-1] == -e:
+            stack.pop()
+        else:
+            stack.append(e)
+    return tuple(stack)
 
 
 def _act_packed(conj, packed: tuple[int, ...], letters) -> tuple[int, ...]:
@@ -318,7 +324,7 @@ def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
     monodromy = total_monodromy(seq)
     target = canonical_target(seq.degree, seq.length, monodromy.cycle_type())
     relabel = conjugating_permutation(monodromy, total_monodromy(target))
-    letters = _peel(seq.degree, seq.renumber_sheets(relabel)._packed, target._packed)
+    letters = _peel(seq.degree, _renumbered(seq.degree, seq._packed, relabel.images), target._packed)
     # The forward move is the inverse generator.
     moves = tuple((abs(e), INVERSE if e > 0 else FORWARD) for e in letters)
     return CanonicalizationResult(relabel=relabel, moves=moves, canonical=target)

@@ -14,6 +14,15 @@ serves as the new base point:
 
 All sheets are kept, so trivial sheets show up as singleton components and
 component signatures can be compared sheet by sheet.
+
+Both kernels run on the packed form of :mod:`diskcovers.core`: they read
+the sequence's packed tuple and its length once, check the last index
+against it, and look the degree's tables up once.  ``restrict`` builds only
+the sequence it returns, its entries from the interned table.  On one
+covering with 6 sheets and 7 branch points, cut along each of its 254 index
+sets at each base point (``tools/layer_bench.py``, best of four runs,
+CPython 3.11, 2 shared vCPUs), a call of ``restrict`` went from 3.4 to
+2.8 us and one of ``restricted_total_monodromy`` from 2.2 to 2.0 us.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from .core import (
     _Record,
     _product,
     _tables,
-    _unpack,
     components,
 )
 
@@ -58,27 +66,31 @@ class RestrictionSpec(_Record):
 
 def restrict(seq: MonodromySequence, spec: RestrictionSpec) -> MonodromySequence:
     """The monodromy sequence of the covering restricted to the cut disk."""
-    spec.validate_for(seq)
-    tables = _tables(seq.degree)
-    pairs, index_of, packed = tables.pairs, tables.index_of, seq._packed
-    removed = bytearray(seq.length)
+    packed, degree = seq._packed, seq.degree
+    length = len(packed)
+    if spec.indices[-1] > length:
+        spec.validate_for(seq)  # raises
+    tables = _tables(degree)
+    pairs, index_of = tables.pairs, tables.index_of
+    removed = bytearray(length)
     for i in spec.indices:
         removed[i - 1] = 1
     # Walk away from the base point.  image[s] is sheet s under the removed
     # entries passed so far, the nearest applied first: passing one more, r,
     # composes it in front, which swaps the images of r's two sheets.
-    image = list(range(seq.degree + 1))
-    positions = range(seq.length) if spec.base == START else range(seq.length - 1, -1, -1)
+    image = list(range(degree + 1))
+    start = spec.base == START
     kept: list[int] = []
-    for j in positions:
+    for j in range(length) if start else range(length - 1, -1, -1):
         a, b = pairs[packed[j]]
         if removed[j]:
             image[a], image[b] = image[b], image[a]
         else:
             kept.append(index_of[image[a]][image[b]])
-    if spec.base == END:
+    if not start:
         kept.reverse()
-    return _unpack(seq.degree, tuple(kept))
+    restricted = tuple(kept)
+    return MonodromySequence._unchecked(degree, tuple(map(tables.interned.__getitem__, restricted)), restricted)
 
 
 def restricted_total_monodromy(seq: MonodromySequence, spec: RestrictionSpec) -> Permutation:
@@ -88,8 +100,9 @@ def restricted_total_monodromy(seq: MonodromySequence, spec: RestrictionSpec) ->
     descending index order.  End base point: the removed entries in descending
     order followed by the total monodromy.
     """
-    spec.validate_for(seq)
     packed = seq._packed
+    if spec.indices[-1] > len(packed):
+        spec.validate_for(seq)  # raises
     removed = tuple([packed[i - 1] for i in reversed(spec.indices)])
     return _product(seq.degree, packed + removed if spec.base == START else removed + packed)
 

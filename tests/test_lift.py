@@ -479,3 +479,79 @@ def test_interval_powers_match_the_public_construction():
             words = liftable_interval_powers(s, bound)
             assert [w.letters for w in words] == interval_powers_oracle(s, bound), (s.pairs(), bound)
             assert words == [BraidWord(s.length, w.letters) for w in words]
+
+
+# --- the query kernels against references written here -----------------------
+
+
+def reference_curve_monodromy(s, curve):
+    """The entry at the curve's base in the whole transported sequence."""
+    return act(s, curve.word).entries[curve.base - 1]
+
+
+def reference_interval_type(s, interval):
+    """The type read off two entries of the whole transported sequence."""
+    transported = act(s, interval.word)
+    t, u = transported.entries[interval.base - 1], transported.entries[interval.base]
+    if t == u:
+        return 1
+    if t.is_disjoint_from(u):
+        return 2
+    return 3
+
+
+def reference_interval_braid(interval, power):
+    """The word, the twist and the inverse word as validated words, joined
+    and then freely reduced."""
+    n = interval.word.strands
+    if power >= 0:
+        twist = BraidWord(n, (interval.base,) * power)
+    else:
+        twist = BraidWord(n, (-interval.base,) * (-power))
+    return (interval.word * twist * interval.word.inverse()).reduced()
+
+
+def query_cases():
+    """Seeded sequences with d <= 6 and n <= 7, then on 17 and 18 sheets,
+    where the tables are lazy, each with a few seeded words, some of them
+    holding a cancelling pair ``e, -e``.  On 17 and 18 sheets the entries
+    move the top six sheets only, so that equal neighbours occur."""
+    rng = random.Random(26)
+    shapes = [(d, n) for d in range(2, 7) for n in range(2, 8)] + [(d, n) for d in (17, 18) for n in (2, 5, 7)]
+    for degree, length in shapes:
+        sheets = range(max(1, degree - 5), degree + 1)
+        for _ in range(4):
+            s = MonodromySequence.from_pairs(degree, [rng.sample(sheets, 2) for _ in range(length)])
+            for _ in range(3):
+                letters = [rng.choice((1, -1)) * rng.randint(1, length - 1) for _ in range(rng.randint(0, 12))]
+                e = rng.choice((1, -1)) * rng.randint(1, length - 1)
+                at = rng.randint(0, len(letters))
+                letters[at:at] = [e, -e]
+                yield s, BraidWord(length, tuple(letters))
+
+
+def test_query_kernels_match_the_references():
+    types = set()
+    for s, w in query_cases():
+        n = s.length
+        for base in range(1, n + 1):
+            curve = CurveRef(base, w)
+            # The very entry act builds: both come from the interned table.
+            assert curve_monodromy(s, curve) is reference_curve_monodromy(s, curve), (s, curve)
+        for base in range(1, n):
+            interval = IntervalRef(base, w)
+            kind = interval_type(s, interval)
+            assert kind == reference_interval_type(s, interval), (s, interval)
+            types.add((s.degree > 16, kind))
+            for power in range(-3, 4):
+                braid = interval_braid(interval, power)
+                assert braid == reference_interval_braid(interval, power), (interval, power)
+                assert type(braid.letters) is tuple
+    assert types == {(lazy, kind) for lazy in (False, True) for kind in (1, 2, 3)}
+
+
+def test_query_kernels_keep_their_errors():
+    s = disk_covering(3)
+    for call, ref in ((curve_monodromy, CurveRef(1, word(4))), (interval_type, IntervalRef(1, word(4)))):
+        with pytest.raises(ValueError, match="^braid on 4 strands cannot act on 3 entries$"):
+            call(s, ref)

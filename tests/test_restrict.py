@@ -90,6 +90,20 @@ def test_restriction_spec_validation():
         restrict(disk_covering(2), RestrictionSpec((3,), START))
 
 
+def test_restriction_past_the_last_branch_point_names_the_index():
+    for n in range(1, 5):
+        s = disk_covering(n)
+        for indices in ((n + 1,), (1, n + 2)):
+            for base in (START, END):
+                spec = RestrictionSpec(indices, base)
+                message = f"^index {indices[-1]} out of range for {n} branch points$"
+                with pytest.raises(ValueError, match=message):
+                    spec.validate_for(s)
+                for kernel in (restrict, restricted_total_monodromy, restriction_signature):
+                    with pytest.raises(ValueError, match=message):
+                        kernel(s, spec)
+
+
 def test_restrict_examples():
     p3 = disk_covering(3)
     assert restrict(p3, RestrictionSpec((3,), START)).pairs() == ((1, 2), (2, 3))

@@ -20,13 +20,16 @@ The layers, each written to its own file at the root of the checkout:
   records them with the median seconds.
 - the kernel (``BENCH_kernel.json``): ``restrict``,
   ``restricted_total_monodromy``, ``total_monodromy``, ``core._unpack``,
-  ``act`` with a 48-letter word, the index-0 and index-1 catalog curves and
-  the public and unchecked ``BraidWord`` constructors.  The inputs are one
-  covering on 6 sheets with 7 branch points, cut along each of its 254 index
-  sets at each base point, 20 coverings on 6 sheets acted on by one
-  48-letter word, and the whole catalog at n = 7, whose 301 words the
-  constructors build again.  A round runs ``NUMBER`` batches of a case; each
-  case records the calls per batch and the median microseconds per call.
+  ``act`` with a 48-letter word, ``curve_monodromy`` and ``interval_type``
+  of curves and intervals carried by that word, ``interval_braid`` at
+  powers 2 and -3, the index-0 and index-1 catalog curves and the public and
+  unchecked ``BraidWord`` constructors.  The inputs are one covering on 6
+  sheets with 7 branch points, cut along each of its 254 index sets at each
+  base point, 20 coverings on 6 sheets acted on by one 48-letter word, at
+  each of its 7 curves and 6 intervals, the 105 index-1 intervals at n = 7,
+  and the whole catalog at n = 7, whose 301 words the constructors build
+  again.  A round runs ``NUMBER`` batches of a case; each case records the
+  calls per batch and the median microseconds per call.
 - classification (``BENCH_classify.json``): ``classify_all`` on the cells
   (d, n) = (3, 5), (4, 4), (4, 5) and (4, 6), from 243 to 46,656
   sequences.  Each cell records the median seconds, the class count and the
@@ -71,15 +74,21 @@ from diskcovers import (  # noqa: E402
     END,
     START,
     BraidWord,
+    CurveRef,
+    IntervalRef,
     MonodromySequence,
     OrbitClass,
     RestrictionSpec,
     act,
     canonical_target,
     canonicalize,
+    curve_monodromy,
     disk_covering,
     index0_curve,
     index1_curve,
+    index1_interval,
+    interval_braid,
+    interval_type,
     is_equivalent,
     liftable_interval_powers,
     restrict,
@@ -207,6 +216,10 @@ def kernel_cases() -> dict:
         ]
 
     letters = [curve.word.letters for curve in catalog()]
+    curves = [CurveRef(j, word) for j in range(1, 8)]
+    intervals = [IntervalRef(i, word) for i in range(1, 7)]
+    # index1_interval is symmetric in its outer indices.
+    carried = [index1_interval(7, *t) for t in triples if t[0] < t[2]]
     return {
         "restrict": (lambda: [restrict(seq, spec) for spec in specs], RESTRICTIONS),
         "restricted_total_monodromy": (
@@ -218,6 +231,22 @@ def kernel_cases() -> dict:
         "act, 48 letters": (
             lambda: [act(c, word) for c in coverings],
             "aa5eaafbf9f022e8b23cce52bcab7329ab7a21e3f14f6a10e4657b2a1ed64f34",
+        ),
+        "curve_monodromy, 48 letters": (
+            lambda: [curve_monodromy(c, curve) for c in coverings for curve in curves],
+            "d40f1f63d0105d55bb9855f0aed4c5fdea6cc63fba9fd06b7cd50772571cee0e",
+        ),
+        "interval_type, 48 letters": (
+            lambda: [interval_type(c, interval) for c in coverings for interval in intervals],
+            "13fd28c738896e5365e523fef1ec94197105ec75626623e48023d4ec9425533b",
+        ),
+        "interval_braid, power 2": (
+            lambda: [interval_braid(i, 2) for i in carried],
+            "9420818040e3e96d6ef01ed21639cdd17cad9a6f0bb65e5d3f6bc381eed8e178",
+        ),
+        "interval_braid, power -3": (
+            lambda: [interval_braid(i, -3) for i in carried],
+            "4a245e5c5ffe9aa8ddcba6730dd29d3eaad3953ee1222d18bba317edd33dd50e",
         ),
         "index0_curve/index1_curve, n=7": (
             catalog,
