@@ -32,6 +32,12 @@ queue and a scan coset merged away.  :class:`CosetTable` keeps the columns
 and the union-find, finished or capped, and builds ``rows`` only when they
 are read.
 
+Known answers are not looked up.  A relator's second half is read only when
+its first half is known, and a scan resumes where that trace stopped, since
+the table has not changed in between.  A scan steps onto the coset it
+defines.  It hands two live cosets to a coincidence, whose first merge so
+needs no find, and the scan coset is found again only when merged away.
+
 Enumeration is deterministic for fixed inputs.  On completion the table is a
 genuine permutation action on the cosets and the coset count is the
 subgroup's index; past the coset cap the enumeration is abandoned as
@@ -182,11 +188,14 @@ def todd_coxeter(
             c = parent[c]
         return c
 
+    def capped() -> Inconclusive:
+        message = f"no conclusion within {max_cosets} cosets"
+        return Inconclusive(message, max_cosets, CosetTable(strands, CAPPED, parent, columns, peak_live))
+
     def define(c: int, forward: list[int], back: list[int]) -> None:
         v = len(parent)
         if v >= max_cosets:
-            message = f"no conclusion within {max_cosets} cosets"
-            raise Inconclusive(message, max_cosets, CosetTable(strands, CAPPED, parent, columns, peak_live))
+            raise capped()
         parent.append(v)
         if v + 1 == len(forward):
             for col in columns:
@@ -209,9 +218,13 @@ def todd_coxeter(
         nonlocal merged, peak_live
         # Only definitions add live cosets, so they peak before a coincidence
         # or at the end, where CosetTable counts them.
-        peak_live = max(peak_live, len(parent) - merged)
-        queue: list[int] = []
-        merge(a, b, queue)
+        if len(parent) - merged > peak_live:
+            peak_live = len(parent) - merged
+        # A scan hands over two distinct live cosets: no find for the first merge.
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        queue = [b]
         for dead in queue:
             for forward, back in pairs:
                 x = forward[dead]
@@ -227,11 +240,11 @@ def todd_coxeter(
                     forward[a], back[x] = x, a
         merged += len(queue)
 
-    def scan_and_fill(c: int, word: tuple[int, ...]) -> None:
-        """Close ``word`` at live coset ``c``: merge where the scans meet,
-        deduce a gap of one, define a coset in a wider gap."""
-        f = b = c
-        i, j = 0, len(word) - 1
+    def scan_and_fill(c: int, word: tuple[int, ...], f: int, i: int) -> None:
+        """Close ``word`` at live coset ``c``, its forward scan resumed at
+        coset ``f`` after ``i`` letters: merge where the scans meet, deduce a
+        gap of one, define a coset in a wider gap."""
+        b, j = c, len(word) - 1
         while True:
             # Forward from c while entries are known ...
             while i <= j:
@@ -251,27 +264,62 @@ def todd_coxeter(
                 if f != b:
                     coincidence(f, b)
                 return
+            forward = column[word[i]]
             if i == j:
-                column[word[i]][f] = b
+                forward[f] = b
                 column[-word[i]][b] = f
                 return
-            define(f, column[word[i]], column[-word[i]])
+            # A wider gap: define a new coset, as define does, and step onto it.
+            v = len(parent)
+            if v >= max_cosets:
+                raise capped()
+            parent.append(v)
+            if v + 1 == len(forward):
+                for col in columns:
+                    col += [-1] * _BLOCK
+            forward[f] = v
+            column[-word[i]][v] = f
+            f = v
+            i += 1
 
     for word in subgroup_words:
-        scan_and_fill(0, word.letters)
+        scan_and_fill(0, word.letters, 0, 0)
 
     scan = 0
     while scan < len(parent):
         if parent[scan] == scan:
             c = scan
             for relator, a, b, braid in checks:
-                # Most relators already close: compare the halves first.
+                # Most relators already close: compare the halves first, the
+                # second only when the first is known.
                 if braid:
-                    x, y = a[b[a[c]]], b[a[b[c]]]
+                    p = a[c]
+                    q = b[p]
+                    x = a[q]
+                    if x >= 0:
+                        if x == b[a[b[c]]]:
+                            continue
+                        f, i = x, 3
+                    elif q >= 0:
+                        f, i = q, 2
+                    elif p >= 0:
+                        f, i = p, 1
+                    else:
+                        f, i = c, 0
                 else:
-                    x, y = b[a[c]], a[b[c]]
-                if x < 0 or x != y:
-                    scan_and_fill(c, relator)
+                    p = a[c]
+                    x = b[p]
+                    if x >= 0:
+                        if x == a[b[c]]:
+                            continue
+                        f, i = x, 2
+                    elif p >= 0:
+                        f, i = p, 1
+                    else:
+                        f, i = c, 0
+                # The scan resumes where the first half's trace stopped.
+                scan_and_fill(c, relator, f, i)
+                if parent[c] != c:
                     c = find(c)
             if c == scan:
                 for forward, back in pairs:

@@ -170,8 +170,10 @@ def index1_curve(branch_points: int, i: int, j: int, k: int) -> CurveRef:
 
 def is_liftable(seq: MonodromySequence, word: BraidWord) -> bool:
     """A braid is liftable exactly when its action fixes every entry."""
-    _require_strands(seq, word)
-    return _act_packed(_tables(seq.degree).conj, seq._packed, word.letters) == seq._packed
+    packed = seq._packed
+    if word.strands != len(packed):
+        _require_strands(seq, word)
+    return _act_packed(_tables(seq.degree).conj, packed, word.letters) == packed
 
 
 def curve_monodromy(seq: MonodromySequence, curve: CurveRef) -> Transposition:

@@ -25,7 +25,10 @@ C(d, 2), which number the sequences in lexicographic order.  The braid
 step on ranks is written once, as ``core._Tables.steps`` (a whole tuple for
 d <= 8, filled on first lookup above), and each reader steps straight off
 it: one lookup per element and generator ``x_i`` gives the images under
-``x_i`` and its inverse.  :class:`OrbitTable` decodes its elements on first
+``x_i`` and its inverse.  A step of ``(0, 0)`` means ``x_i`` fixes the rank,
+so the search looks nothing up and the Schreier reader's loop word needs no
+position; equal steps mean ``x_i`` has order 2 there, so both images are one
+rank and one lookup.  :class:`OrbitTable` decodes its elements on first
 access only, so ``stabilizer_index`` builds none.
 """
 
@@ -89,6 +92,8 @@ class OrbitTable:
         for cursor, rank in enumerate(ranks):  # grows as it is read
             for i, w in columns:  # x_i, then its inverse
                 forward, inverse = steps[rank // w % window]
+                if not forward:  # x_i fixes the rank
+                    continue
                 image = rank + forward * w
                 if image not in position:
                     if len(ranks) >= cap:
@@ -96,6 +101,8 @@ class OrbitTable:
                     position[image] = len(ranks)
                     ranks.append(image)
                     parents.append((cursor, i))
+                if inverse == forward:  # x_i has order 2 here: the same image
+                    continue
                 image = rank + inverse * w
                 if image not in position:
                     if len(ranks) >= cap:
@@ -171,10 +178,14 @@ class OrbitTable:
             word = tree_words[k]
             for i, w in self._columns:
                 forward, inverse = steps[rank // w % window]
-                v = position[rank + forward * w]  # a loop is kept for x_i, not for its inverse
-                if v >= k and parents[v] != (k, i):
+                if not forward:  # a loop, never a tree edge: kept for x_i, not for its inverse
+                    words.append(BraidWord._unchecked(n, word + (i,) + inverses[k]))
+                    continue
+                v = position[rank + forward * w]
+                if v > k and parents[v] != (k, i):
                     words.append(BraidWord._unchecked(n, word + (i,) + inverses[v]))
-                v = position[rank + inverse * w]
+                if inverse != forward:  # order 2: the inverse lands on v too
+                    v = position[rank + inverse * w]
                 if v > k and parents[v] != (k, -i):
                     words.append(BraidWord._unchecked(n, word + (-i,) + inverses[v]))
         return words

@@ -103,6 +103,32 @@ def oracle_layer_sizes(words):
     return tuple(depths[k] for k in range(len(depths)))
 
 
+def fixed_and_order_two_coverings():
+    """Coverings whose orbits hold equal adjacent entries, which ``x_i``
+    fixes, and disjoint ones, on which ``x_i`` has order 2, as well as
+    entries that share a sheet.  Degrees up to 8 read a step table built
+    whole, 9 to 16 one filled on first lookup.  The entries stay on the top
+    four sheets, so the orbits stay small and the ranks' digits large."""
+    rng = random.Random(76)
+    coverings = []
+    for degree in (4, 6, 8, 9, 12, 16):
+        a, b, c, d = range(degree - 3, degree + 1)
+        coverings.append(seq(degree, (a, b), (a, b), (c, d), (b, c), (c, d)))
+        coverings.append(seq(degree, *(rng.sample((a, b, c, d), 2) for _ in range(4))))
+    return coverings
+
+
+def assert_meets_fixed_and_order_two_steps(coverings):
+    """Fixed, order-2 and order-3 steps occur on both forms of the step
+    table."""
+    kinds = set()
+    for s in coverings:
+        for u in hurwitz_orbit(s):
+            for t, v in zip(u.entries, u.entries[1:]):
+                kinds.add((s.degree <= 8, "fixed" if t == v else "order 2" if t.is_disjoint_from(v) else "order 3"))
+    assert kinds == {(whole, kind) for whole in (True, False) for kind in ("fixed", "order 2", "order 3")}
+
+
 def test_orbit_table_matches_a_plain_search_over_act():
     coverings = [
         seq(2, (1, 2), (1, 2), (1, 2)),  # base C(2, 2) = 1: every rank is 0
@@ -118,6 +144,9 @@ def test_orbit_table_matches_a_plain_search_over_act():
         s = seq(degree, *(rng.sample(range(1, degree + 1), 2) for _ in range(length)))
         if s.is_connected():
             coverings.append(s)
+    fixed_and_order_two = fixed_and_order_two_coverings()
+    assert_meets_fixed_and_order_two_steps(fixed_and_order_two)
+    coverings += fixed_and_order_two
     for s in coverings:
         table = hurwitz_orbit(s)
         elements, words = oracle_orbit(s)
@@ -220,6 +249,7 @@ def seeded_coverings(count, seed):
 def test_schreier_words_match_the_reduce_and_dedup_oracle():
     coverings = seeded_coverings(60, seed=71)
     assert sum(not s.is_connected() for s in coverings) >= 10
+    coverings += fixed_and_order_two_coverings()
     for s in coverings:
         words = schreier_generators(s)
         assert [w.letters for w in words] == reduce_and_dedup_schreier(s), s.pairs()

@@ -17,7 +17,9 @@ The layers, each written to its own file at the root of the checkout:
   covering of cycle type (2, 2), index 3,840 and 15,361 words, and
   ``liftable_interval_powers`` of ``disk_covering(5)``, index 1,296 and
   3,889 words.  Each round's index and word count are checked, and each case
-  records them with the median seconds.
+  records them with the median seconds.  One more case runs ``is_liftable``
+  on each of the 15,361 Schreier words of that (4, 6) covering; every round
+  must find all of them liftable.
 - the kernel (``BENCH_kernel.json``): ``restrict``,
   ``restricted_total_monodromy``, ``total_monodromy``, ``core._unpack``,
   ``act`` with a 48-letter word, ``curve_monodromy`` and ``interval_type``
@@ -46,18 +48,32 @@ names the case and exits 1.
 
 The numbers go under the label of the tree the script sits in: its git
 commit, with ``+`` appended when ``src/`` has uncommitted changes.  Entries
-under other labels stay: to set two trees side by side, run the script in
-one checkout, copy its JSON files into the other and run it there.  Compare
-timings only within one machine and one session.
+under other labels stay.  Compare timings only within one machine and one
+session.
 
     python tools/layer_bench.py
+
+Two runs one after the other read the host's drift between them as a
+change.  To set two trees side by side, ``--against PATH`` runs every case
+in fresh processes, alternately on this tree's package and on the one under
+``PATH/src``, ``--alternations`` times each (default 5), this tree first in
+even alternations and ``PATH`` first in odd ones.  Each process runs the
+case as above, answers checked, and reports its median.  The script prints
+and records, per case, each tree's median over its processes and the ratio
+of this tree's median to ``PATH``'s in each alternation, with the median
+ratio.  The records go under the key ``"alternating"`` of each JSON file,
+named by both labels; the ``"trees"`` entries are left as they are.
+
+    python tools/layer_bench.py --against ../parent --alternations 10
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
+import os
 import platform
 import random
 import statistics
@@ -68,7 +84,8 @@ from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+# A process of the alternating mode imports the package it is told to time.
+sys.path.insert(0, os.environ.get("LAYER_BENCH_SRC") or str(ROOT / "src"))
 
 from diskcovers import (  # noqa: E402
     END,
@@ -90,6 +107,7 @@ from diskcovers import (  # noqa: E402
     interval_braid,
     interval_type,
     is_equivalent,
+    is_liftable,
     liftable_interval_powers,
     restrict,
     restricted_total_monodromy,
@@ -117,9 +135,9 @@ NUMBER = 20
 CAP = 20_000
 
 
-def label() -> str:
+def label(root: Path = ROOT) -> str:
     def git(*args: str) -> str:
-        return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True).stdout
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True, check=True).stdout
 
     try:
         return git("rev-parse", "--short", "HEAD").strip() + ("+" if git("status", "--porcelain", "--", "src") else "")
@@ -305,6 +323,7 @@ def orbit_cases() -> dict:
     # The (4, 6) class of cycle type (2, 2) whose Schreier words
     # tests/golden_cli.json pins.
     covering = MonodromySequence.from_pairs(4, [(1, 2), (3, 4), (2, 3), (2, 4), (1, 2), (2, 4)])
+    words = schreier_generators(covering)
     return {
         "stabilizer_index(disk_covering(6))": (partial(stabilizer_index, disk_covering(6)), {"index": 7**5}),
         "schreier_generators, (4, 6) omega=(2, 2)": (
@@ -315,15 +334,21 @@ def orbit_cases() -> dict:
             partial(liftable_interval_powers, disk_covering(5)),
             {"index": 6**4, "words": 3_889},
         ),
+        "is_liftable, (4, 6) omega=(2, 2) Schreier words": (
+            lambda: [is_liftable(covering, word) for word in words],
+            {"words": 15_361, "liftable": 15_361},
+        ),
     }
 
 
 def orbit_answer(answer: int | list) -> dict:
-    """An orbit index, or Schreier words or interval powers with the index
+    """An orbit index; Schreier words or interval powers with the index
     they give: the whole tree gives index * (n - 2) + 1 of either
-    (Nielsen-Schreier)."""
+    (Nielsen-Schreier); or ``is_liftable`` answers, counted."""
     if isinstance(answer, int):
         return {"index": answer}
+    if isinstance(answer[0], bool):
+        return {"words": len(answer), "liftable": sum(answer)}
     return {"index": (len(answer) - 1) // (answer[0].strands - 2), "words": len(answer)}
 
 
@@ -364,30 +389,106 @@ LAYERS = (
 )
 
 
+def run_case(number: int, call, expected, check, record) -> tuple[dict, float]:
+    """A case's record and median seconds over ``ROUNDS`` rounds of
+    ``number`` calls; raises ``ValueError`` naming the wrong answer."""
+    seconds = []
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        for _ in range(number):
+            answer = call()
+        seconds.append(time.perf_counter() - start)
+        if check(answer) != expected:
+            raise ValueError(f"wrong answer {check(answer)}, expected {expected}")
+    median = statistics.median(seconds)
+    return record(answer, median), median
+
+
+def entry_head(number: int) -> dict:
+    entry = {"python": platform.python_version(), "rounds": ROUNDS}
+    if number > 1:
+        entry["number"] = number
+    return entry
+
+
+def update(output: str, key: str, name: str, entry: dict) -> None:
+    """Set ``document[key][name]`` in the JSON file ``output``, keeping the rest."""
+    path = ROOT / output
+    document = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    document.setdefault(key, {})[name] = entry
+    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+
+
+def one_case(output: str, name: str) -> int:
+    """Run one case in this process and print its record and median seconds
+    as JSON."""
+    number, cases, check, record = next(layer[1:] for layer in LAYERS if layer[0] == output)
+    call, expected = cases()[name]
+    try:
+        print(json.dumps(run_case(number, call, expected, check, record)))
+    except ValueError as wrong:
+        print(f"{name}: {wrong}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def alternate(other: Path, alternations: int) -> int:
+    """Every case in fresh processes, alternating this tree and ``other``."""
+    sides = {"tree": ROOT / "src", "against": other.resolve() / "src"}
+    labels = {"tree": label(), "against": label(other.resolve())}
+    for output, number, cases, _, _ in LAYERS:
+        results = {}
+        for name in cases():
+            runs = {side: [] for side in sides}
+            for k in range(alternations):
+                for side in sorted(sides, reverse=k % 2 == 1):  # "tree" first in even alternations
+                    env = {**os.environ, "LAYER_BENCH_SRC": str(sides[side])}
+                    argv = [sys.executable, str(Path(__file__).resolve()), "--case", output, name]
+                    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+                    if done.returncode:
+                        print(f"{labels[side]}: {done.stderr.strip()}", file=sys.stderr)
+                        return 1
+                    runs[side].append(json.loads(done.stdout))
+            # Ratios of unrounded seconds: a record rounds a fast case's to 0.
+            ratios = [t / a for (_, t), (_, a) in zip(runs["tree"], runs["against"])]
+            timing = next(key for key in runs["tree"][0][0] if key.startswith("median"))
+            results[name] = {
+                side: {**runs[side][-1][0], timing: round(statistics.median(r[timing] for r, _ in runs[side]), 4)}
+                for side in sides
+            }
+            results[name]["ratios"] = [round(r, 3) for r in ratios]
+            results[name]["median_ratio"] = round(statistics.median(ratios), 3)
+            print(name, json.dumps(results[name]))
+        entry = {**entry_head(number), "alternations": alternations, **labels, "cases": results}
+        update(output, "alternating", f"{labels['tree']} vs {labels['against']}", entry)
+    return 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Time the package's layers on fixed cases, every answer checked.")
+    parser.add_argument("--against", type=Path, metavar="PATH", help="a second checkout, alternated with this one")
+    parser.add_argument("--alternations", type=int, default=5, metavar="K", help="processes per tree and case")
+    parser.add_argument("--case", nargs=2, metavar=("OUTPUT", "NAME"), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.alternations < 1:
+        parser.error("--alternations must be at least 1")
+    if args.against and not (args.against / "src" / "diskcovers" / "__init__.py").is_file():
+        parser.error(f"no diskcovers package under {args.against / 'src'}")
+    if args.case:
+        return one_case(*args.case)
+    if args.against:
+        return alternate(args.against, args.alternations)
     tree = label()
     for output, number, cases, check, record in LAYERS:
         results = {}
         for name, (call, expected) in cases().items():
-            seconds = []
-            for _ in range(ROUNDS):
-                start = time.perf_counter()
-                for _ in range(number):
-                    answer = call()
-                seconds.append(time.perf_counter() - start)
-                if check(answer) != expected:
-                    print(f"{name}: wrong answer {check(answer)}, expected {expected}", file=sys.stderr)
-                    return 1
-            results[name] = record(answer, statistics.median(seconds))
+            try:
+                results[name] = run_case(number, call, expected, check, record)[0]
+            except ValueError as wrong:
+                print(f"{name}: {wrong}", file=sys.stderr)
+                return 1
             print(name, json.dumps(results[name]))
-        entry = {"python": platform.python_version(), "rounds": ROUNDS}
-        if number > 1:
-            entry["number"] = number
-        entry["cases"] = results
-        path = ROOT / output
-        document = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-        document.setdefault("trees", {})[tree] = entry
-        path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+        update(output, "trees", tree, {**entry_head(number), "cases": results})
     return 0
 
 
