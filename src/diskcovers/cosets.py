@@ -60,11 +60,15 @@ independent index computations: a subgroup of liftable braids has index
 equal to the orbit size of the monodromy sequence, so liftable words
 generate the whole liftable group exactly when the coset count matches the
 orbit count.  A word that does not lift fails before either search runs.
+The certifier makes the words twice, once for each check, and never holds
+them all: :func:`todd_coxeter` closes each word at coset 0 as it comes.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
+from collections.abc import Iterable
 from functools import cached_property
 
 from .core import CapExceeded, _Record, disk_covering
@@ -151,18 +155,18 @@ class CosetTable:
 
 def todd_coxeter(
     strands: int,
-    subgroup_words: list[BraidWord],
+    subgroup_words: Iterable[BraidWord],
     max_cosets: int | None = None,
 ) -> tuple[int, CosetTable]:
     """Index and coset table of the subgroup the given words generate.
 
-    Raises :class:`Inconclusive` when more than ``max_cosets`` cosets get
-    defined before the table closes (default: ``orbit.DEFAULT_CAP``).
+    The words are read once, each closed at coset 0 as it comes, so any
+    iterable serves.  Raises ``ValueError`` at a word on other than
+    ``strands`` strands, and :class:`Inconclusive` when more than
+    ``max_cosets`` cosets get defined before the table closes (default:
+    ``orbit.DEFAULT_CAP``).
     """
     max_cosets = _resolve_cap(max_cosets)
-    for word in subgroup_words:
-        if word.strands != strands:
-            raise ValueError("subgroup word strand count mismatch")
     relators = braid_presentation(strands).relators
     letters = BraidWord.generator_letters(strands)
     parent = [0]
@@ -283,6 +287,8 @@ def todd_coxeter(
             i += 1
 
     for word in subgroup_words:
+        if word.strands != strands:
+            raise ValueError("subgroup word strand count mismatch")
         scan_and_fill(0, word.letters, 0, 0)
 
     scan = 0
@@ -331,25 +337,29 @@ def todd_coxeter(
     return result.index, result
 
 
-def _certify(seq, words: list[BraidWord], max_cosets: int | None, orbit_index=None) -> tuple[bool, int, int]:
-    """Whether ``words`` generate the liftable braid group of ``seq``, as
-    ``(all_liftable, tc_index, orbit_index)``: they do exactly when every word
-    lifts and the two indices agree.
+def _certify(seq, words, max_cosets: int | None, orbit_index=None) -> tuple[int, bool, int, int]:
+    """Whether the words that the zero-argument callable ``words`` makes
+    generate the liftable braid group of ``seq``, as ``(count, all_liftable,
+    tc_index, orbit_index)``: they do exactly when every word lifts and the
+    two indices agree.
 
     Every word must fix ``seq`` (containment), and the coset count of the
     subgroup they generate must equal the orbit size (equality of indices).
+    The words are made twice and never held together: the first pass counts
+    them and checks that they lift, the second feeds :func:`todd_coxeter`.
     A word that does not lift fails fast: ``_certify`` returns
-    ``(False, -1, -1)`` and runs neither search.  Otherwise the enumeration runs first, under
-    ``max_cosets`` as in :func:`todd_coxeter`: liftable words give a coset
-    index at least the orbit size, so an orbit past the cap stops the
-    enumeration first.  The orbit search then runs under the same cap, and
-    raises :class:`~diskcovers.core.CapExceeded` past it, unless the caller
-    passes the ``orbit_index`` it already has.
+    ``(count, False, -1, -1)`` and runs neither search.  Otherwise the
+    enumeration runs first, under ``max_cosets`` as in :func:`todd_coxeter`:
+    liftable words give a coset index at least the orbit size, so an orbit
+    past the cap stops the enumeration first.  The orbit search then runs
+    under the same cap, and raises :class:`~diskcovers.core.CapExceeded` past
+    it, unless the caller passes the ``orbit_index`` it already has.
     """
-    if not all(is_liftable(seq, word) for word in words):
-        return False, -1, -1
-    tc_index = todd_coxeter(seq.length, words, max_cosets=max_cosets)[0]
-    return True, tc_index, orbit_index or stabilizer_index(seq, max_cosets)
+    lifts = Counter(is_liftable(seq, word) for word in words())
+    if lifts[False]:
+        return lifts.total(), False, -1, -1
+    tc_index = todd_coxeter(seq.length, words(), max_cosets=max_cosets)[0]
+    return lifts.total(), True, tc_index, orbit_index or stabilizer_index(seq, max_cosets)
 
 
 class IntervalGenerationReport(_Record):
@@ -375,17 +385,19 @@ def interval_powers_index(
 
     One orbit search gives both the conjugators and the orbit index; it runs
     first, under ``max_cosets``, and raises
-    :class:`~diskcovers.core.CapExceeded` past it.  With the whole tree,
-    ``generates`` holds on every connected class with ``d <= 5`` and
-    ``n <= 6``; the tests check all 26.
+    :class:`~diskcovers.core.CapExceeded` past it.  The table makes the words
+    off its spanning tree for each pass of the certifier, and no list of them
+    is kept.  With the whole tree, ``generates`` holds on every connected
+    class with ``d <= 5`` and ``n <= 6``; the tests check all 26.
     """
     table = hurwitz_orbit(seq, max_cosets)
-    generators = table.interval_powers(max_word_length)
-    all_liftable, tc_index, orbit_index = _certify(seq, generators, max_cosets, len(table))
+    count, all_liftable, tc_index, orbit_index = _certify(
+        seq, lambda: table._interval_powers(max_word_length), max_cosets, len(table)
+    )
     return IntervalGenerationReport(
         orbit_index=orbit_index,
         tc_index=tc_index,
-        generator_count=len(generators),
+        generator_count=count,
         generates=all_liftable and tc_index == orbit_index,
     )
 
@@ -407,10 +419,10 @@ def verify_theorem_c(branch_points: int, max_cosets: int | None = None) -> Theor
     n = branch_points
     seq = disk_covering(n)
     generators = theorem_c_generators(n)
-    all_liftable, tc_index, orbit_index = _certify(seq, generators, max_cosets)
+    count, all_liftable, tc_index, orbit_index = _certify(seq, lambda: generators, max_cosets)
     return TheoremCReport(
         branch_points=n,
-        generator_count=len(generators),
+        generator_count=count,
         all_liftable=all_liftable,
         orbit_index=orbit_index,
         tc_index=tc_index,

@@ -15,10 +15,11 @@ braids.  The half-twist braid of the interval ``(base, word)`` is
 
 The liftable half-twist powers of an arbitrary covering take their transport
 words from the spanning tree of :class:`~diskcovers.orbit.OrbitTable`: one
-conjugator per orbit element, and after deduplication as many words as the
-Nielsen-Schreier rank (see :func:`liftable_interval_powers`).  The table
-builds them itself, beside its Schreier words, and reads each power off the
-action (:meth:`~diskcovers.orbit.OrbitTable.interval_powers`).
+conjugator per orbit element, each word emitted once, at the top element of
+its ``x_i``-group, and as many words as the Nielsen-Schreier rank (see
+:func:`liftable_interval_powers`).  The table builds them itself, beside its
+Schreier words, and reads each power off the action
+(:meth:`~diskcovers.orbit.OrbitTable.interval_powers`).
 
 The query kernels run on the packed form of :mod:`diskcovers.core`.
 ``curve_monodromy`` and ``interval_type`` act on the packed tuple and read
@@ -324,7 +325,7 @@ def count_regular_bases(seq: MonodromySequence, word: BraidWord) -> int:
 
 def liftable_interval_powers(seq: MonodromySequence, max_word_length: int | None = None) -> list[BraidWord]:
     """The least liftable power of every interval transported along the orbit
-    spanning tree, deduplicated by the resulting braid word.
+    spanning tree, each resulting braid word once.
 
     For each orbit element k, with tree word ``t_k``, and each position i the
     word is ``t_k x_i^m t_k^-1``, freely reduced, where m (1, 2 or 3) is the
@@ -344,9 +345,13 @@ def liftable_interval_powers(seq: MonodromySequence, max_word_length: int | None
     conjugator ``t'``, so pairs (k, i) give one word exactly when tree edges
     of letter ``x_i`` or ``x_i^-1`` join them.  Each of the ``index - 1`` tree
     edges joins two of the ``index * (n - 1)`` pairs, closing no cycle, and no
-    word is empty.  A bound L on the word length keeps the subtree of the
-    ``N_L`` elements within distance L, which gives ``N_L * (n - 2) + 1``
-    words the same way.
+    word is empty.  In each such ``x_i``-group only the top element, the one
+    nearest the root, has a tree word that does not end in ``x_i^+-1``: its
+    word ``t_k x_i^m t_k^-1`` is already reduced, and it comes first in the
+    breadth-first order.  So the word is emitted there, once, and nowhere
+    else in its group.  A bound L on the word length keeps the subtree of the
+    ``N_L`` elements within distance L, which holds the top of every group it
+    meets and gives ``N_L * (n - 2) + 1`` words the same way.
 
     >>> from diskcovers.core import disk_covering
     >>> len(liftable_interval_powers(disk_covering(3)))  # index 16: 16 * 1 + 1

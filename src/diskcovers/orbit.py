@@ -10,7 +10,7 @@ two readers, both its methods: :meth:`OrbitTable.schreier_words` reads a
 free basis of the stabilizer off the edges outside the tree, with no
 reduction and no deduplication, and :meth:`OrbitTable.interval_powers`
 conjugates the liftable half-twist powers, read off the action, by the tree
-words.
+words, each word once.
 
 ``classify_all`` is the brute-force classification oracle: it partitions all
 sequences of a given size into classes under the action together with
@@ -191,26 +191,30 @@ class OrbitTable:
         return words
 
     def interval_powers(self, max_word_length: int | None = None) -> list[BraidWord]:
-        """The words of :func:`~diskcovers.lift.liftable_interval_powers`.
+        """The words of :func:`~diskcovers.lift.liftable_interval_powers`, as
+        a list."""
+        return list(self._interval_powers(max_word_length))
+
+    def _interval_powers(self, max_word_length: int | None = None):
+        """Yield each word of :meth:`interval_powers` once, in order.
+
         The power of ``x_i`` at k is its cycle length: 1 if ``x_i`` fixes k, 2
-        if ``x_i`` and its inverse agree on k, else 3.  The reduced word is
-        ``t_k`` stripped of its trailing ``x_i^+-1`` letters, then ``x_i^m``,
-        then the inverse of what is left."""
+        if ``x_i`` and its inverse agree on k, else 3.  Pairs (k, i) give one
+        word exactly when tree edges of letter ``x_i^+-1`` join them, so the
+        word is yielded at the top of that group only, where ``t_k`` does not
+        end in ``x_i^+-1`` and ``t_k x_i^m t_k^-1`` is reduced.  Breadth-first,
+        the top comes first in its group."""
         n, steps, window = self.root.length, self._steps, self._window
-        out: dict[tuple[int, ...], BraidWord] = {}
-        for rank, word, inverse in zip(self._ranks, *self._tree_words()):
+        # t_k ends in the letter of k's tree edge; the root's (0, 0) matches no i.
+        for rank, (_, last), word, inverse in zip(self._ranks, self._parents, *self._tree_words()):
             if max_word_length is not None and len(word) > max_word_length:
-                break  # breadth-first: no later word is shorter
+                return  # breadth-first: no later word is shorter
             for i, w in self._columns:
+                if abs(last) == i:  # below the top of its x_i-group
+                    continue
                 forward, backward = steps[rank // w % window]
                 m = 1 if not forward else 2 if forward == backward else 3
-                kept = len(word)
-                while kept and abs(word[kept - 1]) == i:
-                    kept -= 1
-                letters = word[:kept] + (i,) * m + inverse[len(word) - kept:]
-                if letters not in out:
-                    out[letters] = BraidWord._unchecked(n, letters)
-        return list(out.values())
+                yield BraidWord._unchecked(n, word + (i,) * m + inverse)
 
 
 def hurwitz_orbit(seq: MonodromySequence, cap: int | None = None) -> OrbitTable:

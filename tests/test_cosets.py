@@ -323,6 +323,26 @@ def test_peak_live_counts_cosets_live_at_once():
         assert table.defined == table.index == table.peak_live
 
 
+def test_todd_coxeter_reads_any_iterable_once():
+    # A generator of the words gives the table a list of them gives.
+    cases = [(5, theorem_c_generators(5), 10_000), *random_subgroups(12)]
+    cases += [(s.length, schreier_generators(s), 200_000) for s in schreier_cases()]
+    for strands, words, cap in cases:
+        listed = finished_or_capped(strands, words, cap)
+        streamed = finished_or_capped(strands, (w for w in words), cap)
+        got = (streamed.status, streamed.index, streamed.defined, streamed.peak_live, streamed.rows)
+        assert got == (listed.status, listed.index, listed.defined, listed.peak_live, listed.rows), strands
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+@pytest.mark.parametrize("strands", [3, 5])
+def test_todd_coxeter_rejects_a_word_on_other_strands_anywhere(position, strands):
+    words = theorem_c_generators(4)  # six words on four strands
+    words.insert(position, word(strands, 1))
+    with pytest.raises(ValueError, match="^subgroup word strand count mismatch$"):
+        todd_coxeter(4, (w for w in words))
+
+
 def test_generator_set_indexes():
     index, _ = todd_coxeter(3, theorem_c_generators(3))
     assert index == 16
@@ -371,16 +391,21 @@ def test_verify_theorem_c_fails_fast_on_a_word_that_does_not_lift(monkeypatch):
 
 
 def test_interval_powers_fail_fast_on_a_word_that_does_not_lift(monkeypatch):
-    powers = orbit.OrbitTable.interval_powers
+    # The certifier reads the words off the table's generator, never the list.
+    powers = orbit.OrbitTable._interval_powers
+    listed = []
     monkeypatch.setattr(
         orbit.OrbitTable,
-        "interval_powers",
-        lambda table, *args: [*powers(table, *args), BraidWord(table.root.length, (1,))],
+        "_interval_powers",
+        lambda table, *args: iter([*powers(table, *args), BraidWord(table.root.length, (1,))]),
     )
+    monkeypatch.setattr(orbit.OrbitTable, "interval_powers", lambda table, *args: listed.append(args))
     searches, enumerations = count_searches(monkeypatch)
     report = interval_powers_index(disk_covering(4))
     assert not report.generates and report.orbit_index == report.tc_index == -1, report
+    assert report.generator_count == 125 * 2 + 1 + 1, report  # every word counted, the appended one too
     assert len(searches) == 1 and enumerations == []  # the one search gives the words
+    assert listed == []
 
 
 @pytest.mark.slow
@@ -392,6 +417,20 @@ def test_verify_theorem_c_at_seven_branch_points_peaks_under_100_mb(peak_rss_mb)
         "assert report.orbit_index == report.tc_index == 262_144\n"
     )
     assert peak_mb < 100, peak_mb
+
+
+@pytest.mark.slow
+def test_interval_powers_of_a_five_seven_class_peak_under_200_mb(peak_rss_mb):
+    # 504,001 words, 13.0 M letters: the bound holds only while the certifier
+    # keeps no list of them.
+    peak_mb = peak_rss_mb(
+        "from diskcovers.core import canonical_target\n"
+        "from diskcovers.cosets import interval_powers_index\n"
+        "report = interval_powers_index(canonical_target(5, 7, (2,)))\n"
+        "assert report.orbit_index == report.tc_index == 100_800, report\n"
+        "assert report.generator_count == 504_001 and report.generates, report\n"
+    )
+    assert peak_mb < 200, peak_mb
 
 
 def test_verify_theorem_c_inconclusive_cap():
