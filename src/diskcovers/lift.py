@@ -25,13 +25,15 @@ The query kernels run on the packed form of :mod:`diskcovers.core`.
 ``curve_monodromy`` and ``interval_type`` act on the packed tuple and read
 only the one or two entries they need, the former returning the interned
 transposition; ``interval_braid`` freely reduces the word, the twist and the
-inverse word in one pass and builds one unchecked word.  Per call, best of
-four runs of ``tools/layer_bench.py``'s cases (CPython 3.11, 2 shared
-vCPUs): ``curve_monodromy`` under a 48-letter word went from 6.0 to 4.5 us,
-``interval_type`` from 6.1 to 4.4 us, ``interval_braid`` of an index-1
-interval from 4.4 to 2.1 us and a catalog curve from 13.6 to 9.7 us.
-With the restriction kernels (:mod:`diskcovers.restrict`) they took
-``perfbench`` ``queries`` from 0.511 to 0.459 s per pass (normalized).
+inverse word in one pass and builds one unchecked word.  The catalog and the
+transports build their records unchecked once their input is known to be in
+range.  Per call, the median over 10 alternating processes per tree of
+``tools/layer_bench.py --against`` (CPython 3.11, 2 shared vCPUs, on a host
+whose speed drifted by up to 1.5x between processes): ``curve_monodromy``
+under a 48-letter word 5.6 us and ``interval_type`` 7.7 us, unchanged;
+``interval_braid`` of an index-1 interval, at power -3, from 4.3 to 3.1 us;
+a catalog curve from 14.3 to 11.4 us, since its records are no longer
+checked again.
 """
 
 from __future__ import annotations
@@ -69,12 +71,14 @@ class IntervalRef(_Record):
             raise ValueError(f"interval base {self.base} out of range for {self.word.strands} branch points")
 
 
+# The product keeps the strand count that the base was checked against, and
+# checks the braid's, so a transport builds its result unchecked.
 def transport_curve(curve: CurveRef, braid: BraidWord) -> CurveRef:
-    return CurveRef(curve.base, braid * curve.word)
+    return CurveRef._unchecked(curve.base, braid * curve.word)
 
 
 def transport_interval(interval: IntervalRef, braid: BraidWord) -> IntervalRef:
-    return IntervalRef(interval.base, braid * interval.word)
+    return IntervalRef._unchecked(interval.base, braid * interval.word)
 
 
 def interval_braid(interval: IntervalRef, power: int = 1) -> BraidWord:
@@ -89,13 +93,20 @@ def interval_braid(interval: IntervalRef, power: int = 1) -> BraidWord:
 
 # --- the standard catalog -------------------------------------------------
 
+# The catalog builds its records unchecked when its indices are in range, and
+# through the public constructors otherwise, which raise what they always did.
+
 def standard_curve(branch_points: int, j: int) -> CurveRef:
     """The fundamental-system curve ``alpha_j``."""
+    if 1 <= j <= branch_points:
+        return CurveRef._unchecked(j, BraidWord._unchecked(branch_points, ()))
     return CurveRef(j, BraidWord.identity(branch_points))
 
 
 def standard_interval(branch_points: int, i: int) -> IntervalRef:
     """The adjacent interval ``x_i`` between branch points ``i`` and ``i+1``."""
+    if 1 <= i < branch_points:
+        return IntervalRef._unchecked(i, BraidWord._unchecked(branch_points, ()))
     return IntervalRef(i, BraidWord.identity(branch_points))
 
 
@@ -105,7 +116,10 @@ def _carried_interval(branch_points: int, i: int, j: int, power: int) -> Interva
     ``x_{i+1}^power``, then ``x_{i+2}^power`` and so on, each prepended, so
     its word is ``x_{j-1}^power ... x_{i+1}^power``."""
     i, j = min(i, j), max(i, j)
-    return IntervalRef(i, BraidWord(branch_points, tuple(range(power * (j - 1), power * i, -power))))
+    letters = tuple(range(power * (j - 1), power * i, -power))
+    if 1 <= i < branch_points and j <= branch_points:  # the base and every letter in range
+        return IntervalRef._unchecked(i, BraidWord._unchecked(branch_points, letters))
+    return IntervalRef(i, BraidWord(branch_points, letters))
 
 
 def twisted_interval(branch_points: int, i: int, j: int) -> IntervalRef:

@@ -71,18 +71,18 @@ def restrict(seq: MonodromySequence, spec: RestrictionSpec) -> MonodromySequence
     if spec.indices[-1] > length:
         spec.validate_for(seq)  # raises
     tables = _tables(degree)
-    pairs, index_of = tables.pairs, tables.index_of
+    pairs0, index_of = tables.pairs0, tables.index_of
     removed = bytearray(length)
     for i in spec.indices:
         removed[i - 1] = 1
-    # Walk away from the base point.  image[s] is sheet s under the removed
-    # entries passed so far, the nearest applied first: passing one more, r,
-    # composes it in front, which swaps the images of r's two sheets.
-    image = list(range(degree + 1))
+    # Walk away from the base point.  image[s - 1] is sheet s under the
+    # removed entries passed so far, the nearest applied first: passing one
+    # more, r, composes it in front, which swaps the images of r's two sheets.
+    image = list(tables.identity)
     start = spec.base == START
     kept: list[int] = []
     for j in range(length) if start else range(length - 1, -1, -1):
-        a, b = pairs[packed[j]]
+        a, b = pairs0[packed[j]]
         if removed[j]:
             image[a], image[b] = image[b], image[a]
         else:

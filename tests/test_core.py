@@ -248,20 +248,22 @@ def test_dense_tables_match_the_closed_form_and_the_lazy_tables():
     for degree in range(1, 18):
         tables = _Tables(degree)
         assert isinstance(tables.conj, tuple) == (degree <= 16)
-        pairs, interned, conj, index_of = tables._lazy()
+        pairs, pairs0, interned, conj, index_of = tables._lazy()
         closed = list(itertools.combinations(range(1, degree + 1), 2))
+        assert tables.identity == tuple(range(1, degree + 1))
         for t, (a, b) in enumerate(closed):
             assert tables.pairs[t] == pairs[t] == (a, b)
+            assert tables.pairs0[t] == pairs0[t] == (a - 1, b - 1)
             assert tables.index_of[a][b] == tables.index_of[b][a] == index_of[a][b] == index_of[b][a] == t
             assert tables.interned[t] == interned[t] == Transposition(a, b)
             for u, (c, e) in enumerate(closed):
                 image = Transposition(a, b).image_under(Transposition(c, e))
                 assert tables.conj[t][u] == conj[t][u] == tables.index(image.a, image.b)
         if degree <= 16:
-            assert len(tables.conj) == len(tables.pairs) == len(closed)
+            assert len(tables.conj) == len(tables.pairs) == len(tables.pairs0) == len(closed)
             assert all(len(row) == len(closed) for row in tables.conj)
         else:
-            assert isinstance(tables.conj, _Lazy)
+            assert isinstance(tables.conj, _Lazy) and isinstance(tables.pairs0, _Lazy)
 
 
 # --- the classification kernel against references written here ---------------

@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +165,44 @@ def test_carried_intervals_reject_indices_out_of_range(build):
                 build(n, i, j)
             with pytest.raises(ValueError):
                 reference_carried_interval(n, i, j, 1)
+
+
+#: Each catalog builder, the branch point counts and the values of each index
+#: it is called with: out of range, zero, negative and degenerate.
+ERROR_GRID = (
+    (standard_curve, 1, (-1, 0, 1, 3), (-1, 0, 1, 3, 4)),
+    (standard_interval, 1, (-1, 0, 1, 3), (-1, 0, 1, 3, 4)),
+    (twisted_interval, 2, (-1, 0, 3), (-1, 0, 1, 3, 4)),
+    (index0_interval, 2, (-1, 0, 3), (-1, 0, 1, 3, 4)),
+    (index0_curve, 2, (-1, 0, 3), (-1, 0, 1, 3, 4)),
+    (index1_interval, 3, (0, 3), (-1, 0, 2, 4)),
+    (index1_curve, 3, (0, 3), (-1, 0, 2, 4)),
+)
+
+
+def grid_outcomes():
+    """Each outcome of the ``ERROR_GRID`` calls, the exception's type and
+    message or the result's ``repr``, with the calls that give it."""
+    out = {}
+    for build, arity, counts, values in ERROR_GRID:
+        for n in counts:
+            for indices in itertools.product(values, repeat=arity):
+                try:
+                    outcome = repr(build(n, *indices))
+                except ValueError as error:
+                    outcome = f"{type(error).__name__}: {error}"
+                out.setdefault(outcome, []).append(f"{build.__name__}{(n, *indices)}")
+    return out
+
+
+def test_catalog_errors_are_unchanged():
+    """``golden_lift_errors.json`` holds ``grid_outcomes()`` as the catalog
+    gave it when each of its records was still built by the validating
+    constructor: 521 calls, 506 of which raise."""
+    golden = json.loads((Path(__file__).parent / "golden_lift_errors.json").read_text(encoding="utf-8"))
+    assert sum(map(len, golden.values())) == 521
+    assert "index0_curve(3, 1, 4)" in golden["ValueError: letter -3 is not a generator index on 3 strands"]
+    assert grid_outcomes() == golden
 
 
 def test_reference_monodromy_examples():

@@ -140,6 +140,27 @@ def test_unchecked_constructor_equals_the_public_one(cls, values, text):
         setattr(unchecked, stored[0], values[0])
 
 
+@pytest.mark.parametrize("cls, values, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_each_slot_is_set_from_its_own_argument_and_then_frozen(cls, values, text):
+    # The constructors store each field through the class's own slot
+    # descriptor: a distinct object per slot must land in that slot, and stay.
+    stored = tuple(cls.__annotations__)
+    tokens = [object() for _ in stored]
+    built = [cls._unchecked(*tokens)]
+    if not hasattr(cls, "__post_init__"):  # the public constructor takes any value
+        built.append(cls(*tokens))
+    for record in built + [cls(*values), cls._unchecked(*(getattr(cls(*values), name) for name in stored))]:
+        before = [getattr(record, name) for name in stored]
+        for name in stored:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert all(getattr(record, name) is value for name, value in zip(stored, before))
+    for record in built:
+        assert all(getattr(record, name) is token for name, token in zip(stored, tokens))
+
+
 @pytest.mark.parametrize("cls", REJECTED, ids=[cls.__name__ for cls in REJECTED])
 def test_unchecked_constructor_skips_the_checks(cls):
     values = REJECTED[cls]

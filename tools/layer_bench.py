@@ -41,10 +41,11 @@ The layers, each written to its own file at the root of the checkout:
   ``is_equivalent`` of the covering and that target; it records the median
   seconds, the coverings and the moves of all their certificates.
 
-Each case runs ``ROUNDS`` rounds.  For the kernel and classification cases,
-the SHA-256 of the ``repr`` of every round's answer is checked against the
-digest captured when the case was written.  On a wrong answer the script
-names the case and exits 1.
+Each case runs ``ROUNDS`` rounds, and records its median seconds to 4
+significant digits, so that a sub-millisecond case can show a change.  For
+the kernel and classification cases, the SHA-256 of the ``repr`` of every
+round's answer is checked against the digest captured when the case was
+written.  On a wrong answer the script names the case and exits 1.
 
 The numbers go under the label of the tree the script sits in: its git
 commit, with ``+`` appended when ``src/`` has uncommitted changes.  Entries
@@ -58,11 +59,18 @@ change.  To set two trees side by side, ``--against PATH`` runs every case
 in fresh processes, alternately on this tree's package and on the one under
 ``PATH/src``, ``--alternations`` times each (default 5), this tree first in
 even alternations and ``PATH`` first in odd ones.  Each process runs the
-case as above, answers checked, and reports its median.  The script prints
-and records, per case, each tree's median over its processes and the ratio
-of this tree's median to ``PATH``'s in each alternation, with the median
-ratio.  The records go under the key ``"alternating"`` of each JSON file,
-named by both labels; the ``"trees"`` entries are left as they are.
+case as above, answers checked, but goes on past ``ROUNDS`` rounds until its
+rounds add up to at least ``MIN_TIMED_S``, 0.3 s, and reports its median: a
+kernel case, whose round takes 3 to 25 ms, then runs 12 to 100 rounds in
+each process rather than 9.  More rounds do not take out the drift of a
+shared host between processes: over 10 alternations, cases whose code had
+not changed still read up to 5-10% away from a ratio of 1.  The script
+prints and records, per case, each tree's median over its processes, the
+fewest rounds one of its processes ran, and the ratio of this tree's median
+to ``PATH``'s in each alternation, with the median ratio.  The records go
+under the key ``"alternating"`` of each JSON file, named by both labels,
+with ``MIN_TIMED_S`` as ``"min_timed_s"``; the ``"trees"`` entries are left
+as they are.
 
     python tools/layer_bench.py --against ../parent --alternations 10
 """
@@ -131,6 +139,9 @@ from diskcovers.cosets import (  # noqa: E402
 from diskcovers.orbit import classify_all  # noqa: E402
 
 ROUNDS = 9
+#: A process of the alternating mode runs more rounds than ``ROUNDS`` until
+#: they add up to this many seconds.
+MIN_TIMED_S = 0.3
 NUMBER = 20
 CAP = 20_000
 
@@ -143,6 +154,12 @@ def label(root: Path = ROOT) -> str:
         return git("rev-parse", "--short", "HEAD").strip() + ("+" if git("status", "--porcelain", "--", "src") else "")
     except (OSError, subprocess.CalledProcessError):
         return "unversioned"
+
+
+def significant(seconds: float) -> float:
+    """A median rounded to 4 significant digits, so that a sub-millisecond
+    case keeps as many as a long one."""
+    return float(f"{seconds:.4g}")
 
 
 def digest(answer: object) -> str:
@@ -166,9 +183,9 @@ def coset_answer(answer: CosetTable | TheoremCReport | IntervalGenerationReport)
 
 def coset_record(answer: CosetTable | TheoremCReport | IntervalGenerationReport, median: float) -> dict:
     if not isinstance(answer, CosetTable):
-        return {"median_s": round(median, 4), **{name: getattr(answer, name) for name in answer.__match_args__}}
+        return {"median_s": significant(median), **{name: getattr(answer, name) for name in answer.__match_args__}}
     return {
-        "median_s": round(median, 4),
+        "median_s": significant(median),
         "defined": answer.defined,
         "index": answer.index,
         "peak_live": answer.peak_live,
@@ -314,8 +331,8 @@ def classify_record(answer: list, median: float) -> dict:
     """A ``classify_all`` cell's classes and sequences, or the stream's
     coverings and certificate moves."""
     if isinstance(answer[0], OrbitClass):
-        return {"median_s": round(median, 4), "classes": len(answer), "sequences": sum(c.count for c in answer)}
-    return {"median_s": round(median, 4), "coverings": len(answer), "moves": sum(len(r.moves) for r, _, _ in answer)}
+        return {"median_s": significant(median), "classes": len(answer), "sequences": sum(c.count for c in answer)}
+    return {"median_s": significant(median), "coverings": len(answer), "moves": sum(len(r.moves) for r, _, _ in answer)}
 
 
 def orbit_cases() -> dict:
@@ -367,7 +384,7 @@ LAYERS = (
         1,
         orbit_cases,
         orbit_answer,
-        lambda answer, median: {"median_s": round(median, 4), **orbit_answer(answer)},
+        lambda answer, median: {"median_s": significant(median), **orbit_answer(answer)},
     ),
     (
         "BENCH_kernel.json",
@@ -389,11 +406,12 @@ LAYERS = (
 )
 
 
-def run_case(number: int, call, expected, check, record) -> tuple[dict, float]:
-    """A case's record and median seconds over ``ROUNDS`` rounds of
-    ``number`` calls; raises ``ValueError`` naming the wrong answer."""
-    seconds = []
-    for _ in range(ROUNDS):
+def run_case(number: int, call, expected, check, record, min_seconds: float = 0.0) -> tuple[dict, float, int]:
+    """A case's record, median seconds and rounds, over at least ``ROUNDS``
+    rounds of ``number`` calls and as many more as it takes for the rounds to
+    add up to ``min_seconds``; raises ``ValueError`` naming the wrong answer."""
+    seconds: list[float] = []
+    while len(seconds) < ROUNDS or sum(seconds) < min_seconds:
         start = time.perf_counter()
         for _ in range(number):
             answer = call()
@@ -401,7 +419,7 @@ def run_case(number: int, call, expected, check, record) -> tuple[dict, float]:
         if check(answer) != expected:
             raise ValueError(f"wrong answer {check(answer)}, expected {expected}")
     median = statistics.median(seconds)
-    return record(answer, median), median
+    return record(answer, median), median, len(seconds)
 
 
 def entry_head(number: int) -> dict:
@@ -420,12 +438,12 @@ def update(output: str, key: str, name: str, entry: dict) -> None:
 
 
 def one_case(output: str, name: str) -> int:
-    """Run one case in this process and print its record and median seconds
-    as JSON."""
+    """Run one case in this process, for at least ``MIN_TIMED_S``, and print
+    its record, median seconds and rounds as JSON."""
     number, cases, check, record = next(layer[1:] for layer in LAYERS if layer[0] == output)
     call, expected = cases()[name]
     try:
-        print(json.dumps(run_case(number, call, expected, check, record)))
+        print(json.dumps(run_case(number, call, expected, check, record, MIN_TIMED_S)))
     except ValueError as wrong:
         print(f"{name}: {wrong}", file=sys.stderr)
         return 1
@@ -449,17 +467,22 @@ def alternate(other: Path, alternations: int) -> int:
                         print(f"{labels[side]}: {done.stderr.strip()}", file=sys.stderr)
                         return 1
                     runs[side].append(json.loads(done.stdout))
-            # Ratios of unrounded seconds: a record rounds a fast case's to 0.
-            ratios = [t / a for (_, t), (_, a) in zip(runs["tree"], runs["against"])]
+            # Ratios of unrounded seconds, which a record rounds.
+            ratios = [t / a for (_, t, _), (_, a, _) in zip(runs["tree"], runs["against"])]
             timing = next(key for key in runs["tree"][0][0] if key.startswith("median"))
             results[name] = {
-                side: {**runs[side][-1][0], timing: round(statistics.median(r[timing] for r, _ in runs[side]), 4)}
+                side: {
+                    **runs[side][-1][0],
+                    timing: significant(statistics.median(r[timing] for r, _, _ in runs[side])),
+                    "min_rounds": min(rounds for _, _, rounds in runs[side]),
+                }
                 for side in sides
             }
             results[name]["ratios"] = [round(r, 3) for r in ratios]
             results[name]["median_ratio"] = round(statistics.median(ratios), 3)
             print(name, json.dumps(results[name]))
-        entry = {**entry_head(number), "alternations": alternations, **labels, "cases": results}
+        entry = {**entry_head(number), "min_timed_s": MIN_TIMED_S, "alternations": alternations, **labels}
+        entry["cases"] = results
         update(output, "alternating", f"{labels['tree']} vs {labels['against']}", entry)
     return 0
 
