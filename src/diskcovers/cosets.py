@@ -26,17 +26,18 @@ a trace that meets an unknown entry reads unknown to its end.  A coincidence
 merges the larger coset into the smaller and queues it; each entry of a
 queued coset's row then moves to its live coset's row, or queues the merge
 of two entries, and the entry that named it back is cleared.  So no live row
-names a dead coset once a coincidence is processed, and a scan steps from
-entry to entry with no union-find lookup; the union-find serves only the
-queue and a scan coset merged away.  :class:`CosetTable` keeps the columns
-and the union-find, finished or capped, and builds ``rows`` only when they
-are read.
+names a dead coset, and a scan steps from entry to entry with no union-find
+lookup.  The coincidence walks the union-find in place, with no call per
+find or merge.  :class:`CosetTable` keeps the columns and the union-find,
+finished or capped, and builds ``rows`` only when they are read.
 
-Known answers are not looked up.  A relator's second half is read only when
-its first half is known, and a scan resumes where that trace stopped, since
-the table has not changed in between.  A scan steps onto the coset it
-defines.  It hands two live cosets to a coincidence, whose first merge so
-needs no find, and the scan coset is found again only when merged away.
+The relator scan runs inline, with no call per scan: each relator holds its
+forward and inverse columns letter by letter, so a step reads
+``forward[i][f]``.  A subgroup word, scanned once, keeps a scan of its own.
+Known answers are not looked up: a relator's second half is read only when
+its first half is known, a scan resumes where that trace stopped, and it
+steps onto the coset it defines.  It hands two live cosets to a
+coincidence, whose first merge so needs no find.
 
 Enumeration is deterministic for fixed inputs.  On completion the table is a
 genuine permutation action on the cosets and the coset count is the
@@ -167,7 +168,6 @@ def todd_coxeter(
     ``orbit.DEFAULT_CAP``).
     """
     max_cosets = _resolve_cap(max_cosets)
-    relators = braid_presentation(strands).relators
     letters = BraidWord.generator_letters(strands)
     parent = [0]
     # columns[d][c] is the coset column d sends coset c to, -1 if unknown;
@@ -179,24 +179,23 @@ def todd_coxeter(
     columns = [[-1] * _BLOCK for _ in letters]
     column = [None, *columns[::2], *reversed(columns[1::2])]
     pairs = [(column[e], column[-e]) for e in letters]
-    # A relator u v closes at c when c u = c v^-1, and both halves read
-    # forward columns only: x_i x_j against x_j x_i for a commutator
-    # (j > i + 1), x_i x_j x_i against x_j x_i x_j for a braid relator
-    # (j = i + 1).  a and b are the columns of x_i and x_j.
-    checks = [(relator, column[relator[0]], column[relator[1]], len(relator) == 6) for relator in relators]
+    # Each relator's forward and inverse columns, letter by letter: a scan
+    # step reads forward[i][f] where a word's reads column[word[i]][f].  A
+    # relator u v closes at c when c u = c v^-1, and both halves read forward
+    # columns only: x_i x_j against x_j x_i for a commutator (j > i + 1),
+    # x_i x_j x_i against x_j x_i x_j for a braid relator (j = i + 1).  a and
+    # b are the columns of x_i and x_j.
+    checks = []
+    for relator in braid_presentation(strands).relators:
+        forward = [column[e] for e in relator]
+        checks.append((forward, [column[-e] for e in relator], forward[0], forward[1], len(relator) == 6))
     merged = peak_live = 0
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
 
     def capped() -> Inconclusive:
         message = f"no conclusion within {max_cosets} cosets"
         return Inconclusive(message, max_cosets, CosetTable(strands, CAPPED, parent, columns, peak_live))
 
-    def define(c: int, forward: list[int], back: list[int]) -> None:
+    def define(c: int, forward: list[int], back: list[int]) -> int:
         v = len(parent)
         if v >= max_cosets:
             raise capped()
@@ -206,19 +205,13 @@ def todd_coxeter(
                 col += [-1] * _BLOCK
         forward[c] = v
         back[v] = c
-
-    def merge(a: int, b: int, queue: list[int]) -> None:
-        a, b = find(a), find(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            queue.append(b)
+        return v
 
     def coincidence(a: int, b: int) -> None:
-        """Merge cosets a and b, and every pair that follows (Holt's
+        """Merge live cosets a and b, and every pair that follows (Holt's
         COINCIDENCE): each entry of a dead coset's row moves to its live
-        coset's row or queues a merge, and the entry back to it is cleared."""
+        coset's row or queues a merge, and the entry back to it is cleared.
+        The union-find is walked in place, halving each path it climbs."""
         nonlocal merged, peak_live
         # Only definitions add live cosets, so they peak before a coincidence
         # or at the end, where CosetTable counts them.
@@ -235,29 +228,46 @@ def todd_coxeter(
                 if x < 0:
                     continue
                 back[x] = -1
-                a, x = find(dead), find(x)
-                if forward[a] >= 0:
-                    merge(forward[a], x, queue)
-                elif back[x] >= 0:
-                    merge(a, back[x], queue)
-                else:
-                    forward[a], back[x] = x, a
+                a = dead
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                # a's entry must coincide with x, or x's entry back with a;
+                # if neither is known, the entry moves to a's row.
+                y = forward[a]
+                if y < 0:
+                    y = back[x]
+                    if y < 0:
+                        forward[a], back[x] = x, a
+                        continue
+                    x = a
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    if x > y:
+                        x, y = y, x
+                    parent[y] = x
+                    queue.append(y)
         merged += len(queue)
 
-    def scan_and_fill(c: int, word: tuple[int, ...], f: int, i: int) -> None:
-        """Close ``word`` at live coset ``c``, its forward scan resumed at
-        coset ``f`` after ``i`` letters: merge where the scans meet, deduce a
-        gap of one, define a coset in a wider gap."""
-        b, j = c, len(word) - 1
+    def close_word(word: tuple[int, ...]) -> None:
+        """Close a subgroup word at coset 0, as the relator scan below closes
+        a relator, but looking each letter's column up.  A word is closed
+        once, so columns resolved for it ahead would cost what they save:
+        with two column lists built per word, the 15,361 Schreier words of a
+        (4, 6) covering took about twice as long to enumerate, and words
+        chained into the relator scan by an iterator made a whole
+        ``certify`` pass of the benchmark about 5% slower."""
+        f = b = i = 0
+        j = len(word) - 1
         while True:
-            # Forward from c while entries are known ...
             while i <= j:
                 x = column[word[i]][f]
                 if x < 0:
                     break
                 f = x
                 i += 1
-            # ... then backward from c, through the inverse columns.
             while j >= i:
                 x = column[-word[j]][b]
                 if x < 0:
@@ -268,34 +278,23 @@ def todd_coxeter(
                 if f != b:
                     coincidence(f, b)
                 return
-            forward = column[word[i]]
             if i == j:
-                forward[f] = b
+                column[word[i]][f] = b
                 column[-word[i]][b] = f
                 return
-            # A wider gap: define a new coset, as define does, and step onto it.
-            v = len(parent)
-            if v >= max_cosets:
-                raise capped()
-            parent.append(v)
-            if v + 1 == len(forward):
-                for col in columns:
-                    col += [-1] * _BLOCK
-            forward[f] = v
-            column[-word[i]][v] = f
-            f = v
+            f = define(f, column[word[i]], column[-word[i]])
             i += 1
 
     for word in subgroup_words:
         if word.strands != strands:
             raise ValueError("subgroup word strand count mismatch")
-        scan_and_fill(0, word.letters, 0, 0)
+        close_word(word.letters)
 
     scan = 0
     while scan < len(parent):
         if parent[scan] == scan:
             c = scan
-            for relator, a, b, braid in checks:
+            for forward, back, a, b, braid in checks:
                 # Most relators already close: compare the halves first, the
                 # second only when the first is known.
                 if braid:
@@ -323,10 +322,47 @@ def todd_coxeter(
                         f, i = p, 1
                     else:
                         f, i = c, 0
-                # The scan resumes where the first half's trace stopped.
-                scan_and_fill(c, relator, f, i)
-                if parent[c] != c:
-                    c = find(c)
+                # Scan the relator at c, forward from where the first half's
+                # trace stopped, then backward from c: merge where the scans
+                # meet, deduce a gap of one, define a coset in a wider gap.
+                d, j = c, len(forward) - 1
+                while True:
+                    while i <= j:
+                        x = forward[i][f]
+                        if x < 0:
+                            break
+                        f = x
+                        i += 1
+                    while j >= i:
+                        x = back[j][d]
+                        if x < 0:
+                            break
+                        d = x
+                        j -= 1
+                    if j < i:
+                        if f != d:
+                            coincidence(f, d)
+                            while parent[c] != c:
+                                parent[c] = c = parent[parent[c]]
+                        break
+                    if i == j:
+                        forward[i][f] = d
+                        back[i][d] = f
+                        break
+                    # A wider gap: define a new coset, as define does, and
+                    # step onto it.
+                    v = len(parent)
+                    if v >= max_cosets:
+                        raise capped()
+                    parent.append(v)
+                    x = forward[i]
+                    if v + 1 == len(x):
+                        for col in columns:
+                            col += [-1] * _BLOCK
+                    x[f] = v
+                    back[i][v] = f
+                    f = v
+                    i += 1
             if c == scan:
                 for forward, back in pairs:
                     if forward[scan] < 0:
@@ -385,14 +421,16 @@ def interval_powers_index(
 
     One orbit search gives both the conjugators and the orbit index; it runs
     first, under ``max_cosets``, and raises
-    :class:`~diskcovers.core.CapExceeded` past it.  The table makes the words
-    off its spanning tree for each pass of the certifier, and no list of them
-    is kept.  With the whole tree, ``generates`` holds on every connected
-    class with ``d <= 5`` and ``n <= 6``; the tests check all 26.
+    :class:`~diskcovers.core.CapExceeded` past it.  The table's tree words
+    are built once; the words are made off them for each pass of the
+    certifier, and no list of them is kept.  With the whole tree,
+    ``generates`` holds on every connected class with ``d <= 5`` and
+    ``n <= 6``; the tests check all 26.
     """
     table = hurwitz_orbit(seq, max_cosets)
+    tree_words = table._tree_words()
     count, all_liftable, tc_index, orbit_index = _certify(
-        seq, lambda: table._interval_powers(max_word_length), max_cosets, len(table)
+        seq, lambda: table._interval_powers(max_word_length, tree_words), max_cosets, len(table)
     )
     return IntervalGenerationReport(
         orbit_index=orbit_index,

@@ -193,10 +193,12 @@ class OrbitTable:
     def interval_powers(self, max_word_length: int | None = None) -> list[BraidWord]:
         """The words of :func:`~diskcovers.lift.liftable_interval_powers`, as
         a list."""
-        return list(self._interval_powers(max_word_length))
+        return list(self._interval_powers(max_word_length, self._tree_words()))
 
-    def _interval_powers(self, max_word_length: int | None = None):
-        """Yield each word of :meth:`interval_powers` once, in order.
+    def _interval_powers(self, max_word_length: int | None, tree_words: tuple[list, list]):
+        """Yield each word of :meth:`interval_powers` once, in order, off the
+        caller's :meth:`_tree_words`, which a caller reading the words more
+        than once builds once.
 
         The power of ``x_i`` at k is its cycle length: 1 if ``x_i`` fixes k, 2
         if ``x_i`` and its inverse agree on k, else 3.  Pairs (k, i) give one
@@ -206,7 +208,7 @@ class OrbitTable:
         the top comes first in its group."""
         n, steps, window = self.root.length, self._steps, self._window
         # t_k ends in the letter of k's tree edge; the root's (0, 0) matches no i.
-        for rank, (_, last), word, inverse in zip(self._ranks, self._parents, *self._tree_words()):
+        for rank, (_, last), word, inverse in zip(self._ranks, self._parents, *tree_words):
             if max_word_length is not None and len(word) > max_word_length:
                 return  # breadth-first: no later word is shorter
             for i, w in self._columns:

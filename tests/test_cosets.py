@@ -298,6 +298,12 @@ def test_enumerator_matches_the_reference():
     midway = [(5, theorem_c_generators(5), cap) for cap in (1_000, 2_400)]
     midway += [(6, theorem_c_generators(6), cap) for cap in (5_000, 20_000)]
     cases += midway
+    # Stopped while the subgroup words are closed: the Schreier words of the
+    # (4, 6) class that tools/layer_bench.py pins reach a cap of 100 at the
+    # 150th of their 15,361 words and one of 2,000 at the 5,526th.
+    four_six = schreier_generators(MonodromySequence.from_pairs(4, [(1, 2), (3, 4), (2, 3), (2, 4), (1, 2), (2, 4)]))
+    in_words = [(6, four_six, cap) for cap in (100, 2_000)]
+    cases += in_words
     cases += [(s.length, schreier_generators(s), 200_000) for s in schreier_cases()]
     cases += random_subgroups(240)
     statuses = set()
@@ -309,6 +315,11 @@ def test_enumerator_matches_the_reference():
         statuses.add(table.status)
         if (strands, words, cap) in midway:
             assert table.status == "capped" and table.index < table.defined, (strands, cap)
+    for strands, words, cap in in_words:
+        unread = iter(words)
+        table = finished_or_capped(strands, unread, cap)
+        assert table.status == "capped" and table.defined == cap, cap
+        assert next(unread, None) is not None, cap  # some words were never read
     assert statuses == {"complete", "capped"}
 
 
@@ -410,11 +421,22 @@ def test_interval_powers_fail_fast_on_a_word_that_does_not_lift(monkeypatch):
 
 @pytest.mark.slow
 def test_verify_theorem_c_at_seven_branch_points_peaks_under_100_mb(peak_rss_mb):
+    # The certifier's enumeration is pinned too, as test_generator_set_indexes
+    # pins it up to n = 6: index, cosets defined and peak live cosets.  Only
+    # the counts are kept, so the table is freed before the orbit search.
     peak_mb = peak_rss_mb(
-        "from diskcovers.cosets import verify_theorem_c\n"
-        "report = verify_theorem_c(7)\n"
+        "from diskcovers import cosets\n"
+        "counts = []\n"
+        "enumerate_cosets = cosets.todd_coxeter\n"
+        "def counted(*args, **kw):\n"
+        "    index, table = enumerate_cosets(*args, **kw)\n"
+        "    counts.append((index, table.defined, table.peak_live))\n"
+        "    return index, table\n"
+        "cosets.todd_coxeter = counted\n"
+        "report = cosets.verify_theorem_c(7)\n"
         "assert report.all_liftable and report.passed\n"
         "assert report.orbit_index == report.tc_index == 262_144\n"
+        "assert counts == [(262_144, 530_706, 263_243)], counts\n"
     )
     assert peak_mb < 100, peak_mb
 
@@ -472,13 +494,17 @@ def test_interval_powers_certify_every_class(monkeypatch, degree, length):
     # The whole tree's words generate the liftable group of every class, and
     # number exactly the Nielsen-Schreier rank (see liftable_interval_powers).
     searches, _ = count_searches(monkeypatch)
+    tree_words, trees = orbit.OrbitTable._tree_words, []
+    monkeypatch.setattr(orbit.OrbitTable, "_tree_words", lambda table: trees.append(table) or tree_words(table))
     classes = [c for c in classify_all(degree, length) if c.connected]
     assert len(classes) == CONNECTED_CLASSES[degree, length]
     for c in classes:
         s = c.representative
         searches.clear()
+        trees.clear()
         report = interval_powers_index(s)
         assert len(searches) == 1, c  # one orbit search gives words and index
+        assert len(trees) == 1, c  # and one build of its tree words serves both passes
         assert report.generates and report.tc_index == report.orbit_index, (c, report)
         words = liftable_interval_powers(s)
         assert len(words) == report.generator_count == report.orbit_index * (length - 2) + 1, c

@@ -4,8 +4,10 @@ The layers, each written to its own file at the root of the checkout:
 
 - coset enumeration (``BENCH_todd_coxeter.json``): ``todd_coxeter`` on the
   theorem C generators at n = 5 and 6, on the Schreier words of
-  ``disk_covering(5)`` and on the trivial subgroup on 4 strands, which stops
-  at a cap of 20,000 cosets.  Each run's status and index are checked, or
+  ``disk_covering(5)`` and of the (4, 6) covering of cycle type (2, 2) below,
+  and on the trivial subgroup on 4 strands, which stops at a cap of 20,000
+  cosets.  Each run's status, index and ``defined`` are checked (the
+  Schreier words define no coset twice: ``defined`` equals the index), or
   for the capped case that it defined exactly the cap.  Each case records
   the median seconds, ``defined``, ``index`` and ``peak_live``.  Two more
   cases run the certifier whole: ``verify_theorem_c(5)``, both indices
@@ -144,6 +146,9 @@ ROUNDS = 9
 MIN_TIMED_S = 0.3
 NUMBER = 20
 CAP = 20_000
+#: The (4, 6) class of cycle type (2, 2) whose Schreier words
+#: tests/golden_cli.json pins: 15,361 words, index 3,840.
+FOUR_SIX = MonodromySequence.from_pairs(4, [(1, 2), (3, 4), (2, 3), (2, 4), (1, 2), (2, 4)])
 
 
 def label(root: Path = ROOT) -> str:
@@ -174,11 +179,13 @@ def enumerate_cosets(strands: int, words: list, cap: int | None) -> CosetTable:
 
 
 def coset_answer(answer: CosetTable | TheoremCReport | IntervalGenerationReport) -> object:
-    # A finished table is checked by its index, a capped one by its count of
-    # cosets defined, and a certifier's report whole.
+    # A finished table is checked by its index and its count of cosets
+    # defined, a capped one by that count, and a certifier's report whole.
     if not isinstance(answer, CosetTable):
         return answer
-    return answer.status, answer.index if answer.status == COMPLETE else answer.defined
+    if answer.status == COMPLETE:
+        return answer.status, answer.index, answer.defined
+    return answer.status, answer.defined
 
 
 def coset_record(answer: CosetTable | TheoremCReport | IntervalGenerationReport, median: float) -> dict:
@@ -195,12 +202,17 @@ def coset_record(answer: CosetTable | TheoremCReport | IntervalGenerationReport,
 def coset_cases() -> dict:
     """Name: (call, expected ``coset_answer``)."""
     schreier = schreier_generators(disk_covering(5))
+    four_six = schreier_generators(FOUR_SIX)
     return {
-        "theorem_c n=5": (partial(enumerate_cosets, 5, theorem_c_generators(5), None), (COMPLETE, 6**4)),
-        "theorem_c n=6": (partial(enumerate_cosets, 6, theorem_c_generators(6), None), (COMPLETE, 7**5)),
+        "theorem_c n=5": (partial(enumerate_cosets, 5, theorem_c_generators(5), None), (COMPLETE, 6**4, 2_499)),
+        "theorem_c n=6": (partial(enumerate_cosets, 6, theorem_c_generators(6), None), (COMPLETE, 7**5, 32_599)),
         f"schreier disk_covering(5), {len(schreier)} words": (
             partial(enumerate_cosets, 5, schreier, 200_000),
-            (COMPLETE, stabilizer_index(disk_covering(5))),
+            (COMPLETE, 6**4, 6**4),
+        ),
+        f"schreier (4, 6) omega=(2, 2), {len(four_six)} words": (
+            partial(enumerate_cosets, 6, four_six, 200_000),
+            (COMPLETE, 3_840, 3_840),
         ),
         f"trivial subgroup n=4, cap {CAP}": (partial(enumerate_cosets, 4, [], CAP), (CAPPED, CAP)),
         "verify_theorem_c(5)": (
@@ -337,14 +349,11 @@ def classify_record(answer: list, median: float) -> dict:
 
 def orbit_cases() -> dict:
     """Name: (call, expected ``orbit_answer``)."""
-    # The (4, 6) class of cycle type (2, 2) whose Schreier words
-    # tests/golden_cli.json pins.
-    covering = MonodromySequence.from_pairs(4, [(1, 2), (3, 4), (2, 3), (2, 4), (1, 2), (2, 4)])
-    words = schreier_generators(covering)
+    words = schreier_generators(FOUR_SIX)
     return {
         "stabilizer_index(disk_covering(6))": (partial(stabilizer_index, disk_covering(6)), {"index": 7**5}),
         "schreier_generators, (4, 6) omega=(2, 2)": (
-            partial(schreier_generators, covering),
+            partial(schreier_generators, FOUR_SIX),
             {"index": 3_840, "words": 15_361},
         ),
         "liftable_interval_powers(disk_covering(5))": (
@@ -352,7 +361,7 @@ def orbit_cases() -> dict:
             {"index": 6**4, "words": 3_889},
         ),
         "is_liftable, (4, 6) omega=(2, 2) Schreier words": (
-            lambda: [is_liftable(covering, word) for word in words],
+            lambda: [is_liftable(FOUR_SIX, word) for word in words],
             {"words": 15_361, "liftable": 15_361},
         ),
     }
