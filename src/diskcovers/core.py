@@ -560,6 +560,24 @@ def canonical_target(degree: int, length: int, omega: CycleType | Iterable[int])
     return _unpack(degree, tuple([index_of[a][b] for a, b in pairs]))
 
 
+def _target_relabel(omega: Permutation) -> tuple[CycleType, Permutation]:
+    """The cycle type of ``omega`` and the relabel that
+    :func:`conjugating_permutation` builds from it to the product of its
+    canonical target, read off the target's layout: part c on the sheets
+    s+1..s+c is the cycle (s+1, s+c, s+c-1, ..., s+2), the blocks come
+    longest first, then the fixed sheets, and pairs of equal entries
+    multiply to 1.  That is the order the cycles are sorted into there."""
+    cycles = sorted(omega.cycles(include_fixed=True), key=lambda c: (-len(c), c[0]))
+    images = [0] * omega.degree
+    s = 0
+    for cycle in cycles:
+        for sheet, image in zip(cycle, (s + 1, *range(s + len(cycle), s + 1, -1))):
+            images[sheet - 1] = image
+        s += len(cycle)
+    parts = tuple([len(c) for c in cycles if len(c) > 1])
+    return CycleType._unchecked(parts, omega.degree), Permutation._unchecked(tuple(images))
+
+
 def conjugating_permutation(source: Permutation, target: Permutation) -> Permutation:
     """A permutation ``r`` with ``r.inverse() * source * r == target``.
 
@@ -619,7 +637,7 @@ class _Tables:
 
     ``steps``, the braid step on the ranks of :mod:`diskcovers.orbit`, has
     the same two forms, but is built on first read: ``steps[t * size + u]``,
-    with ``size`` the number C(d, 2) of pairs, is what ``_act_packed``'s rule
+    with ``size`` the number C(d, 2) of pairs, is what ``hurwitz._act``'s rule
     adds, for ``x_i`` and its inverse, in units of position i's weight, when
     the digits at 0-based positions i - 1, i are t, u.  It is built whole
     only up to 2^10 windows, that is d <= 8 (C(8, 2)^2 = 784): one orbit

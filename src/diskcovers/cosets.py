@@ -312,16 +312,19 @@ def todd_coxeter(
                     else:
                         f, i = c, 0
                 else:
+                    # A commutator of x_i and x_j comes after the braid
+                    # relator of x_i and x_(i+1), which also starts with x_i.
+                    # Every way out of that check or scan leaves c's x_i entry
+                    # known, a coincidence moving it to c's live coset, so
+                    # p >= 0 here.
                     p = a[c]
                     x = b[p]
                     if x >= 0:
                         if x == a[b[c]]:
                             continue
                         f, i = x, 2
-                    elif p >= 0:
-                        f, i = p, 1
                     else:
-                        f, i = c, 0
+                        f, i = p, 1
                 # Scan the relator at c, forward from where the first half's
                 # trace stopped, then backward from c: merge where the scans
                 # meet, deduce a gap of one, define a coset in a wider gap.

@@ -12,18 +12,20 @@ replayable certificate (sheet renumbering plus a move word) taking any
 connected sequence to its canonical form.
 
 The action runs on packed sequences: tuples of positions in the
-lexicographic pair list of :mod:`diskcovers.core`.  One kernel,
-``_act_packed``, turns the packed pair ``t, u`` into ``u, conj[t][u]`` for
-``x_i`` and into ``conj[u][t], t`` for its inverse; :mod:`diskcovers.orbit`
-applies the same rule to ranks, packed tuples read as integers.  The public
-functions check their input, read the packed tuple the sequence carries and
-build one result on the way out with the unchecked constructor.
+lexicographic pair list of :mod:`diskcovers.core`.  One kernel, ``_act``,
+turns the packed pair ``t, u`` into ``u, conj[t][u]`` for ``x_i`` and into
+``conj[u][t], t`` for its inverse, in place on a list its caller supplies;
+:mod:`diskcovers.orbit` applies the same rule to ranks, packed tuples read
+as integers.  The public functions check their input once, read the packed
+tuple the sequence carries and build one result on the way out with the
+unchecked constructor.
 
-Canonicalization searches no orbit.  After the sheet renumbering the
-sequence has the entry product of its canonical target
-``(1 2)^q_2 (2 3)^q_3 ... (d-1 d)^q_d``, and ``_peel`` reduces it by the
-constructive proof of the classification (Clebsch; Hurwitz; Berstein-Edmonds).
-For each top sheet k of the unfinished prefix, from d down to 2, it
+Canonicalization searches no orbit.  The sheet renumbering is read off the
+canonical target's layout (``core._target_relabel``).  After it the sequence
+has the entry product of its target ``(1 2)^q_2 (2 3)^q_3 ... (d-1 d)^q_d``,
+and ``_peel`` reduces it, on one list, by the constructive proof of the
+classification (Clebsch; Hurwitz; Berstein-Edmonds).  For each top sheet k
+of the unfinished prefix, from d down to 2, it
 
 - gathers the entries holding k at the end of the prefix by ``x_i``, each
   conjugated by the entries it passes, which hold no k;
@@ -34,10 +36,9 @@ For each top sheet k of the unfinished prefix, from d down to 2, it
   path from a to k - 1.
 
 Each block j then holds at least ``q_j`` entries, of the same parity, and the
-surplus pairs climb one block at a time.  The letters, applied by
-``_act_packed`` and freely reduced as they are emitted, are the
-certificate's moves; time and memory are polynomial in the degree and the
-length.
+surplus pairs climb one block at a time.  The letters, applied by ``_act``
+and freely reduced as they are emitted, are the certificate's moves; time
+and memory are polynomial in the degree and the length.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from .core import (
     _Record,
     _renumbered,
     _tables,
+    _target_relabel,
     _unpack,
     canonical_target,
-    conjugating_permutation,
     total_monodromy,
 )
 
@@ -122,9 +123,9 @@ def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-def _act_packed(conj, packed: tuple[int, ...], letters) -> tuple[int, ...]:
-    """The braid action on a packed sequence, letters left to right."""
-    entries = list(packed)
+def _act(conj, entries: list[int], letters) -> None:
+    """The braid action, letters left to right, in place on the packed
+    entries of a list that the caller supplies."""
     for e in letters:
         if e > 0:
             t, u = entries[e - 1], entries[e]
@@ -132,7 +133,6 @@ def _act_packed(conj, packed: tuple[int, ...], letters) -> tuple[int, ...]:
         else:
             t, u = entries[-e - 1], entries[-e]
             entries[-e - 1], entries[-e] = conj[u][t], t
-    return tuple(entries)
 
 
 def _require_strands(seq: MonodromySequence, word: BraidWord) -> None:
@@ -146,7 +146,9 @@ def act(seq: MonodromySequence, word: BraidWord) -> MonodromySequence:
     The product of the entries is preserved; only the sequence changes.
     """
     _require_strands(seq, word)
-    return _unpack(seq.degree, _act_packed(_tables(seq.degree).conj, seq._packed, word.letters))
+    entries = list(seq._packed)
+    _act(_tables(seq.degree).conj, entries, word.letters)
+    return _unpack(seq.degree, tuple(entries))
 
 
 def elementary_move(seq: MonodromySequence, position: int, direction: str = FORWARD) -> MonodromySequence:
@@ -161,15 +163,16 @@ def elementary_move(seq: MonodromySequence, position: int, direction: str = FORW
 
 
 def apply_moves(seq: MonodromySequence, moves: MoveWord) -> MonodromySequence:
-    """Apply elementary moves in order, all checked before the first."""
+    """Apply elementary moves in order, each checked once, all before the first."""
+    length = seq.length
     letters = []
     for position, direction in moves:
         if direction not in (FORWARD, INVERSE):
             raise ValueError(f"unknown move direction {direction!r}")
-        if not 1 <= position <= seq.length - 1:
-            raise ValueError(f"move position {position} out of range for {seq.length} entries")
+        if not 1 <= position <= length - 1:
+            raise ValueError(f"move position {position} out of range for {length} entries")
         letters.append(-position if direction == FORWARD else position)
-    return act(seq, BraidWord(seq.length, tuple(letters)))
+    return act(seq, BraidWord._unchecked(length, tuple(letters)))
 
 
 class CanonicalizationResult(_Record):
@@ -217,17 +220,16 @@ def _conjugator_path(conj, prefix: tuple[int, ...], source: int, target: int) ->
 def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list[int]:
     """Braid letters taking a connected packed sequence to the packed
     canonical target with the same entry product, by the peel of the module
-    docstring.  A pair of equal entries crosses a neighbour in two letters,
-    the neighbour unchanged and the pair either unchanged or conjugated by
-    it."""
+    docstring, on one list that each letter changes in place.  A pair of
+    equal entries crosses a neighbour in two letters, the neighbour unchanged
+    and the pair either unchanged or conjugated by it."""
     tables = _tables(degree)
     conj, pairs = tables.conj, tables.pairs
-    entries = packed
+    entries = list(packed)
     letters: list[int] = []
 
     def x(*word: int) -> None:
-        nonlocal entries
-        entries = _act_packed(conj, entries, word)
+        _act(conj, entries, word)
         for e in word:
             if letters and letters[-1] == -e:
                 letters.pop()
@@ -305,7 +307,7 @@ def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list
             found[j] -= 2
             found[j + 1] += 2
             end -= 2
-    assert entries == target, "the peel must end at the canonical target"
+    assert tuple(entries) == target, "the peel must end at the canonical target"
     return letters
 
 
@@ -313,7 +315,9 @@ def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
     """Certificate taking a connected sequence to its canonical form.
 
     The sheets are renumbered so that the entry product becomes the product
-    of the canonical target, ``(1 2)^q_2 ... (d-1 d)^q_d``; the move word then
+    of the canonical target, ``(1 2)^q_2 ... (d-1 d)^q_d``, by the relabel
+    :func:`~diskcovers.core.conjugating_permutation` builds from the two
+    products, read off the target's layout; the move word then
     peels the top sheet off the sequence, sheet by sheet, and moves surplus
     pairs up, as the module docstring describes.  It is built in time and
     memory polynomial in the degree and length, without searching the orbit.
@@ -321,10 +325,9 @@ def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
     """
     if not seq.is_connected():
         raise DisconnectedCoveringError("canonicalization is only defined for connected coverings")
-    monodromy = total_monodromy(seq)
-    target = canonical_target(seq.degree, seq.length, monodromy.cycle_type())
-    relabel = conjugating_permutation(monodromy, total_monodromy(target))
+    omega, relabel = _target_relabel(total_monodromy(seq))
+    target = canonical_target(seq.degree, seq.length, omega)
     letters = _peel(seq.degree, _renumbered(seq.degree, seq._packed, relabel.images), target._packed)
     # The forward move is the inverse generator.
-    moves = tuple((abs(e), INVERSE if e > 0 else FORWARD) for e in letters)
-    return CanonicalizationResult(relabel=relabel, moves=moves, canonical=target)
+    moves = tuple([(abs(e), INVERSE if e > 0 else FORWARD) for e in letters])
+    return CanonicalizationResult._unchecked(relabel, moves, target)

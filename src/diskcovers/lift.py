@@ -22,10 +22,12 @@ Schreier words, and reads each power off the action
 (:meth:`~diskcovers.orbit.OrbitTable.interval_powers`).
 
 The query kernels run on the packed form of :mod:`diskcovers.core`.
-``curve_monodromy`` and ``interval_type`` act on the packed tuple and read
-only the one or two entries they need, the former returning the interned
-transposition; ``interval_braid`` freely reduces the word, the twist and the
-inverse word in one pass and builds one unchecked word.  The catalog and the
+``is_liftable``, ``curve_monodromy`` and ``interval_type`` copy the packed
+tuple into one list, which the action kernel ``hurwitz._act`` changes in
+place; the latter two read only the one or two entries they need, and
+``curve_monodromy`` returns the interned transposition.  ``interval_braid``
+freely reduces the word, the twist and the inverse word in one pass and
+builds one unchecked word.  The catalog and the
 transports build their records unchecked once their input is known to be in
 range.  Per call, the median over 10 alternating processes per tree of
 ``tools/layer_bench.py --against`` (CPython 3.11, 2 shared vCPUs, on a host
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from .core import MonodromySequence, Transposition, _Record, _tables, is_disk
 from .restrict import END, START, RestrictionSpec, restriction_signature
-from .hurwitz import BraidWord, _act_packed, _free_reduce, _require_strands, act
+from .hurwitz import BraidWord, _act, _free_reduce, _require_strands, act
 
 
 class CurveRef(_Record):
@@ -188,7 +190,9 @@ def is_liftable(seq: MonodromySequence, word: BraidWord) -> bool:
     packed = seq._packed
     if word.strands != len(packed):
         _require_strands(seq, word)
-    return _act_packed(_tables(seq.degree).conj, packed, word.letters) == packed
+    entries = list(packed)
+    _act(_tables(seq.degree).conj, entries, word.letters)
+    return tuple(entries) == packed
 
 
 def curve_monodromy(seq: MonodromySequence, curve: CurveRef) -> Transposition:
@@ -196,7 +200,9 @@ def curve_monodromy(seq: MonodromySequence, curve: CurveRef) -> Transposition:
     after acting by its word."""
     _require_strands(seq, curve.word)
     tables = _tables(seq.degree)
-    return tables.interned[_act_packed(tables.conj, seq._packed, curve.word.letters)[curve.base - 1]]
+    entries = list(seq._packed)
+    _act(tables.conj, entries, curve.word.letters)
+    return tables.interned[entries[curve.base - 1]]
 
 
 def interval_type(seq: MonodromySequence, interval: IntervalRef) -> int:
@@ -208,8 +214,9 @@ def interval_type(seq: MonodromySequence, interval: IntervalRef) -> int:
     """
     _require_strands(seq, interval.word)
     conj = _tables(seq.degree).conj
-    transported = _act_packed(conj, seq._packed, interval.word.letters)
-    t, u = transported[interval.base - 1], transported[interval.base]
+    entries = list(seq._packed)
+    _act(conj, entries, interval.word.letters)
+    t, u = entries[interval.base - 1], entries[interval.base]
     if t == u:
         return 1
     # Two distinct transpositions commute exactly when they are disjoint.
@@ -260,11 +267,12 @@ def is_regular_curve(seq: MonodromySequence, curve: CurveRef) -> bool:
     """Whether cutting a disk covering along the curve leaves the next-smaller
     disk covering plus one trivial sheet.
 
-    Concretely: the restriction along the curve has exactly two components,
-    one a single sheet with no branch points and the other a disk covering on
-    the remaining sheets.  A single sheet has no branch points, since every
-    entry moves two sheets of its component, so only the sizes of the
-    blocks and the large block's branch count are tested.
+    Concretely: one of the two components of the restriction along the curve
+    is a single sheet.  There are always two: the lift of the curve through
+    its branch point is one proper arc in the disk covering surface, which
+    cuts it in two, and the other lifts end inside it and cut nothing.  So
+    when one component is a single sheet, which holds no branch point, the
+    other holds the remaining n sheets and all n - 1 entries, a disk covering.
     """
     if not is_disk(seq):
         raise ValueError("regularity is defined for disk coverings only")
@@ -272,14 +280,7 @@ def is_regular_curve(seq: MonodromySequence, curve: CurveRef) -> bool:
         raise ValueError("regularity needs at least two branch points")
     transported = act(seq, curve.word)
     signature = restriction_signature(transported, RestrictionSpec((curve.base,), START))
-    if signature.count != 2:
-        return False
-    small, large = sorted(signature.blocks, key=lambda block: len(block[0]))
-    return (
-        len(small[0]) == 1
-        and len(large[0]) == seq.length
-        and large[1] == seq.length - 1
-    )
+    return min(len(sheets) for sheets, _ in signature.blocks) == 1
 
 
 def systems_liftable_equivalent(

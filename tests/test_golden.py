@@ -20,7 +20,10 @@ canonical target's orbit; the move word depends on the reduction's order.
 Cases 3, 4 and 6 (all ``canon``) were captured again when the reduction began
 to emit freely reduced words and to open each reduce step with ``x_i^-1`` in
 place of ``x_i x_i``; their certificates shrank from 18, 14 and 23 moves to
-15, 11 and 16.
+15, 11 and 16.  Its ``certificates`` cases pin the whole certificate, relabel,
+moves and packed target, of every connected sequence with d <= 4 and n <= 5
+and of 300 seeded larger coverings, by count and SHA-256; they were captured
+before the relabel was read off the target's layout.
 """
 
 import contextlib
@@ -29,6 +32,7 @@ import io
 import itertools
 import json
 import random
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,8 @@ from diskcovers.core import (
     _Lazy,
     _Tables,
     _tables,
+    canonical_target,
+    conjugating_permutation,
     disk_covering,
     surface_invariants,
     total_monodromy,
@@ -88,6 +94,47 @@ def test_schreier_words_are_identical(case):
     words = [list(w.letters) for w in schreier_generators(seq)]
     assert len(words) == case["words"]
     assert hashlib.sha256(json.dumps(words).encode()).hexdigest() == case["sha256"]
+
+
+def certified_sequences(name: str) -> list[MonodromySequence]:
+    """The connected sequences of one ``certificates`` case."""
+    if name == "grid":
+        # The sequences of criterion 4.
+        return [s for d in range(1, 5) for n in range(6) for s in all_sequences(d, n) if s.is_connected()]
+    rng = random.Random(31)
+    out = []
+    while len(out) < 300:
+        degree, length = rng.randint(5, 8), rng.randint(4, 10)
+        s = MonodromySequence.from_pairs(degree, [rng.sample(range(1, degree + 1), 2) for _ in range(length)])
+        if s.is_connected():
+            out.append(s)
+    return out
+
+
+@cache
+def certified(name: str) -> list:
+    return [(s, canonicalize(s)) for s in certified_sequences(name)]
+
+
+@pytest.mark.parametrize("case", DOCUMENT["certificates"], ids=[case["sequences"] for case in DOCUMENT["certificates"]])
+def test_certificates_are_identical(case):
+    records = [
+        [list(r.relabel.images), [list(move) for move in r.moves], list(r.canonical._packed)]
+        for _, r in certified(case["sequences"])
+    ]
+    assert len(records) == case["count"]
+    assert sum(len(moves) for _, moves, _ in records) == case["moves"]
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("name", ["grid", "seeded"])
+def test_relabel_is_the_conjugating_permutation(name):
+    # The general construction as the oracle of the relabel read off the
+    # target's layout.
+    for s, result in certified(name):
+        target = canonical_target(s.degree, s.length, total_monodromy(s).cycle_type())
+        assert result.canonical == target
+        assert result.relabel == conjugating_permutation(total_monodromy(s), total_monodromy(target)), s.pairs()
 
 
 def test_public_constructors_reject_bad_input():

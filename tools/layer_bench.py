@@ -41,13 +41,16 @@ The layers, each written to its own file at the root of the checkout:
   coverings with d in 3..5 and n in 4..6 through ``canonicalize``, then
   ``canonical_target`` from the cycle type computed beside each covering and
   ``is_equivalent`` of the covering and that target; it records the median
-  seconds, the coverings and the moves of all their certificates.
+  seconds, the coverings and the moves of all their certificates.  Two more
+  cases take the same 200 coverings through ``canonicalize`` alone, and
+  through ``replay_certificate`` alone, of certificates made beforehand.
 
 Each case runs ``ROUNDS`` rounds, and records its median seconds to 4
-significant digits, so that a sub-millisecond case can show a change.  For
-the kernel and classification cases, the SHA-256 of the ``repr`` of every
-round's answer is checked against the digest captured when the case was
-written.  On a wrong answer the script names the case and exits 1.
+significant digits, so that a sub-millisecond case can show a change.  Every
+round's answer is checked by the SHA-256 of the ``repr`` of what the case
+checks: for the kernel and classification cases the answer's own digest,
+captured when the case was written.  On a wrong answer the script names the
+case and exits 1.
 
 The numbers go under the label of the tree the script sits in: its git
 commit, with ``+`` appended when ``src/`` has uncommitted changes.  Entries
@@ -57,33 +60,37 @@ session.
     python tools/layer_bench.py
 
 Two runs one after the other read the host's drift between them as a
-change.  To set two trees side by side, ``--against PATH`` runs every case
-in fresh processes, alternately on this tree's package and on the one under
-``PATH/src``, ``--alternations`` times each (default 5), this tree first in
-even alternations and ``PATH`` first in odd ones.  Each process runs the
-case as above, answers checked, but goes on past ``ROUNDS`` rounds until its
-rounds add up to at least ``MIN_TIMED_S``, 0.3 s, and reports its median: a
-kernel case, whose round takes 3 to 25 ms, then runs 12 to 100 rounds in
-each process rather than 9.  More rounds do not take out the drift of a
-shared host between processes: over 10 alternations, cases whose code had
-not changed still read up to 5-10% away from a ratio of 1.  The script
-prints and records, per case, each tree's median over its processes, the
-fewest rounds one of its processes ran, and the ratio of this tree's median
-to ``PATH``'s in each alternation, with the median ratio.  The records go
-under the key ``"alternating"`` of each JSON file, named by both labels,
-with ``MIN_TIMED_S`` as ``"min_timed_s"``; the ``"trees"`` entries are left
-as they are.
+change.  To set two trees side by side, ``--against PATH`` imports the
+package under ``PATH/src`` into the same process as a second package, and
+runs each case's rounds interleaved between the two trees, ``--rounds``
+each (default 21), this tree first in even rounds and ``PATH`` first in odd
+ones.  Both trees' answers are checked by digest, since records of two
+trees never compare equal.  The script prints and records, per case, each
+tree's record with its median, the median of the per-round ratios of this
+tree's seconds to ``PATH``'s, the rounds in which this tree was faster and
+the range of the ratios, under the key ``"alternating"`` of each JSON file,
+named by both labels; the ``"trees"`` entries are left as they are.  (Older
+``"alternating"`` entries, which carry ``"min_timed_s"``, came from a mode
+that ran each case in fresh processes, where the drift of a shared host
+between processes read as a change of up to 10%.)
 
-    python tools/layer_bench.py --against ../parent --alternations 10
+    python tools/layer_bench.py --against ../parent
+
+Both trees share one interpreter, one allocator and one garbage collector,
+and each is imported before any case runs.  So this mode does not see a
+change to import-time work, to the state a module builds when it loads, or
+to memory use and layout; ``perfbench`` stays the judge of end-to-end time
+and of peak memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
+import importlib.util
 import itertools
 import json
-import os
 import platform
 import random
 import statistics
@@ -92,63 +99,35 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
-# A process of the alternating mode imports the package it is told to time.
-sys.path.insert(0, os.environ.get("LAYER_BENCH_SRC") or str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "src"))
 
-from diskcovers import (  # noqa: E402
-    END,
-    START,
-    BraidWord,
-    CurveRef,
-    IntervalRef,
-    MonodromySequence,
-    OrbitClass,
-    RestrictionSpec,
-    act,
-    canonical_target,
-    canonicalize,
-    curve_monodromy,
-    disk_covering,
-    index0_curve,
-    index1_curve,
-    index1_interval,
-    interval_braid,
-    interval_type,
-    is_equivalent,
-    is_liftable,
-    liftable_interval_powers,
-    restrict,
-    restricted_total_monodromy,
-    schreier_generators,
-    stabilizer_index,
-    theorem_c_generators,
-    total_monodromy,
-)
-from diskcovers.core import _unpack  # noqa: E402
-from diskcovers.cosets import (  # noqa: E402
-    CAPPED,
-    COMPLETE,
-    CosetTable,
-    Inconclusive,
-    IntervalGenerationReport,
-    TheoremCReport,
-    interval_powers_index,
-    todd_coxeter,
-    verify_theorem_c,
-)
-from diskcovers.orbit import classify_all  # noqa: E402
+import diskcovers  # noqa: E402
+from diskcovers.cosets import CAPPED, COMPLETE  # noqa: E402
 
 ROUNDS = 9
-#: A process of the alternating mode runs more rounds than ``ROUNDS`` until
-#: they add up to this many seconds.
-MIN_TIMED_S = 0.3
 NUMBER = 20
 CAP = 20_000
-#: The (4, 6) class of cycle type (2, 2) whose Schreier words
-#: tests/golden_cli.json pins: 15,361 words, index 3,840.
-FOUR_SIX = MonodromySequence.from_pairs(4, [(1, 2), (3, 4), (2, 3), (2, 4), (1, 2), (2, 4)])
+
+
+def four_six(dc: ModuleType):
+    """The (4, 6) class of cycle type (2, 2) whose Schreier words
+    tests/golden_cli.json pins: 15,361 words, index 3,840."""
+    return dc.MonodromySequence.from_pairs(4, [(1, 2), (3, 4), (2, 3), (2, 4), (1, 2), (2, 4)])
+
+
+def load(root: Path, name: str) -> ModuleType:
+    """The package under ``root/src`` imported as the package ``name``."""
+    package = root / "src" / "diskcovers"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def label(root: Path = ROOT) -> str:
@@ -171,25 +150,30 @@ def digest(answer: object) -> str:
     return hashlib.sha256(repr(answer).encode()).hexdigest()
 
 
-def enumerate_cosets(strands: int, words: list, cap: int | None) -> CosetTable:
+def kind(answer: object) -> str:
+    """The name of an answer's class, alike in both trees."""
+    return type(answer).__name__
+
+
+def enumerate_cosets(dc: ModuleType, strands: int, words: list, cap: int | None):
     try:
-        return todd_coxeter(strands, words, cap)[1]
-    except Inconclusive as capped:
+        return dc.todd_coxeter(strands, words, cap)[1]
+    except dc.Inconclusive as capped:
         return capped.table
 
 
-def coset_answer(answer: CosetTable | TheoremCReport | IntervalGenerationReport) -> object:
+def coset_answer(answer) -> object:
     # A finished table is checked by its index and its count of cosets
     # defined, a capped one by that count, and a certifier's report whole.
-    if not isinstance(answer, CosetTable):
+    if kind(answer) != "CosetTable":
         return answer
     if answer.status == COMPLETE:
         return answer.status, answer.index, answer.defined
     return answer.status, answer.defined
 
 
-def coset_record(answer: CosetTable | TheoremCReport | IntervalGenerationReport, median: float) -> dict:
-    if not isinstance(answer, CosetTable):
+def coset_record(answer, median: float) -> dict:
+    if kind(answer) != "CosetTable":
         return {"median_s": significant(median), **{name: getattr(answer, name) for name in answer.__match_args__}}
     return {
         "median_s": significant(median),
@@ -199,31 +183,34 @@ def coset_record(answer: CosetTable | TheoremCReport | IntervalGenerationReport,
     }
 
 
-def coset_cases() -> dict:
+def coset_cases(dc: ModuleType) -> dict:
     """Name: (call, expected ``coset_answer``)."""
-    schreier = schreier_generators(disk_covering(5))
-    four_six = schreier_generators(FOUR_SIX)
+    schreier = dc.schreier_generators(dc.disk_covering(5))
+    words = dc.schreier_generators(four_six(dc))
     return {
-        "theorem_c n=5": (partial(enumerate_cosets, 5, theorem_c_generators(5), None), (COMPLETE, 6**4, 2_499)),
-        "theorem_c n=6": (partial(enumerate_cosets, 6, theorem_c_generators(6), None), (COMPLETE, 7**5, 32_599)),
+        "theorem_c n=5": (partial(enumerate_cosets, dc, 5, dc.theorem_c_generators(5), None), (COMPLETE, 6**4, 2_499)),
+        "theorem_c n=6": (
+            partial(enumerate_cosets, dc, 6, dc.theorem_c_generators(6), None),
+            (COMPLETE, 7**5, 32_599),
+        ),
         f"schreier disk_covering(5), {len(schreier)} words": (
-            partial(enumerate_cosets, 5, schreier, 200_000),
+            partial(enumerate_cosets, dc, 5, schreier, 200_000),
             (COMPLETE, 6**4, 6**4),
         ),
-        f"schreier (4, 6) omega=(2, 2), {len(four_six)} words": (
-            partial(enumerate_cosets, 6, four_six, 200_000),
+        f"schreier (4, 6) omega=(2, 2), {len(words)} words": (
+            partial(enumerate_cosets, dc, 6, words, 200_000),
             (COMPLETE, 3_840, 3_840),
         ),
-        f"trivial subgroup n=4, cap {CAP}": (partial(enumerate_cosets, 4, [], CAP), (CAPPED, CAP)),
+        f"trivial subgroup n=4, cap {CAP}": (partial(enumerate_cosets, dc, 4, [], CAP), (CAPPED, CAP)),
         "verify_theorem_c(5)": (
-            partial(verify_theorem_c, 5),
-            TheoremCReport(
+            partial(dc.verify_theorem_c, 5),
+            dc.TheoremCReport(
                 branch_points=5, generator_count=10, all_liftable=True, orbit_index=6**4, tc_index=6**4, passed=True
             ),
         ),
         "interval_powers_index(disk_covering(5))": (
-            partial(interval_powers_index, disk_covering(5)),
-            IntervalGenerationReport(orbit_index=6**4, tc_index=6**4, generator_count=3_889, generates=True),
+            partial(dc.interval_powers_index, dc.disk_covering(5)),
+            dc.IntervalGenerationReport(orbit_index=6**4, tc_index=6**4, generator_count=3_889, generates=True),
         ),
     }
 
@@ -238,76 +225,77 @@ RESTRICTIONS, MONODROMIES, WORDS = (
 )
 
 
-def kernel_cases() -> dict:
+def kernel_cases(dc: ModuleType) -> dict:
     """Name: (a call that returns the case's list of answers, its digest)."""
     rng = random.Random(17)
 
-    def covering() -> MonodromySequence:
-        return MonodromySequence.from_pairs(6, [rng.sample(range(1, 7), 2) for _ in range(7)])
+    def covering():
+        return dc.MonodromySequence.from_pairs(6, [rng.sample(range(1, 7), 2) for _ in range(7)])
 
     seq = covering()
     specs = [
-        RestrictionSpec(indices, base)
+        dc.RestrictionSpec(indices, base)
         for size in range(1, 8)
         for indices in itertools.combinations(range(1, 8), size)
-        for base in (START, END)
+        for base in (dc.START, dc.END)
     ]
-    restricted = [restrict(seq, spec) for spec in specs]
+    restricted = [dc.restrict(seq, spec) for spec in specs]
     coverings = [covering() for _ in range(20)]
-    word = BraidWord(7, tuple(rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(48)))
+    word = dc.BraidWord(7, tuple(rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(48)))
     triples = [t for t in itertools.product(range(1, 8), repeat=3) if t[0] != t[1] != t[2]]
 
     def catalog() -> list:
-        return [index0_curve(7, i, j) for i in range(1, 8) for j in range(1, 8)] + [
-            index1_curve(7, *t) for t in triples
+        return [dc.index0_curve(7, i, j) for i in range(1, 8) for j in range(1, 8)] + [
+            dc.index1_curve(7, *t) for t in triples
         ]
 
     letters = [curve.word.letters for curve in catalog()]
-    curves = [CurveRef(j, word) for j in range(1, 8)]
-    intervals = [IntervalRef(i, word) for i in range(1, 7)]
+    curves = [dc.CurveRef(j, word) for j in range(1, 8)]
+    intervals = [dc.IntervalRef(i, word) for i in range(1, 7)]
     # index1_interval is symmetric in its outer indices.
-    carried = [index1_interval(7, *t) for t in triples if t[0] < t[2]]
+    carried = [dc.index1_interval(7, *t) for t in triples if t[0] < t[2]]
+    unpack = dc.core._unpack
     return {
-        "restrict": (lambda: [restrict(seq, spec) for spec in specs], RESTRICTIONS),
+        "restrict": (lambda: [dc.restrict(seq, spec) for spec in specs], RESTRICTIONS),
         "restricted_total_monodromy": (
-            lambda: [restricted_total_monodromy(seq, spec) for spec in specs],
+            lambda: [dc.restricted_total_monodromy(seq, spec) for spec in specs],
             MONODROMIES,
         ),
-        "total_monodromy": (lambda: [total_monodromy(r) for r in restricted], MONODROMIES),
-        "_unpack": (lambda: [_unpack(6, r._packed) for r in restricted], RESTRICTIONS),
+        "total_monodromy": (lambda: [dc.total_monodromy(r) for r in restricted], MONODROMIES),
+        "_unpack": (lambda: [unpack(6, r._packed) for r in restricted], RESTRICTIONS),
         "act, 48 letters": (
-            lambda: [act(c, word) for c in coverings],
+            lambda: [dc.act(c, word) for c in coverings],
             "aa5eaafbf9f022e8b23cce52bcab7329ab7a21e3f14f6a10e4657b2a1ed64f34",
         ),
         "curve_monodromy, 48 letters": (
-            lambda: [curve_monodromy(c, curve) for c in coverings for curve in curves],
+            lambda: [dc.curve_monodromy(c, curve) for c in coverings for curve in curves],
             "d40f1f63d0105d55bb9855f0aed4c5fdea6cc63fba9fd06b7cd50772571cee0e",
         ),
         "interval_type, 48 letters": (
-            lambda: [interval_type(c, interval) for c in coverings for interval in intervals],
+            lambda: [dc.interval_type(c, interval) for c in coverings for interval in intervals],
             "13fd28c738896e5365e523fef1ec94197105ec75626623e48023d4ec9425533b",
         ),
         "interval_braid, power 2": (
-            lambda: [interval_braid(i, 2) for i in carried],
+            lambda: [dc.interval_braid(i, 2) for i in carried],
             "9420818040e3e96d6ef01ed21639cdd17cad9a6f0bb65e5d3f6bc381eed8e178",
         ),
         "interval_braid, power -3": (
-            lambda: [interval_braid(i, -3) for i in carried],
+            lambda: [dc.interval_braid(i, -3) for i in carried],
             "4a245e5c5ffe9aa8ddcba6730dd29d3eaad3953ee1222d18bba317edd33dd50e",
         ),
         "index0_curve/index1_curve, n=7": (
             catalog,
             "d49272e9002953fd0e7e18e5790aa770ffe5eea9abf50bee6ea4f45ebd39b63f",
         ),
-        "BraidWord public": (lambda: [BraidWord(7, w) for w in letters], WORDS),
-        "BraidWord._unchecked": (lambda: [BraidWord._unchecked(7, w) for w in letters], WORDS),
+        "BraidWord public": (lambda: [dc.BraidWord(7, w) for w in letters], WORDS),
+        "BraidWord._unchecked": (lambda: [dc.BraidWord._unchecked(7, w) for w in letters], WORDS),
     }
 
 
 CLASSIFY_STREAM = 200
 
 
-def classify_cases() -> dict:
+def classify_cases(dc: ModuleType) -> dict:
     """Name: (call, SHA-256 of the ``repr`` of its answer)."""
     digests = {
         (3, 5): "0324e68b7d31ec89fb8949b3d10682f143a1a5ebad2f184c0685d32e5a371115",
@@ -315,53 +303,74 @@ def classify_cases() -> dict:
         (4, 5): "932fe7431318879518c502308b65c031328a15ddae53b8bdbf66da463740b4ea",
         (4, 6): "e2fa9df4842880a88e57ff1a307fa438f61cf11fd3f4eedf3c97190c23fc0ffd",
     }
-    cases = {f"classify_all({d}, {n})": (partial(classify_all, d, n), expected) for (d, n), expected in digests.items()}
+    cases = {
+        f"classify_all({d}, {n})": (partial(dc.classify_all, d, n), expected) for (d, n), expected in digests.items()
+    }
     rng = random.Random(25)
     stream = []
     while len(stream) < CLASSIFY_STREAM:
         degree, length = rng.choice((3, 4, 5)), rng.choice((4, 5, 6))
-        covering = MonodromySequence.from_pairs(degree, [rng.sample(range(1, degree + 1), 2) for _ in range(length)])
+        covering = dc.MonodromySequence.from_pairs(
+            degree, [rng.sample(range(1, degree + 1), 2) for _ in range(length)]
+        )
         if covering.is_connected():
-            stream.append((covering, total_monodromy(covering).cycle_type().parts))
+            stream.append((covering, dc.total_monodromy(covering).cycle_type().parts))
+    certified = [(covering, dc.canonicalize(covering)) for covering, _ in stream]
 
     def classify_stream() -> list:
         answers = []
         for covering, omega in stream:
-            result = canonicalize(covering)
-            target = canonical_target(covering.degree, covering.length, omega)
-            answers.append((result, target == result.canonical, is_equivalent(covering, target)))
+            result = dc.canonicalize(covering)
+            target = dc.canonical_target(covering.degree, covering.length, omega)
+            answers.append((result, target == result.canonical, dc.is_equivalent(covering, target)))
         return answers
 
     cases[f"classify stream, {CLASSIFY_STREAM} coverings"] = (
         classify_stream,
         "ac523c4a8cad907ac72447ec6f64c30123d9d03323812e9ed31b00d2333342e2",
     )
+    cases[f"canonicalize, {CLASSIFY_STREAM} coverings"] = (
+        lambda: [dc.canonicalize(covering) for covering, _ in stream],
+        "a2716b3a21bc0d13f118aef1e6b859153c95340aa8355d805744b5f1df64c1c3",
+    )
+    cases[f"replay_certificate, {CLASSIFY_STREAM} coverings"] = (
+        lambda: [dc.replay_certificate(covering, result) for covering, result in certified],
+        "cbb51b924c9e2df7860bd2fee93f9f639856f4ee1aed2d95910c8abd9a7d0741",
+    )
     return cases
 
 
 def classify_record(answer: list, median: float) -> dict:
-    """A ``classify_all`` cell's classes and sequences, or the stream's
-    coverings and certificate moves."""
-    if isinstance(answer[0], OrbitClass):
-        return {"median_s": significant(median), "classes": len(answer), "sequences": sum(c.count for c in answer)}
-    return {"median_s": significant(median), "coverings": len(answer), "moves": sum(len(r.moves) for r, _, _ in answer)}
+    """A ``classify_all`` cell's classes and sequences, or the coverings of
+    a case on the stream and the moves of their certificates."""
+    entry = {"median_s": significant(median)}
+    first = kind(answer[0])
+    if first == "OrbitClass":
+        return {**entry, "classes": len(answer), "sequences": sum(c.count for c in answer)}
+    entry["coverings"] = len(answer)
+    if first == "tuple":
+        entry["moves"] = sum(len(r.moves) for r, _, _ in answer)
+    elif first == "CanonicalizationResult":
+        entry["moves"] = sum(len(r.moves) for r in answer)
+    return entry
 
 
-def orbit_cases() -> dict:
+def orbit_cases(dc: ModuleType) -> dict:
     """Name: (call, expected ``orbit_answer``)."""
-    words = schreier_generators(FOUR_SIX)
+    covering = four_six(dc)
+    words = dc.schreier_generators(covering)
     return {
-        "stabilizer_index(disk_covering(6))": (partial(stabilizer_index, disk_covering(6)), {"index": 7**5}),
+        "stabilizer_index(disk_covering(6))": (partial(dc.stabilizer_index, dc.disk_covering(6)), {"index": 7**5}),
         "schreier_generators, (4, 6) omega=(2, 2)": (
-            partial(schreier_generators, FOUR_SIX),
+            partial(dc.schreier_generators, covering),
             {"index": 3_840, "words": 15_361},
         ),
         "liftable_interval_powers(disk_covering(5))": (
-            partial(liftable_interval_powers, disk_covering(5)),
+            partial(dc.liftable_interval_powers, dc.disk_covering(5)),
             {"index": 6**4, "words": 3_889},
         ),
         "is_liftable, (4, 6) omega=(2, 2) Schreier words": (
-            lambda: [is_liftable(FOUR_SIX, word) for word in words],
+            lambda: [dc.is_liftable(covering, word) for word in words],
             {"words": 15_361, "liftable": 15_361},
         ),
     }
@@ -415,24 +424,22 @@ LAYERS = (
 )
 
 
-def run_case(number: int, call, expected, check, record, min_seconds: float = 0.0) -> tuple[dict, float, int]:
-    """A case's record, median seconds and rounds, over at least ``ROUNDS``
-    rounds of ``number`` calls and as many more as it takes for the rounds to
-    add up to ``min_seconds``; raises ``ValueError`` naming the wrong answer."""
-    seconds: list[float] = []
-    while len(seconds) < ROUNDS or sum(seconds) < min_seconds:
-        start = time.perf_counter()
-        for _ in range(number):
-            answer = call()
-        seconds.append(time.perf_counter() - start)
-        if check(answer) != expected:
-            raise ValueError(f"wrong answer {check(answer)}, expected {expected}")
-    median = statistics.median(seconds)
-    return record(answer, median), median, len(seconds)
+def timed_round(number: int, call, expected, check) -> tuple[float, object]:
+    """The seconds of ``number`` calls and the last answer, checked by the
+    digest of ``check(answer)``; raises ``ValueError`` naming a wrong one."""
+    # Each round starts with no garbage left by the one before, of either tree.
+    gc.collect()
+    start = time.perf_counter()
+    for _ in range(number):
+        answer = call()
+    seconds = time.perf_counter() - start
+    if digest(check(answer)) != digest(expected):
+        raise ValueError(f"wrong answer {check(answer)}, expected {expected}")
+    return seconds, answer
 
 
-def entry_head(number: int) -> dict:
-    entry = {"python": platform.python_version(), "rounds": ROUNDS}
+def entry_head(number: int, rounds: int) -> dict:
+    entry = {"python": platform.python_version(), "rounds": rounds}
     if number > 1:
         entry["number"] = number
     return entry
@@ -446,82 +453,68 @@ def update(output: str, key: str, name: str, entry: dict) -> None:
     path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
-def one_case(output: str, name: str) -> int:
-    """Run one case in this process, for at least ``MIN_TIMED_S``, and print
-    its record, median seconds and rounds as JSON."""
-    number, cases, check, record = next(layer[1:] for layer in LAYERS if layer[0] == output)
-    call, expected = cases()[name]
-    try:
-        print(json.dumps(run_case(number, call, expected, check, record, MIN_TIMED_S)))
-    except ValueError as wrong:
-        print(f"{name}: {wrong}", file=sys.stderr)
-        return 1
+def measure() -> int:
+    """Every case on this tree, ``ROUNDS`` rounds each."""
+    tree = label()
+    for output, number, cases, check, record in LAYERS:
+        results = {}
+        for name, (call, expected) in cases(diskcovers).items():
+            try:
+                rounds = [timed_round(number, call, expected, check) for _ in range(ROUNDS)]
+            except ValueError as wrong:
+                print(f"{name}: {wrong}", file=sys.stderr)
+                return 1
+            results[name] = record(rounds[-1][1], statistics.median(seconds for seconds, _ in rounds))
+            print(name, json.dumps(results[name]))
+        update(output, "trees", tree, {**entry_head(number, ROUNDS), "cases": results})
     return 0
 
 
-def alternate(other: Path, alternations: int) -> int:
-    """Every case in fresh processes, alternating this tree and ``other``."""
-    sides = {"tree": ROOT / "src", "against": other.resolve() / "src"}
+def interleave(other: Path, rounds: int) -> int:
+    """Every case on this tree and on ``other`` in one process, their rounds
+    interleaved and the order flipped every round."""
+    packages = {"tree": diskcovers, "against": load(other.resolve(), "diskcovers_against")}
     labels = {"tree": label(), "against": label(other.resolve())}
-    for output, number, cases, _, _ in LAYERS:
+    for output, number, cases, check, record in LAYERS:
+        built = {side: cases(dc) for side, dc in packages.items()}
         results = {}
-        for name in cases():
-            runs = {side: [] for side in sides}
-            for k in range(alternations):
-                for side in sorted(sides, reverse=k % 2 == 1):  # "tree" first in even alternations
-                    env = {**os.environ, "LAYER_BENCH_SRC": str(sides[side])}
-                    argv = [sys.executable, str(Path(__file__).resolve()), "--case", output, name]
-                    done = subprocess.run(argv, env=env, capture_output=True, text=True)
-                    if done.returncode:
-                        print(f"{labels[side]}: {done.stderr.strip()}", file=sys.stderr)
+        for name in built["tree"]:
+            seconds: dict[str, list[float]] = {side: [] for side in packages}
+            last = {}
+            for k in range(rounds):
+                for side in ("tree", "against")[:: 1 if k % 2 == 0 else -1]:
+                    call, expected = built[side][name]
+                    try:
+                        elapsed, last[side] = timed_round(number, call, expected, check)
+                    except ValueError as wrong:
+                        print(f"{labels[side]}: {name}: {wrong}", file=sys.stderr)
                         return 1
-                    runs[side].append(json.loads(done.stdout))
-            # Ratios of unrounded seconds, which a record rounds.
-            ratios = [t / a for (_, t, _), (_, a, _) in zip(runs["tree"], runs["against"])]
-            timing = next(key for key in runs["tree"][0][0] if key.startswith("median"))
-            results[name] = {
-                side: {
-                    **runs[side][-1][0],
-                    timing: significant(statistics.median(r[timing] for r, _, _ in runs[side])),
-                    "min_rounds": min(rounds for _, _, rounds in runs[side]),
-                }
-                for side in sides
-            }
-            results[name]["ratios"] = [round(r, 3) for r in ratios]
-            results[name]["median_ratio"] = round(statistics.median(ratios), 3)
+                    seconds[side].append(elapsed)
+            ratios = [t / a for t, a in zip(seconds["tree"], seconds["against"])]
+            results[name] = {side: record(last[side], statistics.median(seconds[side])) for side in packages}
+            results[name].update(
+                median_ratio=round(statistics.median(ratios), 3),
+                lower=sum(r < 1 for r in ratios),
+                range=[round(min(ratios), 3), round(max(ratios), 3)],
+            )
             print(name, json.dumps(results[name]))
-        entry = {**entry_head(number), "min_timed_s": MIN_TIMED_S, "alternations": alternations, **labels}
-        entry["cases"] = results
+        entry = {**entry_head(number, rounds), **labels, "cases": results}
         update(output, "alternating", f"{labels['tree']} vs {labels['against']}", entry)
     return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="Time the package's layers on fixed cases, every answer checked.")
-    parser.add_argument("--against", type=Path, metavar="PATH", help="a second checkout, alternated with this one")
-    parser.add_argument("--alternations", type=int, default=5, metavar="K", help="processes per tree and case")
-    parser.add_argument("--case", nargs=2, metavar=("OUTPUT", "NAME"), help=argparse.SUPPRESS)
+    parser.add_argument("--against", type=Path, metavar="PATH", help="a second checkout, interleaved with this one")
+    parser.add_argument("--rounds", type=int, default=21, metavar="N", help="rounds per tree and case with --against")
     args = parser.parse_args()
-    if args.alternations < 1:
-        parser.error("--alternations must be at least 1")
-    if args.against and not (args.against / "src" / "diskcovers" / "__init__.py").is_file():
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    if args.against is None:
+        return measure()
+    if not (args.against / "src" / "diskcovers" / "__init__.py").is_file():
         parser.error(f"no diskcovers package under {args.against / 'src'}")
-    if args.case:
-        return one_case(*args.case)
-    if args.against:
-        return alternate(args.against, args.alternations)
-    tree = label()
-    for output, number, cases, check, record in LAYERS:
-        results = {}
-        for name, (call, expected) in cases().items():
-            try:
-                results[name] = run_case(number, call, expected, check, record)[0]
-            except ValueError as wrong:
-                print(f"{name}: {wrong}", file=sys.stderr)
-                return 1
-            print(name, json.dumps(results[name]))
-        update(output, "trees", tree, {**entry_head(number), "cases": results})
-    return 0
+    return interleave(args.against, args.rounds)
 
 
 if __name__ == "__main__":
