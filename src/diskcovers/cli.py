@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def covering_document(seq: MonodromySequence) -> dict[str, Any]:
-    return {"degree": seq.degree, "monodromy": [list(t.sheets) for t in seq.entries]}
+    return {"degree": seq.degree, "monodromy": [list(pair) for pair in seq.pairs()]}
 
 
 def _at_most(value: int, bound: int, noun: str) -> int:

@@ -20,9 +20,10 @@ transposition ``(a b)`` with ``a < b`` is packed as its position in the
 lexicographic list ``(1 2), (1 3), ..., (d-1 d)`` of all pairs, and a sequence
 as the tuple of its packed entries.  Pair order is the order of
 transpositions, which compare as the tuples ``(a, b)``, so packed tuples sort
-as the sequences they encode.  Every ``MonodromySequence`` carries its packed
-tuple as ``_packed``: the public constructor packs the entries in the pass
-that validates them, and ``_unpack`` keeps the tuple it is given, so no
+as the sequences they encode.  A ``MonodromySequence`` stores only its
+degree and packed tuple, ``_packed``: ``from_pairs`` packs each pair in the
+pass that checks it, the public constructor packs through it, ``_unpack``
+keeps the tuple it is given, and ``entries`` is read off the tuple, so no
 sequence is packed twice.  The tables of one degree (``_tables``, a bounded
 cache) are plain tuples built whole for a small degree, d <= 16, which the
 hot loops read fastest; for a larger degree they are filled one entry at a
@@ -30,19 +31,20 @@ time on first lookup, so their size follows the transpositions met, not the
 degree.  Both forms are read alike.  The invariants that classification
 reads run on the same form: ``is_connected`` counts the joins of the one
 union-find (``_union_find``) over the pairs of the packed entries, and
-``components`` reads its blocks off it; ``canonical_target`` packs its
-pairs through ``index_of``; the cycles, cycle type and orbit count of a
-permutation index its image tuple.  None of them builds a record it does
-not return, which took ``perfbench`` ``classify`` from 0.140 to 0.102 s per
-pass (normalized; CPython 3.11, 2 shared vCPUs).  The public types validate
-whatever a caller builds; the package builds its results, from validated
-values only, with each type's unchecked constructor ``T._unchecked`` (see
-``_Record``).
+``components`` reads its blocks off it; ``canonical_target`` writes its
+runs of ``(k k+1)``, packed as ``(k-1)(2d-k)/2``; the cycles, cycle type
+and orbit count of a permutation index its image tuple.  None of them
+builds a record it does not return, which took ``perfbench`` ``classify``
+from 0.140 to 0.102 s per pass (normalized; CPython 3.11, 2 shared vCPUs).
+The public types validate whatever a caller builds; the package builds its
+results, from validated values only, with each type's unchecked
+constructor ``T._unchecked`` (see ``_Record``).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -75,13 +77,17 @@ class _Record(metaclass=_RecordType):
     """Base of the package's value types: immutable records of named fields.
 
     A subclass's fields are its own annotated names, in order, apart from
-    those that start with ``_``.  ``class T(_Record, order=True)`` gets,
-    written as source once when the class is made, the methods that
-    ``@dataclass(frozen=True, order=True)`` would give it: ``__init__`` taking
-    the fields by position or name and then calling ``__post_init__`` if the
-    class has one; ``__eq__`` and ``__hash__`` on the tuple of the fields,
-    ``__repr__`` ``T(f1=..., f2=...)`` and ``__match_args__``; with
-    ``order=True`` also ``<``, ``<=``, ``>`` and ``>=`` on the field tuples.
+    those that start with ``_``, unless it names them as ``__match_args__``.
+    ``class T(_Record, order=True)`` gets, written as source once when the
+    class is made, the methods that ``@dataclass(frozen=True, order=True)``
+    would give it: ``__init__`` taking the fields by position or name, storing
+    those that are slots and then calling ``__post_init__`` if the class has
+    one, with the others, as a dataclass passes its ``InitVar`` fields;
+    ``__hash__`` on the tuple of the fields, ``__repr__``
+    ``T(f1=..., f2=...)`` and ``__match_args__``; ``__eq__``, and with
+    ``order=True`` ``<``, ``<=``, ``>`` and ``>=``, on the tuple of the slots,
+    which are the fields unless a field is read off a private slot, as
+    ``MonodromySequence.entries`` is off ``_packed``.
     Equality and order hold between instances of one class only.  Every
     method reads its fields by name, so a call costs what the dataclass's
     costs; methods that read the field names at call time were 1.7-3 times
@@ -103,12 +109,14 @@ class _Record(metaclass=_RecordType):
 
     Every annotated name, ``_``-prefixed ones included, is a slot:
     ``_RecordType`` makes them the class's ``__slots__``, so a value stored
-    as ``_name`` beside the fields, such as ``_packed`` or a counter, is a
-    slot too.  An instance is one object, with no ``__dict__`` and no values
-    array: 40 bytes less per record than the per-instance dict layout
-    (CPython 3.11, ``tracemalloc``: ``BraidWord`` 89 -> 49 bytes,
-    ``Permutation`` 81 -> 41, ``MonodromySequence`` 97 -> 57), and
-    certification holds tens of thousands of words at once.  ``copy``,
+    as ``_name``, such as ``_packed``, is a slot too.  An instance is one
+    object, with no ``__dict__`` and no values array, 40 bytes less per
+    record than the per-instance dict layout, and certification holds tens
+    of thousands of words at once.  Per instance, its field values shared
+    (CPython 3.11, ``tracemalloc``): ``Permutation`` 40 bytes, ``BraidWord``
+    52, ``MonodromySequence`` 48, down from 56 when it also stored its
+    entries; with its own packed tuple, a 7-entry sequence takes 144 bytes,
+    down from 248 with its tuple of entries.  ``copy``,
     ``deepcopy`` and ``pickle`` rebuild a record through ``_unchecked``
     (``__reduce__``), since assignment is refused.  Records take no weak
     references; nothing in the package makes one.
@@ -116,14 +124,14 @@ class _Record(metaclass=_RecordType):
 
     def __init_subclass__(cls, order: bool = False) -> None:
         stored = cls.__slots__
-        fields = tuple(name for name in stored if not name.startswith("_"))
-        mine = "".join(f"self.{name}, " for name in fields)
-        theirs = "".join(f"other.{name}, " for name in fields)
+        fields = cls.__dict__.get("__match_args__") or tuple(name for name in stored if not name.startswith("_"))
+        mine, theirs = ("".join(f"{who}.{name}, " for name in stored) for who in ("self", "other"))
         shown = ", ".join(f"{name}={{self.{name}!r}}" for name in fields)
+        passed = ", ".join(name for name in fields if name not in stored)
         source = [
             f"def __init__(self, {', '.join(fields)}):",
-            *(f"    _set_{name}(self, {name})" for name in fields),
-            "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
+            *(f"    _set_{name}(self, {name})" for name in fields if name in stored),
+            f"    self.__post_init__({passed})" if hasattr(cls, "__post_init__") else "    pass",
             "@classmethod",
             f"def _unchecked(cls, {', '.join(stored)}):",
             "    self = _new(cls)",
@@ -132,7 +140,7 @@ class _Record(metaclass=_RecordType):
             "def __repr__(self):",
             f"    return f'{cls.__qualname__}({shown})'",
             "def __hash__(self):",
-            f"    return hash(({mine}))",
+            f"    return hash(({''.join(f'self.{name}, ' for name in fields)}))",
         ]
         comparisons = {"__eq__": "=="}
         if order:
@@ -319,35 +327,50 @@ class MonodromySequence(_Record, order=True):
     ``degree`` counts the sheets; ``entries`` lists, in order, the
     transposition read off around each branch point.  Instances are immutable
     and hashable, so they can serve as dictionary keys during orbit
-    enumeration.  Each carries its packed entries, set once when it is built
-    and left out of ``repr``, equality, hashing and order.
+    enumeration.  An instance stores only ``degree`` and the packed entries
+    ``_packed`` (see the module docstring): ``entries`` is read off them, as
+    the interned transpositions of the degree, and equality and order
+    compare ``(degree, _packed)``, which order as ``(degree, entries)``
+    does.  ``MonodromySequence._unchecked(degree, packed)`` takes the
+    packed form.
     """
 
     degree: int
-    entries: tuple[Transposition, ...]
     _packed: tuple[int, ...]
+    __match_args__ = ("degree", "entries")
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"degree must be at least 1, got {self.degree}")
-        index = _tables(self.degree).index
-        packed = []
-        for t in self.entries:
-            if t.b > self.degree:
-                raise ValueError(f"entry ({t.a} {t.b}) exceeds degree {self.degree}")
-            packed.append(index(t.a, t.b))
-        _set_packed(self, tuple(packed))
+    def __post_init__(self, entries: tuple[Transposition, ...]) -> None:
+        _set_packed(self, MonodromySequence.from_pairs(self.degree, [t.sheets for t in entries])._packed)
 
     @classmethod
     def from_pairs(cls, degree: int, pairs: Iterable[tuple[int, int]]) -> "MonodromySequence":
-        return cls(degree, tuple(Transposition(a, b) for a, b in pairs))
+        """The sequence of the sheet pairs, each in either order, checked and
+        packed in one pass.  Each pair is checked as ``Transposition(a, b)``
+        checks it, then the degree, then the first pair past the degree."""
+        packed, past = [], None
+        for a, b in pairs:
+            if a == b or (b if a > b else a) < 1:
+                Transposition(a, b)  # raises
+            if a > b:
+                a, b = b, a
+            if b > degree and past is None:
+                past = f"entry ({a} {b}) exceeds degree {degree}"
+            packed.append((a - 1) * (2 * degree - a) // 2 + b - a - 1)
+        _tables(degree)  # raises for a degree below 1
+        if past is not None:
+            raise ValueError(past)
+        return cls._unchecked(degree, tuple(packed))
+
+    @property
+    def entries(self) -> tuple[Transposition, ...]:
+        return tuple(map(_tables(self.degree).interned.__getitem__, self._packed))
 
     @property
     def length(self) -> int:
-        return len(self.entries)
+        return len(self._packed)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(t.sheets for t in self.entries)
+        return tuple(map(_tables(self.degree).pairs.__getitem__, self._packed))
 
     def renumber_sheets(self, relabel: Permutation) -> "MonodromySequence":
         """Apply a sheet renumbering to every entry simultaneously."""
@@ -531,8 +554,7 @@ def canonical_target(degree: int, length: int, omega: CycleType | Iterable[int])
         raise ValueError(f"cycle type degree {omega.degree} != covering degree {degree}")
 
     parts = omega.parts
-    m = len(parts) if parts else 1
-    l_last = omega.partial_sums[-1] if parts else 1
+    m, l_last = len(parts) or 1, sum(parts) or 1
     if (length - m + l_last) % 2 != 0:
         raise NotRealizable(
             f"parity mismatch: no product of {length} transpositions has cycle type {parts}"
@@ -545,19 +567,15 @@ def canonical_target(degree: int, length: int, omega: CycleType | Iterable[int])
     if degree == 1 and length > 0:
         raise NotRealizable("a single sheet admits no transpositions")
 
-    pairs: list[tuple[int, int]] = []
-    prev = 0
-    for idx, c in enumerate(parts):
-        pairs.extend((k, k + 1) for k in range(prev + 1, prev + c))
-        prev += c
-        if idx < m - 1:
-            pairs.extend([(prev, prev + 1)] * 2)
-    for k in range(l_last, degree):
-        pairs.extend([(k, k + 1)] * 2)
-    pairs.extend([(degree - 1, degree)] * (2 * tail_pairs))
-    assert len(pairs) == length, "canonical construction must produce the requested length"
-    index_of = _tables(degree).index_of
-    return _unpack(degree, tuple([index_of[a][b] for a, b in pairs]))
+    # copies[k] copies of (k k+1), packed as (k-1)(2d-k)/2: one inside a
+    # cycle's block, two at the end of a block and above the last one.
+    copies = [2] * degree
+    for s, c in zip(accumulate((0, *parts)), parts):
+        copies[s + 1 : s + c] = [1] * (c - 1)
+    copies[-1] += 2 * tail_pairs
+    packed = [(k - 1) * (2 * degree - k) // 2 for k in range(1, degree) for _ in range(copies[k])]
+    assert len(packed) == length, "canonical construction must produce the requested length"
+    return MonodromySequence._unchecked(degree, tuple(packed))
 
 
 def _target_relabel(omega: Permutation) -> tuple[CycleType, Permutation]:
@@ -719,8 +737,7 @@ def _tables(degree: int) -> _Tables:
 
 def _unpack(degree: int, packed: tuple[int, ...]) -> MonodromySequence:
     """The sequence of a packed tuple, which it keeps as its packed form."""
-    interned = _tables(degree).interned
-    return MonodromySequence._unchecked(degree, tuple(map(interned.__getitem__, packed)), packed)
+    return MonodromySequence._unchecked(degree, packed)
 
 
 def _renumbered(degree: int, packed: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:

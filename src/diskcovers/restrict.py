@@ -18,7 +18,7 @@ component signatures can be compared sheet by sheet.
 Both kernels run on the packed form of :mod:`diskcovers.core`: they read
 the sequence's packed tuple and its length once, check the last index
 against it, and look the degree's tables up once.  ``restrict`` builds only
-the sequence it returns, its entries from the interned table.  On one
+the sequence it returns, on the packed tuple it kept.  On one
 covering with 6 sheets and 7 branch points, cut along each of its 254 index
 sets at each base point (``tools/layer_bench.py``, best of four runs,
 CPython 3.11, 2 shared vCPUs), a call of ``restrict`` went from 3.4 to
@@ -89,8 +89,7 @@ def restrict(seq: MonodromySequence, spec: RestrictionSpec) -> MonodromySequence
             kept.append(index_of[image[a]][image[b]])
     if not start:
         kept.reverse()
-    restricted = tuple(kept)
-    return MonodromySequence._unchecked(degree, tuple(map(tables.interned.__getitem__, restricted)), restricted)
+    return MonodromySequence._unchecked(degree, tuple(kept))
 
 
 def restricted_total_monodromy(seq: MonodromySequence, spec: RestrictionSpec) -> Permutation:

@@ -64,6 +64,45 @@ def test_sequence_validation():
         MonodromySequence(0, ())
 
 
+#: Inputs that ``from_pairs`` rejects, with the error type and message it
+#: gave when it built a ``Transposition`` per pair and then the sequence:
+#: every pair is checked first, then the degree, then the first pair past it.
+BAD_PAIRS = [
+    (3, [(2, 2)], ValueError, "degenerate transposition (2 2)"),
+    (3, [(1, 2), (0, 2)], ValueError, "sheet indices start at 1: (0 2)"),
+    (3, [(2, 0)], ValueError, "sheet indices start at 1: (0 2)"),
+    (3, [(-1, 2)], ValueError, "sheet indices start at 1: (-1 2)"),
+    (3, [(1, 4)], ValueError, "entry (1 4) exceeds degree 3"),
+    (3, [(4, 1)], ValueError, "entry (1 4) exceeds degree 3"),
+    (1, [(1, 2)], ValueError, "entry (1 2) exceeds degree 1"),
+    (0, [], ValueError, "degree must be at least 1, got 0"),
+    (-2, [(1, 2)], ValueError, "degree must be at least 1, got -2"),
+    (0, [(2, 2)], ValueError, "degenerate transposition (2 2)"),
+    (0, [(0, 1)], ValueError, "sheet indices start at 1: (0 1)"),
+    (0, [(1, 5)], ValueError, "degree must be at least 1, got 0"),
+    (3, [(1, 5), (2, 2)], ValueError, "degenerate transposition (2 2)"),
+    (3, [(1, 5), (0, 1)], ValueError, "sheet indices start at 1: (0 1)"),
+    (3, [(1, 4), (5, 1)], ValueError, "entry (1 4) exceeds degree 3"),
+    (3, [(2, 2), (0, 1)], ValueError, "degenerate transposition (2 2)"),
+    (3, [(0, 0)], ValueError, "degenerate transposition (0 0)"),
+    (3, [(1, "2")], TypeError, "'>' not supported between instances of 'int' and 'str'"),
+]
+
+
+@pytest.mark.parametrize("degree, pairs, error, message", BAD_PAIRS)
+def test_from_pairs_errors_and_their_precedence(degree, pairs, error, message):
+    with pytest.raises(error) as raised:
+        MonodromySequence.from_pairs(degree, iter(pairs))
+    assert type(raised.value) is error and str(raised.value) == message
+    try:
+        entries = tuple(Transposition(a, b) for a, b in pairs)
+    except (TypeError, ValueError):
+        return
+    with pytest.raises(error) as raised:
+        MonodromySequence(degree, entries)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 def test_total_monodromy_examples():
     assert total_monodromy(seq(3, (1, 2), (2, 3))).images == (3, 1, 2)
     assert total_monodromy(MonodromySequence(5, ())).is_identity()

@@ -10,6 +10,7 @@ benchmark's oracles format them, so they must not move.
 import copy
 import importlib
 import pickle
+import random
 
 import pytest
 
@@ -31,7 +32,8 @@ from diskcovers import (
     TheoremCReport,
     Transposition,
 )
-from diskcovers.core import _Record
+from diskcovers.core import _Record, _tables
+from diskcovers.orbit import all_sequences
 
 WORD = BraidWord(3, (1, -2))
 SEQ = MonodromySequence.from_pairs(3, [(1, 2), (2, 3)])
@@ -81,7 +83,7 @@ REJECTED = {
     Permutation: ((1, 1),),
     Transposition: (2, 2),
     CycleType: ((1,), 1),
-    MonodromySequence: (0, (), ()),
+    MonodromySequence: (0, ()),
     RestrictionSpec: ((), "middle"),
     BraidWord: (2, (0, 5)),
     CurveRef: (4, WORD),
@@ -170,12 +172,23 @@ def test_unchecked_constructor_skips_the_checks(cls):
     assert tuple(getattr(unchecked, name) for name in cls.__annotations__) == values
 
 
-def test_packed_form_is_neither_shown_nor_compared():
-    other = MonodromySequence._unchecked(3, SEQ.entries, (2, 2))
-    assert other._packed == (2, 2)
-    assert other == SEQ and hash(other) == hash(SEQ) and not other < SEQ and not SEQ < other
-    assert repr(other) == SEQ_REPR
+def test_packed_form_is_the_only_one_stored():
+    # A sequence stores its degree and packed tuple; ``entries`` is read off
+    # them, and equality, order and hashing agree with the pairs.
     assert MonodromySequence.__match_args__ == ("degree", "entries")
+    assert MonodromySequence.__slots__ == ("degree", "_packed")
+    sequences = all_sequences(4, 3)
+    interned = _tables(4).interned
+    for seq in sequences:
+        assert seq.entries == tuple(Transposition(a, b) for a, b in seq.pairs())
+        assert all(seq.entries[i] is interned[seq._packed[i]] for i in range(seq.length))
+        assert hash(seq) == hash((seq.degree, seq.entries)) == hash((seq.degree, seq.pairs()))
+        assert repr(seq) == f"MonodromySequence(degree=4, entries={seq.entries!r})"
+        assert MonodromySequence._unchecked(*seq.__reduce__()[1]) == seq
+    for seq, other in zip(sequences, random.Random(6).sample(sequences, len(sequences))):
+        key, other_key = (seq.degree, seq.pairs()), (other.degree, other.pairs())
+        assert (seq == other) == (key == other_key) and (seq < other) == (key < other_key)
+    assert repr(SEQ) == SEQ_REPR
     with pytest.raises(TypeError):
         MonodromySequence(3, SEQ.entries, (0, 2))
     with pytest.raises(TypeError):

@@ -24,16 +24,18 @@ The layers, each written to its own file at the root of the checkout:
   must find all of them liftable.
 - the kernel (``BENCH_kernel.json``): ``restrict``,
   ``restricted_total_monodromy``, ``total_monodromy``, ``core._unpack``,
-  ``act`` with a 48-letter word, ``curve_monodromy`` and ``interval_type``
-  of curves and intervals carried by that word, ``interval_braid`` at
-  powers 2 and -3, the index-0 and index-1 catalog curves and the public and
-  unchecked ``BraidWord`` constructors.  The inputs are one covering on 6
-  sheets with 7 branch points, cut along each of its 254 index sets at each
-  base point, 20 coverings on 6 sheets acted on by one 48-letter word, at
-  each of its 7 curves and 6 intervals, the 105 index-1 intervals at n = 7,
-  and the whole catalog at n = 7, whose 301 words the constructors build
-  again.  A round runs ``NUMBER`` batches of a case; each case records the
-  calls per batch and the median microseconds per call.
+  ``MonodromySequence.from_pairs`` on each restriction's pairs, larger sheet
+  first, ``act`` with a 48-letter word, ``curve_monodromy`` and
+  ``interval_type`` of curves and intervals carried by that word,
+  ``interval_braid`` at powers 2 and -3, the index-0 and index-1 catalog
+  curves and the public and unchecked ``BraidWord`` constructors.  The
+  inputs are one covering on 6 sheets with 7 branch points, cut along each
+  of its 254 index sets at each base point, 20 coverings on 6 sheets acted
+  on by one 48-letter word, at each of its 7 curves and 6 intervals, the
+  105 index-1 intervals at n = 7, and the whole catalog at n = 7, whose 301
+  words the constructors build again.  A round runs ``NUMBER`` batches of a
+  case; each case records the calls per batch and the median microseconds
+  per call.
 - classification (``BENCH_classify.json``): ``classify_all`` on the cells
   (d, n) = (3, 5), (4, 4), (4, 5) and (4, 6), from 243 to 46,656
   sequences.  Each cell records the median seconds, the class count and the
@@ -45,8 +47,11 @@ The layers, each written to its own file at the root of the checkout:
   cases take the same 200 coverings through ``canonicalize`` alone, and
   through ``replay_certificate`` alone, of certificates made beforehand.
 
-Each case runs ``ROUNDS`` rounds, and records its median seconds to 4
-significant digits, so that a sub-millisecond case can show a change.  Every
+Each case runs ``ROUNDS`` rounds, and records its median seconds per call to
+4 significant digits, so that a sub-millisecond case can show a change.  A
+round makes one call, ``NUMBER`` for the kernel cases, or for the short
+cases in ``BATCHED`` (``classify_all(3, 5)`` and ``verify_theorem_c(5)``)
+the count given there, which the case records as ``"number"``.  Every
 round's answer is checked by the SHA-256 of the ``repr`` of what the case
 checks: for the kernel and classification cases the answer's own digest,
 captured when the case was written.  On a wrong answer the script names the
@@ -110,6 +115,10 @@ from diskcovers.cosets import CAPPED, COMPLETE  # noqa: E402
 ROUNDS = 9
 NUMBER = 20
 CAP = 20_000
+#: Calls per round of the cases that one call times too briefly to resolve a
+#: few percent, in place of their layer's count: one ``classify_all(3, 5)``
+#: takes about 0.2 ms and one ``verify_theorem_c(5)`` about 5 ms.
+BATCHED = {"classify_all(3, 5)": 50, "verify_theorem_c(5)": 8}
 
 
 def four_six(dc: ModuleType):
@@ -215,9 +224,9 @@ def coset_cases(dc: ModuleType) -> dict:
     }
 
 
-#: ``_unpack`` rebuilds the restrictions, and the total monodromy of a
-#: restriction is its restricted total monodromy, so those cases share their
-#: digests.
+#: ``_unpack`` and ``from_pairs`` rebuild the restrictions, and the total
+#: monodromy of a restriction is its restricted total monodromy, so those
+#: cases share their digests.
 RESTRICTIONS, MONODROMIES, WORDS = (
     "a0ec6c1d6c9bc59e550fcdfb27ae23b71456f5886bb9945899ff2717effd11d2",
     "e3d2156bca7ae6e5d2f2793f506180b00f2af926843dc5c56feb955fae8f4242",
@@ -255,6 +264,8 @@ def kernel_cases(dc: ModuleType) -> dict:
     # index1_interval is symmetric in its outer indices.
     carried = [dc.index1_interval(7, *t) for t in triples if t[0] < t[2]]
     unpack = dc.core._unpack
+    # Each restriction's pairs, larger sheet first, as a caller may give them.
+    flipped = [[(b, a) for a, b in r.pairs()] for r in restricted]
     return {
         "restrict": (lambda: [dc.restrict(seq, spec) for spec in specs], RESTRICTIONS),
         "restricted_total_monodromy": (
@@ -263,6 +274,7 @@ def kernel_cases(dc: ModuleType) -> dict:
         ),
         "total_monodromy": (lambda: [dc.total_monodromy(r) for r in restricted], MONODROMIES),
         "_unpack": (lambda: [unpack(6, r._packed) for r in restricted], RESTRICTIONS),
+        "from_pairs": (lambda: [dc.MonodromySequence.from_pairs(6, pairs) for pairs in flipped], RESTRICTIONS),
         "act, 48 letters": (
             lambda: [dc.act(c, word) for c in coverings],
             "aa5eaafbf9f022e8b23cce52bcab7329ab7a21e3f14f6a10e4657b2a1ed64f34",
@@ -387,8 +399,9 @@ def orbit_answer(answer: int | list) -> dict:
     return {"index": (len(answer) - 1) // (answer[0].strands - 2), "words": len(answer)}
 
 
-#: Output file, calls per round, cases, what a round's answer is checked by,
-#: and what a case records from its last answer and median seconds per round.
+#: Output file, calls per round (unless ``BATCHED`` names the case), cases,
+#: what a round's answer is checked by, and what a case records from its last
+#: answer and the median seconds per call of its rounds.
 LAYERS = (
     (
         "BENCH_todd_coxeter.json",
@@ -411,7 +424,7 @@ LAYERS = (
         digest,
         lambda answers, median: {
             "calls": len(answers),
-            "median_us_per_call": round(median / NUMBER / len(answers) * 1e6, 3),
+            "median_us_per_call": round(median / len(answers) * 1e6, 3),
         },
     ),
     (
@@ -438,6 +451,11 @@ def timed_round(number: int, call, expected, check) -> tuple[float, object]:
     return seconds, answer
 
 
+def batched(calls: int, number: int, entry: dict) -> dict:
+    """A case's record, with its calls per round when they are not its layer's."""
+    return entry if calls == number else {**entry, "number": calls}
+
+
 def entry_head(number: int, rounds: int) -> dict:
     entry = {"python": platform.python_version(), "rounds": rounds}
     if number > 1:
@@ -459,12 +477,14 @@ def measure() -> int:
     for output, number, cases, check, record in LAYERS:
         results = {}
         for name, (call, expected) in cases(diskcovers).items():
+            calls = BATCHED.get(name, number)
             try:
-                rounds = [timed_round(number, call, expected, check) for _ in range(ROUNDS)]
+                rounds = [timed_round(calls, call, expected, check) for _ in range(ROUNDS)]
             except ValueError as wrong:
                 print(f"{name}: {wrong}", file=sys.stderr)
                 return 1
-            results[name] = record(rounds[-1][1], statistics.median(seconds for seconds, _ in rounds))
+            median = statistics.median(seconds for seconds, _ in rounds) / calls
+            results[name] = batched(calls, number, record(rounds[-1][1], median))
             print(name, json.dumps(results[name]))
         update(output, "trees", tree, {**entry_head(number, ROUNDS), "cases": results})
     return 0
@@ -479,19 +499,23 @@ def interleave(other: Path, rounds: int) -> int:
         built = {side: cases(dc) for side, dc in packages.items()}
         results = {}
         for name in built["tree"]:
+            calls = BATCHED.get(name, number)
             seconds: dict[str, list[float]] = {side: [] for side in packages}
             last = {}
             for k in range(rounds):
                 for side in ("tree", "against")[:: 1 if k % 2 == 0 else -1]:
                     call, expected = built[side][name]
                     try:
-                        elapsed, last[side] = timed_round(number, call, expected, check)
+                        elapsed, last[side] = timed_round(calls, call, expected, check)
                     except ValueError as wrong:
                         print(f"{labels[side]}: {name}: {wrong}", file=sys.stderr)
                         return 1
                     seconds[side].append(elapsed)
             ratios = [t / a for t, a in zip(seconds["tree"], seconds["against"])]
-            results[name] = {side: record(last[side], statistics.median(seconds[side])) for side in packages}
+            results[name] = {
+                side: batched(calls, number, record(last[side], statistics.median(seconds[side]) / calls))
+                for side in packages
+            }
             results[name].update(
                 median_ratio=round(statistics.median(ratios), 3),
                 lower=sum(r < 1 for r in ratios),
