@@ -27,15 +27,21 @@ tuple into one list, which the action kernel ``hurwitz._act`` changes in
 place; the latter two read only the one or two entries they need, and
 ``curve_monodromy`` returns the interned transposition.  ``interval_braid``
 freely reduces the word, the twist and the inverse word in one pass and
-builds one unchecked word.  The catalog and the
-transports build their records unchecked once their input is known to be in
-range.  Per call, the median over 10 alternating processes per tree of
-``tools/layer_bench.py --against`` (CPython 3.11, 2 shared vCPUs, on a host
-whose speed drifted by up to 1.5x between processes): ``curve_monodromy``
-under a 48-letter word 5.6 us and ``interval_type`` 7.7 us, unchanged;
-``interval_braid`` of an index-1 interval, at power -3, from 4.3 to 3.1 us;
-a catalog curve from 14.3 to 11.4 us, since its records are no longer
-checked again.
+builds one unchecked word.
+
+The catalog spells its words in closed form.  The half-twist of the index-0
+interval between branch points ``lo < hi`` is ``x_{hi-1}^-1 ... x_{lo+1}^-1
+x_lo x_{lo+1} ... x_{hi-1}``, in which no two neighbouring letters cancel,
+and a transport prepends its braid's word.  So ``index0_curve``,
+``index1_curve`` and ``index1_interval`` each build one word and one record,
+both unchecked, with no interval, half-twist, inverse or transport in
+between; out of range they raise what those steps raise.  The transports
+also build their records unchecked.  Per call, the median of 21 interleaved
+rounds of ``tools/layer_bench.py --against`` (CPython 3.11, 2 shared
+vCPUs): a catalog curve at n = 7 from 8.1 to 2.4 us and an index-1 interval
+from 5.7 to 2.8 us; ``curve_monodromy`` under a 48-letter word 4.2 us,
+``interval_type`` 4.5 us and ``interval_braid`` of an index-1 interval at
+power -3 2.2 us, unchanged.
 """
 
 from __future__ import annotations
@@ -138,9 +144,25 @@ def index0_interval(branch_points: int, i: int, j: int) -> IntervalRef:
     return _carried_interval(branch_points, i, j, -1)
 
 
+def _twist(branch_points: int, i: int, j: int, inverse: bool) -> tuple[int, ...]:
+    """The letters of the half-twist of the index-0 interval between branch
+    points ``i != j``, or of its inverse, in closed form: the interval's word
+    ``x_{hi-1}^-1 ... x_{lo+1}^-1``, then ``x_lo`` or its inverse, then the
+    word's inverse, for ``lo < hi`` the two indices.  No two neighbouring
+    letters cancel, so this is ``interval_braid(index0_interval(...))``, or
+    its inverse, whose errors it raises out of range."""
+    lo, hi = sorted((i, j))
+    if lo < 1 or hi > branch_points:
+        index0_interval(branch_points, i, j)  # raises
+    return (*range(1 - hi, -lo), -lo if inverse else lo, *range(lo + 1, hi))
+
+
 def index1_interval(branch_points: int, i: int, j: int, k: int) -> IntervalRef:
     """The index-1 interval obtained by transporting the index-0 interval from
-    ``i`` to ``j`` across branch point ``j`` towards ``k``.
+    ``i`` to ``j`` across branch point ``j`` towards ``k``: by the half-twist
+    of the index-0 interval from ``j`` to ``k`` if ``i < j < k``, by its
+    inverse otherwise.  Its word is that braid's followed by the transported
+    interval's, the first half of its own twist.
 
     Normalisations: symmetric in ``i`` and ``k``; degenerate index patterns
     (``i == j`` or ``j == k``) collapse to the index-0 interval.
@@ -151,36 +173,30 @@ def index1_interval(branch_points: int, i: int, j: int, k: int) -> IntervalRef:
         return index0_interval(branch_points, i, k)
     if i == k:
         raise ValueError("an index-1 interval needs distinct outer branch points")
-    carrier = interval_braid(index0_interval(branch_points, j, k))
-    if not i < j < k:  # i < k < j or j < i < k
-        carrier = carrier.inverse()
-    return transport_interval(index0_interval(branch_points, i, j), carrier)
+    letters = _twist(branch_points, j, k, not i < j < k) + _twist(branch_points, i, j, False)[: abs(i - j) - 1]
+    return IntervalRef._unchecked(min(i, j), BraidWord._unchecked(branch_points, letters))
 
 
 def index0_curve(branch_points: int, i: int, j: int) -> CurveRef:
     """The index-0 curve ``alpha_{i,j}`` ending at branch point ``i``; it is
     ``alpha_i`` transported by the index-0 interval's half-twist, against the
-    twist for ``i < j`` and with it for ``j < i``.  ``alpha_{i,i}`` is
-    ``alpha_i`` itself."""
+    twist for ``i < j`` and with it for ``j < i``, so its word is that
+    braid's.  ``alpha_{i,i}`` is ``alpha_i`` itself."""
     if i == j:
         return standard_curve(branch_points, i)
-    carrier = interval_braid(index0_interval(branch_points, i, j))
-    if i < j:
-        carrier = carrier.inverse()
-    return transport_curve(standard_curve(branch_points, i), carrier)
+    return CurveRef._unchecked(i, BraidWord._unchecked(branch_points, _twist(branch_points, i, j, i < j)))
 
 
 def index1_curve(branch_points: int, i: int, j: int, k: int) -> CurveRef:
     """The index-1 curve ``alpha_{i,j,k}``: the index-0 curve ``alpha_{i,j}``
     transported by the half-twist of the index-0 interval from ``j`` to ``k``,
-    with the twist direction depending on the index pattern."""
+    with the twist if ``i < j < k``, ``j < k <= i`` or ``k < i < j`` and
+    against it if ``k < j < i``, ``j < i < k`` or ``i <= k < j``.  Its word
+    is that braid's followed by ``alpha_{i,j}``'s."""
     if i == j or j == k:
         raise ValueError("index-1 curves need i != j and j != k")
-    carrier = interval_braid(index0_interval(branch_points, j, k))
-    if not ((i < j < k) or (j < k <= i) or (k < i < j)):
-        # k < j < i, j < i < k, or i <= k < j
-        carrier = carrier.inverse()
-    return transport_curve(index0_curve(branch_points, i, j), carrier)
+    letters = _twist(branch_points, j, k, not (i < j < k or j < k <= i or k < i < j))
+    return CurveRef._unchecked(i, BraidWord._unchecked(branch_points, letters + _twist(branch_points, i, j, i < j)))
 
 
 # --- liftability and types ------------------------------------------------
@@ -232,8 +248,7 @@ def reference_alpha_monodromy(branch_points: int, i: int, j: int, k: int | None 
     (j+1 k+1) if i < j < k or i <= k < j; (j k) if k < j < i or j < k <= i;
     (j+1 k) if k < i < j; (j k+1) if j < i < k.
     """
-    n = branch_points
-    if not all(1 <= v <= n for v in (i, j) + (() if k is None else (k,))):
+    if not all(1 <= v <= branch_points for v in (i, j, j if k is None else k)):
         raise ValueError("curve indices out of range")
     if k is None:
         return Transposition(i, j + 1) if i <= j else Transposition(i + 1, j)
@@ -256,11 +271,9 @@ def theorem_c_generators(branch_points: int) -> list[BraidWord]:
     n = branch_points
     if n < 1:
         raise ValueError("branch point count must be at least 1")
-    out = [BraidWord(n, (i,) * 3) for i in range(1, n)]
-    for i in range(1, n):
-        for j in range(i + 2, n + 1):
-            out.append(interval_braid(twisted_interval(n, i, j), power=2))
-    return out
+    return [BraidWord(n, (i,) * 3) for i in range(1, n)] + [
+        interval_braid(twisted_interval(n, i, j), 2) for i in range(1, n) for j in range(i + 2, n + 1)
+    ]
 
 
 def is_regular_curve(seq: MonodromySequence, curve: CurveRef) -> bool:
@@ -278,8 +291,7 @@ def is_regular_curve(seq: MonodromySequence, curve: CurveRef) -> bool:
         raise ValueError("regularity is defined for disk coverings only")
     if seq.length < 2:
         raise ValueError("regularity needs at least two branch points")
-    transported = act(seq, curve.word)
-    signature = restriction_signature(transported, RestrictionSpec((curve.base,), START))
+    signature = restriction_signature(act(seq, curve.word), RestrictionSpec((curve.base,), START))
     return min(len(sheets) for sheets, _ in signature.blocks) == 1
 
 
@@ -295,7 +307,10 @@ def systems_liftable_equivalent(
     in which the curves leave the boundary base point and which every braid
     keeps; matched curves have equal monodromies; and the restrictions along
     the two systems have identical component signatures at both base points
-    of the cut disk.
+    of the cut disk.  Each system gives the rank of each curve's base among
+    its bases, each curve's monodromy, which is the entry at its base of the
+    sequence that the system's word carries, and its signatures; the systems
+    are equivalent when these agree.
     """
     if len(first) != len(second) or not first:
         raise ValueError("systems must be nonempty and of equal length")
@@ -304,38 +319,24 @@ def systems_liftable_equivalent(
             raise ValueError("curves within a system must share a transport word")
         if len({c.base for c in system}) != len(system):
             raise ValueError("curves within a system must end at distinct branch points")
-        for c in system:
-            if c.word.strands != seq.length:
-                raise ValueError("system strand count does not match the covering")
+        if system[0].word.strands != seq.length:
+            raise ValueError("system strand count does not match the covering")
 
-    positions = range(len(first))
-    if sorted(positions, key=lambda k: first[k].base) != sorted(positions, key=lambda k: second[k].base):
-        return False
-    if any(
-        curve_monodromy(seq, a) != curve_monodromy(seq, b) for a, b in zip(first, second)
-    ):
-        return False
-
-    signatures = []
+    invariants = []
     for system in (first, second):
         transported = act(seq, system[0].word)
         indices = tuple(sorted(c.base for c in system))
-        signatures.append(
-            tuple(
-                restriction_signature(transported, RestrictionSpec(indices, base))
-                for base in (START, END)
-            )
-        )
-    return signatures[0] == signatures[1]
+        invariants.append((
+            [indices.index(c.base) for c in system],
+            [transported._packed[c.base - 1] for c in system],
+            [restriction_signature(transported, RestrictionSpec(indices, base)) for base in (START, END)],
+        ))
+    return invariants[0] == invariants[1]
 
 
 def count_regular_bases(seq: MonodromySequence, word: BraidWord) -> int:
     """How many curves of the transported fundamental system are regular."""
-    return sum(
-        1
-        for j in range(1, seq.length + 1)
-        if is_regular_curve(seq, CurveRef(j, word))
-    )
+    return sum(is_regular_curve(seq, CurveRef(j, word)) for j in range(1, seq.length + 1))
 
 
 def liftable_interval_powers(seq: MonodromySequence, max_word_length: int | None = None) -> list[BraidWord]:

@@ -387,7 +387,8 @@ def test_classification_kernel_matches_the_references():
 
 
 def test_packed_results_equal_their_validated_constructions():
-    # == ignores _packed, so the packed tuples are compared directly.
+    # == compares _packed too; the packed tuples are also compared on their own,
+    # and their type is checked.
     for degree in range(1, 8):
         for length in range(9):
             for parts in all_cycle_types(degree):

@@ -205,6 +205,76 @@ def test_catalog_errors_are_unchanged():
     assert grid_outcomes() == golden
 
 
+def composed_index0_curve(n, i, j):
+    """``index0_curve`` as the transport of ``alpha_i`` by the index-0
+    interval's half-twist, against it for ``i < j``."""
+    if i == j:
+        return standard_curve(n, i)
+    carrier = interval_braid(index0_interval(n, i, j))
+    if i < j:
+        carrier = carrier.inverse()
+    return transport_curve(standard_curve(n, i), carrier)
+
+
+def composed_index1_curve(n, i, j, k):
+    """``index1_curve`` as the transport of ``alpha_{i,j}`` by the half-twist
+    of the index-0 interval from ``j`` to ``k``, against it for ``k < j < i``,
+    ``j < i < k`` and ``i <= k < j``."""
+    if i == j or j == k:
+        raise ValueError("index-1 curves need i != j and j != k")
+    carrier = interval_braid(index0_interval(n, j, k))
+    if not ((i < j < k) or (j < k <= i) or (k < i < j)):
+        carrier = carrier.inverse()
+    return transport_curve(composed_index0_curve(n, i, j), carrier)
+
+
+def composed_index1_interval(n, i, j, k):
+    """``index1_interval`` as the transport of the index-0 interval from ``i``
+    to ``j`` by the half-twist of the one from ``j`` to ``k``, against it
+    unless ``i < j < k``."""
+    if i > k:
+        i, k = k, i
+    if i == j or j == k:
+        return index0_interval(n, i, k)
+    if i == k:
+        raise ValueError("an index-1 interval needs distinct outer branch points")
+    carrier = interval_braid(index0_interval(n, j, k))
+    if not i < j < k:
+        carrier = carrier.inverse()
+    return transport_interval(index0_interval(n, i, j), carrier)
+
+
+def outcome(build, *args):
+    """The value ``build`` returns, or the type and message of its error."""
+    try:
+        return build(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize(
+    "build, composed, arity",
+    [
+        (index0_curve, composed_index0_curve, 2),
+        (index1_curve, composed_index1_curve, 3),
+        (index1_interval, composed_index1_interval, 3),
+    ],
+)
+def test_catalog_equals_its_composition(build, composed, arity):
+    # The catalog spells each word in closed form; the composition builds it
+    # from intervals, half-twists, inverses and transports.  Indices run from
+    # -1 to n + 2, so every error is met, in the order the composition meets it.
+    calls = errors = 0
+    for n in range(9):
+        for indices in itertools.product(range(-1, n + 3), repeat=arity):
+            got, expected = outcome(build, n, *indices), outcome(composed, n, *indices)
+            assert got == expected and type(got) is type(expected), (build.__name__, n, indices)
+            calls += 1
+            errors += isinstance(expected, tuple)
+    assert calls == sum((n + 4) ** arity for n in range(9))
+    assert 0 < errors < calls
+
+
 def test_reference_monodromy_examples():
     assert reference_alpha_monodromy(3, 1, 3) == Transposition(1, 4)
     assert reference_alpha_monodromy(3, 3, 1) == Transposition(1, 4)

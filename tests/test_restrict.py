@@ -175,6 +175,27 @@ def test_total_monodromy_identity_randomized_degree_four():
             assert total_monodromy(restrict(s, spec)) == restricted_total_monodromy(s, spec)
 
 
+def test_restricted_total_monodromy_is_the_concatenated_product():
+    # The docstring's formula, spelled out: the sequence then its removed
+    # entries in descending order at the start base point, the other way
+    # round at the end one, multiplied by total_monodromy.
+    rng = random.Random(41)
+    checked = 0
+    for degree in range(2, 7):
+        for length in range(1, 8):
+            specs = [RestrictionSpec(indices, base) for indices in nonempty_subsets(length) for base in (START, END)]
+            for _ in range(3):
+                pairs = [tuple(rng.sample(range(1, degree + 1), 2)) for _ in range(length)]
+                s = MonodromySequence.from_pairs(degree, pairs)
+                for spec in specs:
+                    removed = [pairs[i - 1] for i in reversed(spec.indices)]
+                    concatenated = pairs + removed if spec.base == START else removed + pairs
+                    expected = total_monodromy(MonodromySequence.from_pairs(degree, concatenated))
+                    assert restricted_total_monodromy(s, spec) == expected, (pairs, spec)
+                    checked += 1
+    assert checked == 5 * 3 * sum(2 ** (length + 1) - 2 for length in range(1, 8))
+
+
 def test_component_count_bounds():
     for s in all_sequences(3, 4):
         c = components(s).count

@@ -28,12 +28,13 @@ The layers, each written to its own file at the root of the checkout:
   first, ``act`` with a 48-letter word, ``curve_monodromy`` and
   ``interval_type`` of curves and intervals carried by that word,
   ``interval_braid`` at powers 2 and -3, the index-0 and index-1 catalog
-  curves and the public and unchecked ``BraidWord`` constructors.  The
-  inputs are one covering on 6 sheets with 7 branch points, cut along each
-  of its 254 index sets at each base point, 20 coverings on 6 sheets acted
-  on by one 48-letter word, at each of its 7 curves and 6 intervals, the
-  105 index-1 intervals at n = 7, and the whole catalog at n = 7, whose 301
-  words the constructors build again.  A round runs ``NUMBER`` batches of a
+  curves, ``index1_interval`` and the public and unchecked ``BraidWord``
+  constructors.  The inputs are one covering on 6 sheets with 7 branch
+  points, cut along each of its 254 index sets at each base point, 20
+  coverings on 6 sheets acted on by one 48-letter word, at each of its 7
+  curves and 6 intervals, the 105 index-1 intervals at n = 7, which
+  ``interval_braid`` twists and ``index1_interval`` builds again, and the
+  whole catalog at n = 7, whose 301 words the constructors build again.  A round runs ``NUMBER`` batches of a
   case; each case records the calls per batch and the median microseconds
   per call.
 - classification (``BENCH_classify.json``): ``classify_all`` on the cells
@@ -262,7 +263,8 @@ def kernel_cases(dc: ModuleType) -> dict:
     curves = [dc.CurveRef(j, word) for j in range(1, 8)]
     intervals = [dc.IntervalRef(i, word) for i in range(1, 7)]
     # index1_interval is symmetric in its outer indices.
-    carried = [dc.index1_interval(7, *t) for t in triples if t[0] < t[2]]
+    outer = [t for t in triples if t[0] < t[2]]
+    carried = [dc.index1_interval(7, *t) for t in outer]
     unpack = dc.core._unpack
     # Each restriction's pairs, larger sheet first, as a caller may give them.
     flipped = [[(b, a) for a, b in r.pairs()] for r in restricted]
@@ -298,6 +300,10 @@ def kernel_cases(dc: ModuleType) -> dict:
         "index0_curve/index1_curve, n=7": (
             catalog,
             "d49272e9002953fd0e7e18e5790aa770ffe5eea9abf50bee6ea4f45ebd39b63f",
+        ),
+        "index1_interval, n=7": (
+            lambda: [dc.index1_interval(7, *t) for t in outer],
+            "b3a4b7039f825909b84489f31349dc28a3fc1a8164763091b83eefec4ef8fa32",
         ),
         "BraidWord public": (lambda: [dc.BraidWord(7, w) for w in letters], WORDS),
         "BraidWord._unchecked": (lambda: [dc.BraidWord._unchecked(7, w) for w in letters], WORDS),
