@@ -48,12 +48,12 @@ from .core import (
     MonodromySequence,
     Permutation,
     _Record,
+    _product,
     _renumbered,
     _tables,
     _target_relabel,
     _unpack,
     canonical_target,
-    total_monodromy,
 )
 
 FORWARD = "forward"
@@ -325,7 +325,7 @@ def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
     """
     if not seq.is_connected():
         raise DisconnectedCoveringError("canonicalization is only defined for connected coverings")
-    omega, relabel = _target_relabel(total_monodromy(seq))
+    omega, relabel = _target_relabel(_product(seq.degree, seq._packed))
     target = canonical_target(seq.degree, seq.length, omega)
     letters = _peel(seq.degree, _renumbered(seq.degree, seq._packed, relabel.images), target._packed)
     # The forward move is the inverse generator.

@@ -28,8 +28,11 @@ it: one lookup per element and generator ``x_i`` gives the images under
 ``x_i`` and its inverse.  A step of ``(0, 0)`` means ``x_i`` fixes the rank,
 so the search looks nothing up and the Schreier reader's loop word needs no
 position; equal steps mean ``x_i`` has order 2 there, so both images are one
-rank and one lookup.  :class:`OrbitTable` decodes its elements on first
-access only, so ``stabilizer_index`` builds none.
+rank and one lookup.  ``classify_all``, which steps by ``x_i`` alone,
+first reads each letter's forward step at every window, times its weight,
+into one list per letter, so a step in its sweep is one index and one add.
+:class:`OrbitTable` decodes its elements on first access only, so
+``stabilizer_index`` builds none.
 """
 
 from __future__ import annotations
@@ -282,7 +285,8 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
     No list of the sequences is kept; each is named by its rank.  A sweep in
     rank order labels the braid orbits: a rank not yet labelled starts an
     orbit as its least member, and a search by the forward letters fills it
-    (each permutes a finite set, so its inverse is one of its powers).
+    (each permutes a finite set, so its inverse is one of its powers), read
+    off one list per letter of its forward steps times its weight.
     Renumbering commutes with the action, so a swap maps an orbit onto an
     orbit: the union-find joins the orbits by renumbering each least member.
     """
@@ -291,6 +295,10 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
         return []
     tables = _tables(degree)
     base, weights, steps, columns, window = _rank_code(degree, length)
+    # Each column's forward step at every window, times the column's weight.
+    # Each window is the pair of adjacent digits of some rank, so the sweep
+    # would read every step anyway, and a lazily filled table fills no more.
+    moves = [(w, [steps[x][0] * w for x in range(window)]) for _, w in columns]
     label: list[int | None] = [None] * total  # each rank's orbit, numbered in order of least member
     starts, sizes = [], []
     for start, seen in enumerate(label):
@@ -300,8 +308,8 @@ def classify_all(degree: int, length: int, cap: int | None = None) -> list[Orbit
         starts.append(start)
         queue = [start]
         for rank in queue:  # grows as it is read
-            for _, w in columns:
-                image = rank + steps[rank // w % window][0] * w
+            for w, move in moves:
+                image = rank + move[rank // w % window]
                 if label[image] is None:
                     label[image] = orbit
                     queue.append(image)

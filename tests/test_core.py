@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -408,3 +409,95 @@ def test_packed_results_equal_their_validated_constructions():
                 r = conjugating_permutation(source, omega)
                 assert r == Permutation(tuple(r.images))
                 assert r.inverse() * source * r == omega
+
+
+# --- the cycle walk against its definitions ----------------------------------
+
+
+def walk_sequences():
+    """Every sequence with d <= 4 and n <= 5, then 300 seeded ones with d in
+    5..8 and n in 4..10."""
+    for degree in range(1, 5):
+        for length in range(6):
+            yield from all_sequences(degree, length)
+    rng = random.Random(34)
+    for _ in range(300):
+        degree, length = rng.randint(5, 8), rng.randint(4, 10)
+        yield seq(degree, *(rng.sample(range(1, degree + 1), 2) for _ in range(length)))
+
+
+def reference_relabel(source, target):
+    """The relabel matching the cycles of two permutations, each ordered
+    longest first and ties by least sheet, fixed points included."""
+    def ordered(p):
+        return sorted(reference_cycles(list(p.images)), key=lambda c: (-len(c), c[0]))
+
+    images = [0] * source.degree
+    for src, dst in zip(ordered(source), ordered(target)):
+        for a, b in zip(src, dst):
+            images[a - 1] = b
+    return tuple(images)
+
+
+def test_the_cycle_walk_matches_its_definitions():
+    from diskcovers.hurwitz import canonicalize
+
+    pool, seen = [], set()
+    for s in walk_sequences():
+        p = total_monodromy(s)
+        cycles = reference_cycles(list(p.images))
+        parts = tuple(sorted((len(c) for c in cycles if len(c) > 1), reverse=True))
+        assert omega_class(s) == p.cycle_type() == CycleType(parts, s.degree), s
+        assert p.cycles(include_fixed=True) == tuple(cycles), s
+        assert p.cycles() == tuple(c for c in cycles if len(c) > 1), s
+        assert p.orbit_count() == len(cycles), s
+        # Each circle lies in one component: count it there.
+        blocks = reference_components(s)
+        per_component = []
+        for sheets, branch_count in blocks:
+            boundary = sum(c[0] in sheets for c in cycles)
+            assert all(set(c) <= set(sheets) for c in cycles if c[0] in sheets), s
+            genus = (2 - boundary - len(sheets) + branch_count) // 2
+            per_component.append((sheets, len(sheets) - branch_count, boundary, genus))
+        inv = surface_invariants(s)
+        assert (inv.euler, inv.boundary) == (s.degree - s.length, len(cycles)), s
+        assert [(c.sheets, c.euler, c.boundary, c.genus) for c in inv.per_component] == per_component, s
+        if len(blocks) == 1:
+            result = canonicalize(s)
+            assert result.relabel.images == reference_relabel(p, total_monodromy(result.canonical)), s
+            pool.append((s, parts))
+        seen.add((s.degree > 4, len(blocks) == 1, any(len(c) == 1 for c in cycles)))
+    assert len(seen) == 8
+
+    by_size = {}
+    for s, parts in pool:
+        by_size.setdefault((s.degree, s.length), []).append((s, parts))
+    rng = random.Random(35)
+    outcomes = Counter()
+    for _ in range(3000):
+        (a, parts_a), (b, parts_b) = rng.sample(pool, 2)
+        if rng.random() < 0.5:  # half the pairs of one size, so that both outcomes occur
+            b, parts_b = rng.choice(by_size[a.degree, a.length])
+        expected = (a.degree, a.length, parts_a) == (b.degree, b.length, parts_b)
+        assert is_equivalent(a, b) == is_equivalent(b, a) == expected, (a, b)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (seq(3, (1, 2), (2, 3)), seq(3, (1, 2), (1, 2))),
+        (seq(3, (1, 2), (1, 2)), seq(3, (1, 2), (2, 3))),
+        (seq(4, (1, 2), (3, 4)), seq(3, (1, 2), (2, 3))),
+        (seq(3, (1, 2), (2, 3)), seq(4, (1, 2), (3, 4))),
+    ],
+    ids=["connected-disconnected", "disconnected-connected", "disconnected-of-another-degree-first", "disconnected-of-another-degree-second"],
+)
+def test_is_equivalent_checks_connectivity_before_comparing(first, second):
+    # Both arguments are checked to be connected before degree, length and
+    # cycle type are compared, so a degree mismatch does not mask the error.
+    with pytest.raises(DisconnectedCoveringError) as error:
+        is_equivalent(first, second)
+    assert type(error.value) is DisconnectedCoveringError
+    assert str(error.value) == "equivalence is only defined for connected coverings"

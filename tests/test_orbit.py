@@ -491,3 +491,17 @@ def test_classify_all_at_the_cap_peaks_under_40_mb(peak_rss_mb):
         "assert len(classes) == 17 and sum(c.count for c in classes) == 10**6\n"
     )
     assert peak_mb < 40, peak_mb
+
+
+@pytest.mark.parametrize("degree, length", [(9, 2), (10, 2), (9, 3)])
+def test_classify_all_above_eight_sheets_matches_the_oracle(degree, length):
+    # Above 8 sheets the braid step table is filled on first lookup, and
+    # classify_all reads every window of it once per call.
+    from diskcovers.core import _Lazy, _tables
+
+    classes = classify_all(degree, length)
+    assert isinstance(_tables(degree).steps, _Lazy)
+    assert [(c.representative, c.count) for c in classes] == classify_oracle(degree, length)
+    for c in classes:
+        assert c.omega == omega_class(c.representative)
+        assert c.connected == c.representative.is_connected()

@@ -44,9 +44,12 @@ The layers, each written to its own file at the root of the checkout:
   coverings with d in 3..5 and n in 4..6 through ``canonicalize``, then
   ``canonical_target`` from the cycle type computed beside each covering and
   ``is_equivalent`` of the covering and that target; it records the median
-  seconds, the coverings and the moves of all their certificates.  Two more
-  cases take the same 200 coverings through ``canonicalize`` alone, and
-  through ``replay_certificate`` alone, of certificates made beforehand.
+  seconds, the coverings and the moves of all their certificates.  Four more
+  cases take the same 200 coverings through ``canonicalize`` alone, through
+  ``replay_certificate`` alone, of certificates made beforehand, through
+  ``omega_class`` alone, and through ``is_equivalent`` alone, 400 calls:
+  each covering against its target, made beforehand, then against the
+  first target of its (d, n) in the stream, 320 of them equivalent.
 
 Each case runs ``ROUNDS`` rounds, and records its median seconds per call to
 4 significant digits, so that a sub-millisecond case can show a change.  A
@@ -334,6 +337,14 @@ def classify_cases(dc: ModuleType) -> dict:
         if covering.is_connected():
             stream.append((covering, dc.total_monodromy(covering).cycle_type().parts))
     certified = [(covering, dc.canonicalize(covering)) for covering, _ in stream]
+    targets = [dc.canonical_target(covering.degree, covering.length, omega) for covering, omega in stream]
+    coverings = [covering for covering, _ in stream]
+    first_of_size = {}
+    for covering, target in zip(coverings, targets):
+        first_of_size.setdefault((covering.degree, covering.length), target)
+    # Each covering against its target, then against the first target of its
+    # size in the stream, so that every call compares two cycle types.
+    pairs = list(zip(coverings, targets)) + [(c, first_of_size[c.degree, c.length]) for c in coverings]
 
     def classify_stream() -> list:
         answers = []
@@ -355,16 +366,27 @@ def classify_cases(dc: ModuleType) -> dict:
         lambda: [dc.replay_certificate(covering, result) for covering, result in certified],
         "cbb51b924c9e2df7860bd2fee93f9f639856f4ee1aed2d95910c8abd9a7d0741",
     )
+    cases[f"is_equivalent, {CLASSIFY_STREAM} coverings"] = (
+        lambda: [dc.is_equivalent(covering, other) for covering, other in pairs],
+        "7bd6d00a8a39210e9949bc02433395db10c009f9dcfd16af06e36c5ca85ac90f",
+    )
+    cases[f"omega_class, {CLASSIFY_STREAM} coverings"] = (
+        lambda: [dc.omega_class(covering) for covering in coverings],
+        "8b162c716034c570df7905349f9373616ec4e5eec1737ba3002aa0d49410e61c",
+    )
     return cases
 
 
 def classify_record(answer: list, median: float) -> dict:
-    """A ``classify_all`` cell's classes and sequences, or the coverings of
-    a case on the stream and the moves of their certificates."""
+    """A ``classify_all`` cell's classes and sequences, the pairs of the
+    ``is_equivalent`` case and how many are equivalent, or the coverings of
+    another case on the stream and the moves of their certificates."""
     entry = {"median_s": significant(median)}
     first = kind(answer[0])
     if first == "OrbitClass":
         return {**entry, "classes": len(answer), "sequences": sum(c.count for c in answer)}
+    if first == "bool":
+        return {**entry, "pairs": len(answer), "equivalent": sum(answer)}
     entry["coverings"] = len(answer)
     if first == "tuple":
         entry["moves"] = sum(len(r.moves) for r, _, _ in answer)
