@@ -31,6 +31,7 @@ from .core import (
     CapExceeded,
     MonodromySequence,
     _surface_invariants,
+    _walk,
     canonical_target,
     components,
     is_equivalent,
@@ -195,12 +196,15 @@ def _int_list_arg(value: str, noun: str) -> tuple[int, ...]:
 def _cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
     seq = _covering_arg(args.covering)
     monodromy, signature = total_monodromy(seq), components(seq)
-    invariants = _surface_invariants(seq, monodromy, signature)
+    # One walk of the total monodromy gives the boundary circles and, from
+    # their lengths, longest first, the cycle type.
+    circles = _walk(list(monodromy.images), True)
+    invariants = _surface_invariants(seq, circles, signature)
     connected = signature.count == 1
     return {
         "chi": invariants.euler,
         "boundary": invariants.boundary,
-        "omega": list(monodromy.cycle_type().parts),
+        "omega": [len(c) for c in circles if len(c) > 1],
         "components": signature.count,
         "disk": bool(connected and seq.degree == seq.length + 1),
     }

@@ -300,7 +300,7 @@ class CycleType(_Record):
     def __post_init__(self) -> None:
         if list(self.parts) != sorted(self.parts, reverse=True):
             raise ValueError(f"cycle lengths must be sorted descending: {self.parts!r}")
-        if any(p < 2 for p in self.parts):
+        if self.parts and min(self.parts) < 2:
             raise ValueError(f"nontrivial cycles have length >= 2: {self.parts!r}")
         if sum(self.parts) > self.degree:
             raise ValueError(f"cycle lengths {self.parts!r} exceed degree {self.degree}")
@@ -465,18 +465,17 @@ def components(seq: MonodromySequence) -> ComponentSignature:
 def surface_invariants(seq: MonodromySequence) -> SurfaceInvariants:
     """Euler characteristic, boundary count and genus of the covering surface,
     globally and per component."""
-    return _surface_invariants(seq, total_monodromy(seq), components(seq))
+    return _surface_invariants(seq, _walk(_product(seq.degree, seq._packed), True), components(seq))
 
 
 def _surface_invariants(
-    seq: MonodromySequence, omega: Permutation, sig: ComponentSignature
+    seq: MonodromySequence, circles: list[list[int]], sig: ComponentSignature
 ) -> SurfaceInvariants:
-    """:func:`surface_invariants` from the sequence's total monodromy and
-    components, for callers that report those too.  One walk of the total
-    monodromy gives every boundary circle, and each circle is counted on the
-    component of its least sheet."""
+    """:func:`surface_invariants` from the sequence's boundary circles, the
+    cycles of its total monodromy as ``_walk`` lists them with fixed points,
+    and its components, for callers that report those too.  Each circle is
+    counted on the component of its least sheet."""
     block = {sheet: b for b, (sheets, _) in enumerate(sig.blocks) for sheet in sheets}
-    circles = _walk(list(omega.images), True)
     boundary = [0] * len(sig.blocks)
     for cycle in circles:
         b = block[cycle[0]]
@@ -574,7 +573,9 @@ def canonical_target(degree: int, length: int, omega: CycleType | Iterable[int])
     for s, c in zip(accumulate((0, *parts)), parts):
         copies[s + 1 : s + c] = [1] * (c - 1)
     copies[-1] += 2 * tail_pairs
-    packed = [(k - 1) * (2 * degree - k) // 2 for k in range(1, degree) for _ in range(copies[k])]
+    packed: list[int] = []
+    for k in range(1, degree):
+        packed += [(k - 1) * (2 * degree - k) // 2] * copies[k]
     assert len(packed) == length, "canonical construction must produce the requested length"
     return MonodromySequence._unchecked(degree, tuple(packed))
 
@@ -798,8 +799,11 @@ def _union_find(size: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int],
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:
             parent[y] = y = parent[parent[y]]
-        if x != y:
-            parent[max(x, y)] = min(x, y)
+        if x < y:
+            parent[y] = x
+            joins += 1
+        elif y < x:
+            parent[x] = y
             joins += 1
     for x in range(size):
         parent[x] = parent[parent[x]]

@@ -36,12 +36,14 @@ of the unfinished prefix, from d down to 2, it
   path from a to k - 1.
 
 Each block j then holds at least ``q_j`` entries, of the same parity, and the
-surplus pairs climb one block at a time.  The letters, applied by ``_act``
-and freely reduced as they are emitted, are the certificate's moves; time
-and memory are polynomial in the degree and the length.
+surplus pairs climb one block at a time.  The letters, freely reduced at the
+end, are the certificate's moves; time and memory are polynomial in the
+degree and the length.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .core import (
     DisconnectedCoveringError,
@@ -217,12 +219,40 @@ def _conjugator_path(conj, prefix: tuple[int, ...], source: int, target: int) ->
     return steps[::-1]
 
 
-def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list[int]:
+def _cross(conj, entries: list[int], letters: list[int], right: bool, i: int, conjugate: bool) -> None:
+    """Cross the pair of equal entries t, t at 0-based positions i, i + 1
+    past its neighbour u, on its right or its left, and append the crossing's
+    two letters.  ``x_i x_(i+1)`` takes (u, t, t) to (t, t, u) and
+    ``x_(i+2)^-1 x_(i+1)^-1`` takes (t, t, u) to (u, t, t); with
+    ``conjugate`` the inverse letters give the pair t^u = ``conj[t][u]`` in
+    place of t, and u is unchanged either way.  The entries are written in
+    closed form, as ``_act`` would leave them; ``_peel`` says why that is
+    safe."""
+    u = entries[i + 2] if right else entries[i - 1]
+    t = conj[entries[i]][u] if conjugate else entries[i]
+    if right:
+        entries[i] = u
+        entries[i + 1] = entries[i + 2] = t
+    else:
+        entries[i - 1] = entries[i] = t
+        entries[i + 1] = u
+    # Plain letters are positive on the left and negative on the right.
+    s = 1 if conjugate == right else -1
+    letters += s * (i + 2 if right else i), s * (i + 1)
+
+
+def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...]:
     """Braid letters taking a connected packed sequence to the packed
     canonical target with the same entry product, by the peel of the module
-    docstring, on one list that each letter changes in place.  A pair of
-    equal entries crosses a neighbour in two letters, the neighbour unchanged
-    and the pair either unchanged or conjugated by it."""
+    docstring, on one list that each letter changes in place; the letters
+    are freely reduced once, at the end.  Gathering and reducing apply their
+    letters by ``_act``.  A pair of equal entries crosses a neighbour in two
+    letters, the neighbour unchanged and the pair either unchanged or
+    conjugated by it, and ``_cross`` writes those three entries in closed
+    form, with no ``_act``.  That is safe: a test checks the closed form
+    against ``_act`` for every ordered pair of transpositions up to degree 5,
+    on each side and with each sign, and the tests replay certificates
+    through ``_act``, the golden ones among them."""
     tables = _tables(degree)
     conj, pairs = tables.conj, tables.pairs
     entries = list(packed)
@@ -230,20 +260,10 @@ def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list
 
     def x(*word: int) -> None:
         _act(conj, entries, word)
-        for e in word:
-            if letters and letters[-1] == -e:
-                letters.pop()
-            else:
-                letters.append(e)
+        letters.extend(word)
 
-    # The pair sits at 0-based positions i, i + 1.
-    def cross_left(i: int, conjugate: bool) -> None:
-        s = -1 if conjugate else 1
-        x(s * i, s * (i + 1))
-
-    def cross_right(i: int, conjugate: bool) -> None:
-        s = 1 if conjugate else -1
-        x(s * (i + 2), s * (i + 1))
+    cross_left = partial(_cross, conj, entries, letters, False)
+    cross_right = partial(_cross, conj, entries, letters, True)
 
     blocks, found = [0] * (degree + 1), [0] * (degree + 1)
     for t in target:
@@ -308,7 +328,7 @@ def _peel(degree: int, packed: tuple[int, ...], target: tuple[int, ...]) -> list
             found[j + 1] += 2
             end -= 2
     assert tuple(entries) == target, "the peel must end at the canonical target"
-    return letters
+    return _free_reduce(letters)
 
 
 def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:

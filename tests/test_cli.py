@@ -144,6 +144,20 @@ def test_invariants_command_computes_each_invariant_once(capsys, monkeypatch, p3
     assert calls == {"components": 1, "total_monodromy": 1}
 
 
+def test_invariants_command_reads_omega_off_the_circle_walk(capsys, monkeypatch, tmp_path):
+    # One walk of the total monodromy gives the boundary circles and omega;
+    # cycle_type would walk it a second time.
+    path = tmp_path / "three.json"
+    covering = MonodromySequence.from_pairs(6, [(1, 2), (3, 4), (4, 5)])
+    path.write_text(json.dumps(covering_document(covering)) + "\n", encoding="utf-8")
+    walks = []
+    monkeypatch.setattr(cli, "_walk", lambda images, cycles=False: walks.append(cycles) or core._walk(images, cycles))
+    monkeypatch.setattr(Permutation, "cycle_type", lambda self: pytest.fail("cycle_type walked the monodromy again"))
+    code, out = run(capsys, "invariants", "--covering", str(path))
+    assert code == 0 and walks == [True]
+    assert payload(out) == {"chi": 3, "boundary": 3, "omega": [3, 2], "components": 3, "disk": False}
+
+
 def test_interval_type_and_curve_commands(capsys, p3_path):
     code, out = run(capsys, "interval-type", "--covering", p3_path, "--interval", '{"base":1,"word":[2]}')
     assert code == 0 and payload(out) == {"type": 2}

@@ -12,6 +12,7 @@ from diskcovers.core import (
     DisconnectedCoveringError,
     MonodromySequence,
     NotRealizable,
+    _tables,
     canonical_target,
     disk_covering,
     omega_class,
@@ -322,3 +323,33 @@ def test_apply_moves_replays_sequences():
     replayed = apply_moves(s, moves)
     undone = apply_moves(replayed, ((1, INVERSE), (2, FORWARD), (1, INVERSE)))
     assert undone == s
+
+
+def crossing_word(i, right, conjugate):
+    """The letters of the pair at 0-based positions i, i + 1 crossing its
+    neighbour: ``x_i x_(i+1)`` leftward and ``x_(i+2)^-1 x_(i+1)^-1``
+    rightward, each letter inverted to conjugate the pair."""
+    word = (-(i + 2), -(i + 1)) if right else (i, i + 1)
+    return tuple(-e for e in word) if conjugate else word
+
+
+def test_crossing_in_closed_form_matches_the_action():
+    # _peel's crossings skip _act; every ordered pair (t, u) of packed
+    # transpositions up to degree 5, t, t crossing u from each side, plain
+    # and conjugated, with the pair at two offsets and a letter already
+    # emitted, writes what _act makes of the crossing's letters.
+    crossings = 0
+    for degree in range(2, 6):
+        conj = _tables(degree).conj
+        for t, u in itertools.product(range(len(conj)), repeat=2):
+            for right, conjugate, pad in itertools.product((False, True), (False, True), (0, 2)):
+                entries = [0] * pad + ([t, t, u] if right else [u, t, t]) + [0]
+                i = pad if right else pad + 1
+                word = crossing_word(i, right, conjugate)
+                expected = list(entries)
+                hurwitz._act(conj, expected, word)
+                letters = [7]
+                hurwitz._cross(conj, entries, letters, right, i, conjugate)
+                assert (entries, letters) == (expected, [7, *word]), (degree, t, u, right, conjugate, pad)
+                crossings += 1
+    assert crossings == 8 * (1 + 3**2 + 6**2 + 10**2)

@@ -44,12 +44,14 @@ The layers, each written to its own file at the root of the checkout:
   coverings with d in 3..5 and n in 4..6 through ``canonicalize``, then
   ``canonical_target`` from the cycle type computed beside each covering and
   ``is_equivalent`` of the covering and that target; it records the median
-  seconds, the coverings and the moves of all their certificates.  Four more
+  seconds, the coverings and the moves of all their certificates.  Six more
   cases take the same 200 coverings through ``canonicalize`` alone, through
   ``replay_certificate`` alone, of certificates made beforehand, through
-  ``omega_class`` alone, and through ``is_equivalent`` alone, 400 calls:
+  ``omega_class`` alone, through ``is_equivalent`` alone, 400 calls:
   each covering against its target, made beforehand, then against the
-  first target of its (d, n) in the stream, 320 of them equivalent.
+  first target of its (d, n) in the stream, 320 of them equivalent, through
+  ``is_connected`` alone, all 200 connected, and through ``canonical_target``
+  alone, from each covering's cycle type as a tuple of parts.
 
 Each case runs ``ROUNDS`` rounds, and records its median seconds per call to
 4 significant digits, so that a sub-millisecond case can show a change.  A
@@ -374,19 +376,27 @@ def classify_cases(dc: ModuleType) -> dict:
         lambda: [dc.omega_class(covering) for covering in coverings],
         "8b162c716034c570df7905349f9373616ec4e5eec1737ba3002aa0d49410e61c",
     )
+    cases[f"is_connected, {CLASSIFY_STREAM} coverings"] = (
+        lambda: [covering.is_connected() for covering in coverings],
+        "d8a5073c55066a3165bb2bc7f70769e3c16471d4f0252ef778770740d865de87",
+    )
+    cases[f"canonical_target from a tuple, {CLASSIFY_STREAM} coverings"] = (
+        lambda: [dc.canonical_target(covering.degree, covering.length, omega) for covering, omega in stream],
+        "cbb51b924c9e2df7860bd2fee93f9f639856f4ee1aed2d95910c8abd9a7d0741",
+    )
     return cases
 
 
 def classify_record(answer: list, median: float) -> dict:
-    """A ``classify_all`` cell's classes and sequences, the pairs of the
-    ``is_equivalent`` case and how many are equivalent, or the coverings of
+    """A ``classify_all`` cell's classes and sequences, the calls of a case
+    that answers yes or no and how many said yes, or the coverings of
     another case on the stream and the moves of their certificates."""
     entry = {"median_s": significant(median)}
     first = kind(answer[0])
     if first == "OrbitClass":
         return {**entry, "classes": len(answer), "sequences": sum(c.count for c in answer)}
     if first == "bool":
-        return {**entry, "pairs": len(answer), "equivalent": sum(answer)}
+        return {**entry, "calls": len(answer), "true": sum(answer)}
     entry["coverings"] = len(answer)
     if first == "tuple":
         entry["moves"] = sum(len(r.moves) for r, _, _ in answer)
