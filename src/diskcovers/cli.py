@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .core import (
     CapExceeded,
@@ -38,7 +37,12 @@ from .core import (
     total_monodromy,
 )
 
+# Type checkers read these names; at run time annotations stay strings, and
+# importing ``typing`` would cost each process about 4 ms.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Any, Callable, Sequence
+
     from .hurwitz import BraidWord
     from .lift import CurveRef, IntervalRef
 
@@ -121,12 +125,12 @@ def parse_covering(text: str) -> MonodromySequence:
 
 
 def _load_text(value: str) -> str:
-    path = Path(value)
-    try:
-        is_file = path.is_file()
-    except OSError:  # not a usable file name, e.g. a long inline document
-        is_file = False
-    return path.read_text(encoding="utf-8") if is_file else value
+    # ``isfile`` is False for a name the system refuses, such as a long
+    # inline document.
+    if not os.path.isfile(value):
+        return value
+    with open(value, encoding="utf-8") as file:
+        return file.read()
 
 
 def _load_json(value: str) -> Any:

@@ -32,11 +32,11 @@ degree.  Both forms are read alike.  The invariants that classification
 reads run on the same form: ``is_connected`` counts the joins of the one
 union-find (``_union_find``) over the pairs of the packed entries, and
 ``components`` reads its blocks off it; ``canonical_target`` writes its
-runs of ``(k k+1)``, packed as ``(k-1)(2d-k)/2``.  Cycle types are read by
-one walk, ``_walk``, over a list of images: the list that ``_product``, the
-package's one product loop, fills, or a copy of a permutation's tuple.  It
-gives the nontrivial cycle lengths, longest first, or every cycle with its
-fixed points.  ``omega_class`` and ``is_equivalent`` walk the product's
+runs of ``(k k+1)``, packed as ``(k-1)(2d-k)/2``, once per class, into a
+bounded memo.  Cycle types are read by one walk, ``_walk``, over a list
+of images: the list that ``_product``, the package's one product loop,
+fills, or a copy of a permutation's tuple.  It gives the nontrivial cycle
+lengths, longest first, or every cycle with its fixed points.  ``omega_class`` and ``is_equivalent`` walk the product's
 list, and ``is_equivalent`` compares degree, length and the walked lengths;
 the cycles, cycle type and orbit count of a permutation, the boundary
 circles of ``surface_invariants`` and the relabel of ``canonicalize``
@@ -57,7 +57,13 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import isqrt
-from typing import Iterable, Iterator
+from operator import index
+
+# Type checkers read these names; at run time annotations stay strings, and
+# importing ``typing`` would cost each command-line process about 4 ms.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Iterator
 
 
 class NotRealizable(ValueError):
@@ -84,25 +90,68 @@ class _RecordType(type):
         return super().__new__(mcls, name, bases, namespace, **kwargs)
 
 
+class _Written:
+    """A record method that ``_Record`` writes, standing in for it until its
+    first lookup.  That lookup writes the method from its source with
+    ``exec``, sets it on the class in the stand-in's place and returns it
+    bound as the method itself would be; a stand-in kept from before, such as
+    ``vars(T)[name]``, calls the method it wrote, never writing it twice."""
+
+    __slots__ = ("owner", "name", "source", "namespace", "method")
+
+    def __init__(self, owner: type, name: str, source: str, namespace: dict) -> None:
+        self.owner, self.name, self.source, self.namespace, self.method = owner, name, source, namespace, None
+
+    def written(self) -> object:
+        if self.method is None:
+            found: dict = {}
+            exec(self.source, self.namespace, found)
+            self.method = found[self.name]
+            setattr(self.owner, self.name, self.method)
+        return self.method
+
+    def __get__(self, obj: object, cls: type | None = None) -> object:
+        return self.written().__get__(obj, cls)
+
+    def __call__(self, *args: object, **kwargs: object) -> object:
+        return self.written()(*args, **kwargs)
+
+
 class _Record(metaclass=_RecordType):
     """Base of the package's value types: immutable records of named fields.
 
     A subclass's fields are its own annotated names, in order, apart from
     those that start with ``_``, unless it names them as ``__match_args__``.
-    ``class T(_Record, order=True)`` gets, written as source once when the
-    class is made, the methods that ``@dataclass(frozen=True, order=True)``
-    would give it: ``__init__`` taking the fields by position or name, storing
-    those that are slots and then calling ``__post_init__`` if the class has
-    one, with the others, as a dataclass passes its ``InitVar`` fields;
-    ``__hash__`` on the tuple of the fields, ``__repr__``
-    ``T(f1=..., f2=...)`` and ``__match_args__``; ``__eq__``, and with
-    ``order=True`` ``<``, ``<=``, ``>`` and ``>=``, on the tuple of the slots,
-    which are the fields unless a field is read off a private slot, as
-    ``MonodromySequence.entries`` is off ``_packed``.
+    ``class T(_Record, order=True)`` gets the methods that
+    ``@dataclass(frozen=True, order=True)`` would give it, each written as
+    source on its first use (below): ``__init__`` taking the fields by
+    position or name, storing those that are slots and then calling
+    ``__post_init__`` if the class has one, with the others, as a dataclass
+    passes its ``InitVar`` fields; ``__hash__`` on the tuple of the fields,
+    ``__repr__`` ``T(f1=..., f2=...)`` and ``__match_args__``; ``__eq__``,
+    and with ``order=True`` ``<``, ``<=``, ``>`` and ``>=``, on the tuple of
+    the slots, which are the fields unless a field is read off a private
+    slot, as ``MonodromySequence.entries`` is off ``_packed``.
     Equality and order hold between instances of one class only.  Every
     method reads its fields by name, so a call costs what the dataclass's
     costs; methods that read the field names at call time were 1.7-3 times
-    slower.  Assignment and deletion raise ``AttributeError``.
+    slower.  Assignment and deletion raise ``AttributeError``.  A method
+    that the class body defines itself is kept, as
+    ``MonodromySequence.__hash__`` is; a ``__hash__`` that Python sets to
+    None, in a class body that defines ``__eq__``, counts as not defined.
+
+    Each method is written on first use.  When the class is made, each is
+    kept as its source behind a stand-in, ``_Written``, in the class's
+    namespace.  The first lookup of the method, on the class or an instance,
+    which a call, ``repr``, ``hash``, a comparison or
+    ``inspect.signature(T)`` makes, runs ``exec`` on that source and puts
+    the method in the stand-in's place, so later lookups find the method
+    itself and a call costs what it did when every method was written with
+    its class.  A process thus compiles only the methods it uses: an
+    ``invariants`` command writes 6 of the 51 that its modules' records
+    define.  A fresh ``import diskcovers`` went from 20.6 to 18.3 ms
+    without compiled bytecode and from 7.1 to 3.0 ms with it (medians of
+    31 alternating runs, CPython 3.11, 2 shared vCPUs).
 
     Each type also gets the classmethod ``T._unchecked``, for the package's
     own results built from validated values: it takes every annotated name,
@@ -127,10 +176,16 @@ class _Record(metaclass=_RecordType):
     (CPython 3.11, ``tracemalloc``): ``Permutation`` 40 bytes, ``BraidWord``
     52, ``MonodromySequence`` 48, down from 56 when it also stored its
     entries; with its own packed tuple, a 7-entry sequence takes 144 bytes,
-    down from 248 with its tuple of entries.  ``copy``,
-    ``deepcopy`` and ``pickle`` rebuild a record through ``_unchecked``
-    (``__reduce__``), since assignment is refused.  Records take no weak
-    references; nothing in the package makes one.
+    down from 248 with its tuple of entries.
+
+    ``copy``, ``deepcopy`` and ``pickle`` rebuild a record through
+    ``_unchecked``, since assignment is refused: ``__reduce__``, a plain
+    method of this base, returns ``self._unchecked`` with the slots.  That
+    lookup writes ``_unchecked`` if nothing has called it yet, and the
+    bound classmethod pickles by name, as ``getattr(T, "_unchecked")``, so
+    a record pickled before its class's first ``_unchecked`` call loads in
+    any process.  Records take no weak references; nothing in the package
+    makes one.
     """
 
     def __init_subclass__(cls, order: bool = False) -> None:
@@ -139,35 +194,39 @@ class _Record(metaclass=_RecordType):
         mine, theirs = ("".join(f"{who}.{name}, " for name in stored) for who in ("self", "other"))
         shown = ", ".join(f"{name}={{self.{name}!r}}" for name in fields)
         passed = ", ".join(name for name in fields if name not in stored)
-        source = [
-            f"def __init__(self, {', '.join(fields)}):",
-            *(f"    _set_{name}(self, {name})" for name in fields if name in stored),
-            f"    self.__post_init__({passed})" if hasattr(cls, "__post_init__") else "    pass",
-            "@classmethod",
-            f"def _unchecked(cls, {', '.join(stored)}):",
-            "    self = _new(cls)",
-            *(f"    _set_{name}(self, {name})" for name in stored),
-            "    return self",
-            "def __repr__(self):",
-            f"    return f'{cls.__qualname__}({shown})'",
-            "def __hash__(self):",
-            f"    return hash(({''.join(f'self.{name}, ' for name in fields)}))",
-        ]
+        sources = {
+            "__init__": [
+                f"def __init__(self, {', '.join(fields)}):",
+                *(f"    _set_{name}(self, {name})" for name in fields if name in stored),
+                f"    self.__post_init__({passed})" if hasattr(cls, "__post_init__") else "    pass",
+            ],
+            "_unchecked": [
+                "@classmethod",
+                f"def _unchecked(cls, {', '.join(stored)}):",
+                "    self = _new(cls)",
+                *(f"    _set_{name}(self, {name})" for name in stored),
+                "    return self",
+            ],
+            "__repr__": ["def __repr__(self):", f"    return f'{cls.__qualname__}({shown})'"],
+            "__hash__": [
+                "def __hash__(self):",
+                f"    return hash(({''.join(f'self.{name}, ' for name in fields)}))",
+            ],
+        }
         comparisons = {"__eq__": "=="}
         if order:
             comparisons.update(__lt__="<", __le__="<=", __gt__=">", __ge__=">=")
         for name, op in comparisons.items():
-            source += [
+            sources[name] = [
                 f"def {name}(self, other):",
                 "    if other.__class__ is self.__class__:",
                 f"        return ({mine}) {op} ({theirs})",
                 "    return NotImplemented",
             ]
-        methods: dict = {}
-        setters = {f"_set_{name}": cls.__dict__[name].__set__ for name in stored}
-        exec("\n".join(source), {"_new": object.__new__, **setters}, methods)
-        for name, method in methods.items():
-            setattr(cls, name, method)
+        namespace = {"_new": object.__new__, **{f"_set_{name}": cls.__dict__[name].__set__ for name in stored}}
+        for name, lines in sources.items():
+            if cls.__dict__.get(name) is None:  # absent, or the None that __eq__ leaves as __hash__
+                setattr(cls, name, _Written(cls, name, "\n".join(lines), namespace))
         cls.__match_args__ = fields
 
     def __reduce__(self) -> tuple:
@@ -368,6 +427,11 @@ class MonodromySequence(_Record, order=True):
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(_tables(self.degree).pairs.__getitem__, self._packed))
 
+    def __hash__(self) -> int:
+        # The hash of (degree, entries), whose transpositions hash as their
+        # pairs, with no Transposition read.
+        return hash((self.degree, self.pairs()))
+
     def renumber_sheets(self, relabel: Permutation) -> "MonodromySequence":
         """Apply a sheet renumbering to every entry simultaneously."""
         if relabel.degree != self.degree:
@@ -545,15 +609,38 @@ def canonical_target(degree: int, length: int, omega: CycleType | Iterable[int])
     :class:`NotRealizable` when no connected covering has these invariants
     (pair count negative, parity mismatch, or no entries to connect more
     than one sheet).
+
+    Each class's target is built once per process: ``_target`` keeps the
+    last 64 it built (``lru_cache``), keyed by the degree, the length and
+    the parts, sorted, each read as an int by ``operator.index``, so a bool
+    builds the target of its int.  A ``CycleType`` is keyed by its parts,
+    once its degree is checked.  A target's packed tuple repeats one int
+    per run, so an entry takes about 8 bytes per branch point: 64 targets
+    of the command line's longest, 200,000 branch points, would hold about
+    100 MB.  An input that is rejected raises on every call, since
+    the cache keeps no exception; one that ``operator.index`` refuses, such
+    as a part ``3.0``, is built uncached and raises as it always has.
     """
     if degree < 1 or length < 0:
         raise ValueError("degree must be positive and length nonnegative")
     if not isinstance(omega, CycleType):
-        omega = CycleType(tuple(sorted(omega, reverse=True)), degree)
+        parts = sorted(omega, reverse=True)
     elif omega.degree != degree:
         raise ValueError(f"cycle type degree {omega.degree} != covering degree {degree}")
+    else:
+        parts = omega.parts
+    try:
+        key = index(degree), index(length), tuple(map(index, parts))
+    except TypeError:  # not an int, such as 3.0: built uncached
+        return _target.__wrapped__(degree, length, tuple(parts))
+    return _target(*key)
 
-    parts = omega.parts
+
+@lru_cache(maxsize=64)
+def _target(degree: int, length: int, parts: tuple[int, ...]) -> MonodromySequence:
+    """:func:`canonical_target` of a positive degree, a nonnegative length
+    and parts sorted descending, which it checks as ``CycleType`` does."""
+    CycleType(parts, degree)  # raises for a part below 2 or parts past the degree
     m, l_last = len(parts) or 1, sum(parts) or 1
     if (length - m + l_last) % 2 != 0:
         raise NotRealizable(

@@ -224,6 +224,52 @@ def test_canonical_target_rejects_bad_cycle_type():
         canonical_target(4, 3, [1])
 
 
+def test_canonical_target_is_built_once_for_every_spelling_of_a_class():
+    target = canonical_target(5, 5, (3, 2))
+    assert target.pairs() == ((1, 2), (2, 3), (3, 4), (3, 4), (4, 5))
+    spellings = [(3, 2), [3, 2], (p for p in (2, 3)), [2, 3], CycleType((3, 2), 5)]
+    assert all(canonical_target(5, 5, omega) is target for omega in spellings)
+
+
+@pytest.mark.parametrize(
+    "degree, length, omega, error, message",
+    [
+        (3, 2, (3.0,), TypeError, "can't multiply sequence by non-int of type 'float'"),
+        (3.0, 2, (3,), TypeError, "can't multiply sequence by non-int of type 'float'"),
+        (3, 2, CycleType((3,), 4), ValueError, "cycle type degree 4 != covering degree 3"),
+        (3, 3, (3,), NotRealizable, "parity mismatch: no product of 3 transpositions has cycle type (3,)"),
+        (3, 3, [3.0], NotRealizable, "parity mismatch: no product of 3 transpositions has cycle type (3.0,)"),
+        (3, 2, (3, "3"), TypeError, "'<' not supported between instances of 'int' and 'str'"),
+    ],
+    ids=["float-part", "float-degree", "cycle-type-degree", "parity", "float-parity", "str-part"],
+)
+def test_canonical_target_rejects_as_it_always_has_with_the_class_in_the_memo(degree, length, omega, error, message):
+    # (3, 2, (3,)) is the target whose key each bad input equals, or would.
+    assert canonical_target(3, 2, (3,)).pairs() == ((1, 2), (2, 3))
+    for _ in range(2):
+        with pytest.raises(error) as raised:
+            canonical_target(degree, length, omega)
+        assert str(raised.value) == message
+
+
+def test_canonical_target_memo_stays_within_its_bound():
+    from diskcovers.core import _target
+
+    bound = _target.cache_info().maxsize
+    built = 0
+    for degree in range(2, 12):
+        for length in range(degree - 1, degree + 12):
+            for parts in all_cycle_types(degree)[:4]:
+                try:
+                    target = canonical_target(degree, length, parts)
+                except NotRealizable:
+                    continue
+                built += 1
+                assert target.length == length and omega_class(target).parts == parts
+                assert _target.cache_info().currsize <= bound
+    assert built > bound and _target.cache_info().currsize == bound
+
+
 def all_cycle_types(degree):
     """All descending-part cycle types with parts >= 2 summing to <= degree."""
     found = {()}

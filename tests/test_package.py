@@ -109,11 +109,16 @@ LAZY = ("hurwitz", "lift", "orbit", "cosets")
 #: ``dataclasses``, which imports ``inspect``, takes about a fifth of the time
 #: a bare interpreter takes to start.
 UNLOADED = ("dataclasses", "inspect")
+#: Standard modules that no diskcovers process imports either, though a site
+#: ``.pth`` file may load them before the program starts, so they are checked
+#: under ``python -S``: ``typing`` takes about 4 ms to import and ``pathlib``,
+#: with its own imports, about 7.
+UNIMPORTED = ("typing", "pathlib")
 P3 = '{"degree": 4, "monodromy": [[1, 2], [2, 3], [3, 4]]}'
 
 #: Runs the CLI as ``python -m diskcovers.cli`` would, then prints its exit
-#: code and the loaded modules, of diskcovers and of UNLOADED, as the last
-#: line of stdout.
+#: code and the loaded modules, of diskcovers, of UNLOADED and of UNIMPORTED,
+#: as the last line of stdout.
 RUN_CLI = f"""
 import json, runpy, sys
 sys.argv = ["diskcovers", *json.loads(sys.argv[1])]
@@ -121,14 +126,16 @@ try:
     runpy.run_module("diskcovers.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("diskcovers") or m in {UNLOADED!r})]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("diskcovers") or m in {UNLOADED + UNIMPORTED!r})]))
 """
 
 
-def fresh(code: str, *args: str) -> str:
-    """The last line ``code`` prints in a fresh interpreter."""
+def fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
+    """The last line ``code`` prints in a fresh interpreter started with ``flags``."""
     env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
-    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    child = subprocess.run(
+        [sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
     return child.stdout.splitlines()[-1]
 
 
@@ -197,21 +204,35 @@ def test_submodule_import_binds_its_names_in_the_package():
     assert fresh(code) == str(["act"])
 
 
-@pytest.mark.parametrize(
-    "argv, exit_code, lazy_loaded",
-    [
-        (["invariants", "--covering", P3], 0, set()),
-        (["invariants", "--covering", '{"degree": 3, "monodromy": [[2, 2]]}'], 1, set()),
-        (["act", "--covering", P3, "--braid", "2 1 -2"], 0, {"hurwitz"}),
-        (["canon", "--covering", P3], 0, {"hurwitz"}),
-        (["curve", "--covering", P3, "--curve", '{"base": 1, "word": [2]}'], 0, {"hurwitz", "lift"}),
-        (["verify-theorem-c", "--n", "3"], 0, set(LAZY)),
-    ],
-    ids=["invariants", "malformed-covering", "act", "canon", "curve", "verify-theorem-c"],
-)
+#: Command lines, their exit codes and the lazily loaded modules they load.
+CLI_RUNS = {
+    "invariants": (["invariants", "--covering", P3], 0, set()),
+    "malformed-covering": (["invariants", "--covering", '{"degree": 3, "monodromy": [[2, 2]]}'], 1, set()),
+    "act": (["act", "--covering", P3, "--braid", "2 1 -2"], 0, {"hurwitz"}),
+    "canon": (["canon", "--covering", P3], 0, {"hurwitz"}),
+    "target": (["target", "--degree", "4", "--n", "4", "--omega", "3"], 0, set()),
+    "curve": (["curve", "--covering", P3, "--curve", '{"base": 1, "word": [2]}'], 0, {"hurwitz", "lift"}),
+    "verify-theorem-c": (["verify-theorem-c", "--n", "3"], 0, set(LAZY)),
+}
+
+
+@pytest.mark.parametrize("argv, exit_code, lazy_loaded", CLI_RUNS.values(), ids=CLI_RUNS)
 def test_cli_command_loads_only_what_it_runs(argv, exit_code, lazy_loaded):
     code, modules = json.loads(fresh(RUN_CLI, json.dumps(argv)))
     assert code == exit_code
     assert not set(UNLOADED) & set(modules)
     assert {"diskcovers.core", "diskcovers.restrict"} <= set(modules)
     assert {m for m in LAZY if f"diskcovers.{m}" in modules} == lazy_loaded
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code", [run[:2] for run in CLI_RUNS.values()] + [(None, 0)], ids=[*CLI_RUNS, "covering-file"]
+)
+def test_cli_command_imports_neither_typing_nor_pathlib(argv, exit_code, tmp_path):
+    if argv is None:  # canon of a covering read from a file
+        path = tmp_path / "p3.json"
+        path.write_text(P3, encoding="utf-8")
+        argv = ["canon", "--covering", str(path)]
+    code, modules = json.loads(fresh(RUN_CLI, json.dumps(argv), flags=("-S",)))
+    assert code == exit_code
+    assert not set(UNLOADED + UNIMPORTED) & set(modules)

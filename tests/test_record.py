@@ -1,82 +1,41 @@
 """The value types' record methods: construction, ``repr``, equality, hashing,
 order, immutability, copying and pickling, the same for every public value
-type, and their slotted layout.
+type, their slotted layout, and their writing on first use.
 
 The ``repr`` strings are golden, the strings the ``dataclass`` methods wrote
 before the value types shared one record base; callers such as the
-benchmark's oracles format them, so they must not move.
+benchmark's oracles format them, so they must not move.  The table of
+instances is in ``record_values``.
 """
 
 import copy
 import importlib
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from record_values import FIRST_USES, ORDERED, RECORDS, SEQ, SEQ_REPR, WORD, first_use
 
+import diskcovers
 from diskcovers import (
     BraidWord,
-    CanonicalizationResult,
-    ComponentInvariants,
-    ComponentSignature,
     CurveRef,
     CycleType,
-    IntervalGenerationReport,
     IntervalRef,
     MonodromySequence,
-    OrbitClass,
     Permutation,
-    Presentation,
     RestrictionSpec,
-    SurfaceInvariants,
-    TheoremCReport,
     Transposition,
 )
-from diskcovers.core import _Record, _tables
+from diskcovers import core
+from diskcovers.core import _Record, _tables, _Written
 from diskcovers.orbit import all_sequences
 
-WORD = BraidWord(3, (1, -2))
-SEQ = MonodromySequence.from_pairs(3, [(1, 2), (2, 3)])
-SEQ_REPR = "MonodromySequence(degree=3, entries=(Transposition(a=1, b=2), Transposition(a=2, b=3)))"
-PARTS = ComponentInvariants((1, 2), 1, 1, 0)
-PARTS_REPR = "ComponentInvariants(sheets=(1, 2), euler=1, boundary=1, genus=0)"
-WORD_REPR = "BraidWord(strands=3, letters=(1, -2))"
-
-#: (type, field values, repr); the values build the instance positionally.
-RECORDS = [
-    (Permutation, ((2, 3, 1),), "Permutation(images=(2, 3, 1))"),
-    (Transposition, (1, 2), "Transposition(a=1, b=2)"),
-    (CycleType, ((3,), 4), "CycleType(parts=(3,), degree=4)"),
-    (MonodromySequence, (3, SEQ.entries), SEQ_REPR),
-    (ComponentSignature, ((((1, 2), 1), ((3,), 0)),), "ComponentSignature(blocks=(((1, 2), 1), ((3,), 0)))"),
-    (ComponentInvariants, ((1, 2), 1, 1, 0), PARTS_REPR),
-    (SurfaceInvariants, (1, 2, (PARTS,)), f"SurfaceInvariants(euler=1, boundary=2, per_component=({PARTS_REPR},))"),
-    (RestrictionSpec, ((1, 3), "end"), "RestrictionSpec(indices=(1, 3), base='end')"),
-    (BraidWord, (3, (1, -2)), WORD_REPR),
-    (
-        CanonicalizationResult,
-        (Permutation((1, 2, 3)), ((1, "forward"),), SEQ),
-        f"CanonicalizationResult(relabel=Permutation(images=(1, 2, 3)), moves=((1, 'forward'),), canonical={SEQ_REPR})",
-    ),
-    (CurveRef, (1, WORD), f"CurveRef(base=1, word={WORD_REPR})"),
-    (IntervalRef, (1, WORD), f"IntervalRef(base=1, word={WORD_REPR})"),
-    (
-        OrbitClass,
-        (SEQ, 9, CycleType((3,), 3), True),
-        f"OrbitClass(representative={SEQ_REPR}, count=9, omega=CycleType(parts=(3,), degree=3), connected=True)",
-    ),
-    (Presentation, (3, ((1, 2, 1, -2, -1, -2),)), "Presentation(strands=3, relators=((1, 2, 1, -2, -1, -2),))"),
-    (
-        IntervalGenerationReport,
-        (4, 4, 3, True),
-        "IntervalGenerationReport(orbit_index=4, tc_index=4, generator_count=3, generates=True)",
-    ),
-    (
-        TheoremCReport,
-        (3, 3, True, 4, 4, True),
-        "TheoremCReport(branch_points=3, generator_count=3, all_liftable=True, orbit_index=4, tc_index=4, passed=True)",
-    ),
-]
 #: Each type whose public constructor checks its fields, with values that it
 #: rejects.
 REJECTED = {
@@ -88,12 +47,6 @@ REJECTED = {
     BraidWord: (2, (0, 5)),
     CurveRef: (4, WORD),
     IntervalRef: (3, WORD),
-}
-#: Each ordered type, with a pair of instances in ascending order.
-ORDERED = {
-    Permutation: (Permutation((1, 2, 3)), Permutation((2, 3, 1))),
-    Transposition: (Transposition(1, 3), Transposition(2, 3)),
-    MonodromySequence: (MonodromySequence.from_pairs(3, [(1, 2), (1, 3)]), SEQ),
 }
 
 
@@ -121,6 +74,10 @@ def test_record_methods(cls, values, text):
     else:
         with pytest.raises(TypeError):
             record < record  # noqa: B015
+    # Each method is written on its first use: by now every one has run, so
+    # that a warning from the written code fails tier-1 under -W error.
+    assert cls._unchecked(*(getattr(record, name) for name in cls.__annotations__)) == record
+    assert [name for name, method in vars(cls).items() if isinstance(method, _Written)] == []
 
 
 def test_types_with_the_same_fields_are_never_equal():
@@ -212,3 +169,91 @@ def test_every_record_type_is_slotted():
     for cls, values, _ in RECORDS:
         assert cls.__slots__ == tuple(cls.__annotations__), cls
         assert not hasattr(cls(*values), "__dict__"), cls
+
+
+# --- methods written on first use -------------------------------------------
+
+#: The methods that a stand-in does not hold when the table has been built:
+#: a class's own ``__hash__``, and the ``_unchecked`` that ``from_pairs``
+#: builds sequences with and the tables of a degree intern transpositions
+#: with.
+NOT_STAND_INS = {(MonodromySequence, "__hash__"), (MonodromySequence, "_unchecked"), (Transposition, "_unchecked")}
+
+#: Runs ``first_use`` of one operation on every record type in table order,
+#: which puts each type after the types of its fields, so that each type's
+#: method is written by that operation.  Prints, per type, whether the method
+#: was still a stand-in beforehand, and what the operation gave.
+FIRST_USE = """
+import inspect, json, sys
+import diskcovers
+from diskcovers.core import _Written
+op, method, names = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+if op == "signature":  # before record_values builds any instance
+    classes = [getattr(diskcovers, name) for name in names]
+    print(json.dumps([[isinstance(vars(cls).get(method), _Written), str(inspect.signature(cls))] for cls in classes]))
+    raise SystemExit
+import record_values
+print(json.dumps([
+    [isinstance(vars(cls).get(method), _Written), record_values.first_use(op, cls, values)]
+    for cls, values, _ in record_values.RECORDS
+]))
+"""
+
+
+@pytest.mark.parametrize("op", FIRST_USES)
+def test_each_first_use_of_a_record_method_behaves_as_before(op):
+    method = FIRST_USES[op]
+    names = [cls.__name__ for cls, _, _ in RECORDS]
+    path = os.pathsep.join([str(Path(diskcovers.__file__).parents[1]), str(Path(__file__).parent)])
+    child = subprocess.run(
+        [sys.executable, "-c", FIRST_USE, op, json.dumps(method), json.dumps(names)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    fresh = json.loads(child.stdout.splitlines()[-1])
+    for (cls, values, _), (was_stand_in, gave) in zip(RECORDS, fresh, strict=True):
+        # Here every method has long been written: the fresh process must agree.
+        assert gave == json.loads(json.dumps(first_use(op, cls, values))), cls
+        if method is not None and method in vars(cls):
+            assert was_stand_in == ((cls, method) not in NOT_STAND_INS), cls
+
+
+def test_a_stand_in_kept_from_before_writes_its_method_once(monkeypatch):
+    compiled = []
+
+    def counted(source, *scopes):
+        compiled.append(source.split("(", 1)[0])
+        exec(source, *scopes)
+
+    monkeypatch.setattr(core, "exec", counted, raising=False)
+
+    class Probe(_Record, order=True):
+        a: int
+        b: int
+
+    kept = {name: vars(Probe)[name] for name in ("__repr__", "__lt__", "__hash__")}
+    assert all(isinstance(stand_in, _Written) for stand_in in kept.values())
+    low, high = Probe(1, 2), Probe(1, 3)
+    # Written through the kept stand-in, then called through the class.
+    assert kept["__repr__"](low) == repr(low) == kept["__repr__"](low) == f"{Probe.__qualname__}(a=1, b=2)"
+    # Written through the class, then called through the kept stand-in.
+    assert low < high and kept["__lt__"](low, high) and not kept["__lt__"](high, low)
+    assert compiled == ["def __init__", "def __repr__", "def __lt__"]
+    assert vars(Probe)["__repr__"] is kept["__repr__"].method and vars(Probe)["__lt__"] is kept["__lt__"].method
+    assert isinstance(vars(Probe)["__hash__"], _Written)  # never used, never written
+
+
+def test_a_method_the_class_defines_is_kept():
+    class Own(_Record):
+        a: int
+
+        def __repr__(self) -> str:
+            return "own"
+
+        def __eq__(self, other: object) -> bool:  # so Python sets __hash__ to None
+            return isinstance(other, Own)
+
+    record = Own(1)
+    assert repr(record) == "own" and record == Own(2) and record != (1,)
+    assert hash(record) == hash((1,))  # the None counts as not defined: written
+    own = vars(MonodromySequence)["__hash__"]
+    assert own.__qualname__ == "MonodromySequence.__hash__" and hash(SEQ) == own(SEQ)

@@ -56,8 +56,9 @@ The layers, each written to its own file at the root of the checkout:
 Each case runs ``ROUNDS`` rounds, and records its median seconds per call to
 4 significant digits, so that a sub-millisecond case can show a change.  A
 round makes one call, ``NUMBER`` for the kernel cases, or for the short
-cases in ``BATCHED`` (``classify_all(3, 5)`` and ``verify_theorem_c(5)``)
-the count given there, which the case records as ``"number"``.  Every
+cases in ``BATCHED`` (``classify_all(3, 5)``, ``verify_theorem_c(5)`` and
+the seven cases on the classify stream) the count given there, which the
+case records as ``"number"``.  Every
 round's answer is checked by the SHA-256 of the ``repr`` of what the case
 checks: for the kernel and classification cases the answer's own digest,
 captured when the case was written.  On a wrong answer the script names the
@@ -121,10 +122,24 @@ from diskcovers.cosets import CAPPED, COMPLETE  # noqa: E402
 ROUNDS = 9
 NUMBER = 20
 CAP = 20_000
+CLASSIFY_STREAM = 200
 #: Calls per round of the cases that one call times too briefly to resolve a
 #: few percent, in place of their layer's count: one ``classify_all(3, 5)``
-#: takes about 0.2 ms and one ``verify_theorem_c(5)`` about 5 ms.
-BATCHED = {"classify_all(3, 5)": 50, "verify_theorem_c(5)": 8}
+#: takes about 0.2 ms and one ``verify_theorem_c(5)`` about 5 ms.  The cases
+#: on the classify stream take 0.1 to 10 ms a call, and one call a round
+#: spread their per-round ratios from x0.63 to x1.39, so each round makes
+#: about 20 ms of calls.
+BATCHED = {
+    "classify_all(3, 5)": 50,
+    "verify_theorem_c(5)": 8,
+    f"classify stream, {CLASSIFY_STREAM} coverings": 3,
+    f"canonicalize, {CLASSIFY_STREAM} coverings": 4,
+    f"replay_certificate, {CLASSIFY_STREAM} coverings": 16,
+    f"is_equivalent, {CLASSIFY_STREAM} coverings": 8,
+    f"omega_class, {CLASSIFY_STREAM} coverings": 50,
+    f"is_connected, {CLASSIFY_STREAM} coverings": 50,
+    f"canonical_target from a tuple, {CLASSIFY_STREAM} coverings": 50,
+}
 
 
 def four_six(dc: ModuleType):
@@ -313,9 +328,6 @@ def kernel_cases(dc: ModuleType) -> dict:
         "BraidWord public": (lambda: [dc.BraidWord(7, w) for w in letters], WORDS),
         "BraidWord._unchecked": (lambda: [dc.BraidWord._unchecked(7, w) for w in letters], WORDS),
     }
-
-
-CLASSIFY_STREAM = 200
 
 
 def classify_cases(dc: ModuleType) -> dict:
