@@ -16,15 +16,20 @@ its cap.  Identical invocations produce byte-identical output.
 
 Each handler imports the modules it runs, so that a process loads no more of
 the package than its command needs: ``invariants`` loads only ``core`` and
-``restrict``, which ``import diskcovers`` loads.
+``restrict``, which ``import diskcovers`` loads.  A plain command line, a
+command and then each of its flags once, spelled out, as ``--flag value`` or
+``--flag=value``, is read straight off the grammar table ``_COMMANDS``, so it
+loads no ``argparse``.  Help, usage errors, abbreviated or repeated flags and
+negative numbers after a space go to ``argparse``, whose parser reads the
+same table; the output is the same either way.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .core import (
     CapExceeded,
@@ -41,6 +46,7 @@ from .core import (
 # importing ``typing`` would cost each process about 4 ms.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
     from typing import Any, Callable, Sequence
 
     from .hurwitz import BraidWord
@@ -63,11 +69,6 @@ MAX_STRANDS = 16
 
 class UsageError(ValueError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
-        raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
 
 
 def covering_document(seq: MonodromySequence) -> dict[str, Any]:
@@ -431,6 +432,54 @@ _COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], dict[str, Any]], dict[
 COMMANDS = tuple(_COMMANDS)
 
 
+def _flags(command: str) -> dict[str, dict]:
+    """The flags ``command`` takes, ``--format`` first, with their options."""
+    return {"--format": {"choices": ("json", "text"), "default": "json"}, **_COMMANDS[command][1]}
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for a plain
+    command line, or None for any other.
+
+    A plain command line is a command, then each of its flags at most once,
+    spelled out, as ``--flag=value`` or as ``--flag value`` with a value that
+    does not start with ``-``, and no value ``--``, which argparse drops; every
+    value its flag's ``type`` and ``choices`` accept, and every required flag
+    given.  So a plain command loads no ``argparse``, nor the ``gettext`` and
+    ``locale`` it loads, and builds no parser, which saves each process a few
+    milliseconds.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _flags(argv[0])
+    given: dict[str, str] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if not equals:
+            value = next(tokens, "-")  # a missing value is refused as "-" is
+            if value.startswith("-"):
+                return None
+        if flag not in flags or flag in given or value == "--":
+            return None
+        given[flag] = value
+    values = {"command": argv[0]}
+    for flag, opts in flags.items():
+        if flag in given:
+            try:
+                value = opts.get("type", str)(given[flag])
+            except ValueError:
+                return None
+            if "choices" in opts and value not in opts["choices"]:
+                return None
+        elif opts.get("required"):
+            return None
+        else:
+            value = opts.get("default")
+        values[opts.get("dest", flag[2:].replace("-", "_"))] = value
+    return SimpleNamespace(**values)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of ``command`` alone when it names one.
 
@@ -439,13 +488,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     the time; anything else, such as ``--help`` or an unknown command, needs
     the full parser.
     """
-    parser = _Parser(prog="diskcovers", description="Compute with simple branched coverings of the disk.")
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
+            raise UsageError(f"{message}\n{self.format_usage()}".rstrip())
+
+    parser = Parser(prog="diskcovers", description="Compute with simple branched coverings of the disk.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name in (command,) if command in _COMMANDS else _COMMANDS:
-        p = sub.add_parser(name, parents=[common])
-        for flag, opts in _COMMANDS[name][1].items():
+        p = sub.add_parser(name)
+        for flag, opts in _flags(name).items():
             p.add_argument(flag, **opts)
     return parser
 
@@ -478,15 +531,17 @@ def _echo_inputs(args: argparse.Namespace) -> dict[str, Any]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    if args.command is None:
-        print(parser.format_usage().rstrip(), file=sys.stderr)
-        return 1
+    args = _parse(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv else None)
+        try:
+            args = parser.parse_args(argv)
+        except UsageError as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
+        if args.command is None:
+            print(parser.format_usage().rstrip(), file=sys.stderr)
+            return 1
 
     report: dict[str, Any] = {"command": args.command, "inputs": _echo_inputs(args)}
     try:

@@ -1,8 +1,11 @@
 """Command-line interface: parsing, dispatch, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -454,43 +457,54 @@ def test_fuzzed_bad_values_exit_1(capsys, argv):
     assert report["status"] == "invalid-input" and report["error"]
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["target", "--degree", "3", "--n", "4", "--omega", "x"], "cycle type must be comma-separated integers: 'x'"),
-        (["target", "--degree", "3", "--n", "4", "--omega", "3,,1.5"], "cycle type must be comma-separated integers"),
-        (["classify", "--degree", "3", "--n", "-2"], "branch point count n must be nonnegative, got -2"),
-        (["invariants", "--covering", '{"degree": 100001, "monodromy": [[1, 2]]}'], "at most 100000, got 100001"),
-        (["canon", "--covering", '{"degree": 1000000000, "monodromy": [[1, 2]]}'], "at most 100000"),
-        (["target", "--degree", "100001", "--n", "200000"], "degree must be at most 100000, got 100001"),
-        (["classify", "--degree", "100001", "--n", "0"], "degree must be at most 100000, got 100001"),
-        (["classify", "--degree", "0", "--n", "1"], "degree must be at least 1, got 0"),
-        (["target", "--degree", "3", "--n", "200001"], "branch point count n must be at most 200000, got 200001"),
-        (["classify", "--degree", "2", "--n", "200001"], "branch point count n must be at most 200000, got 200001"),
-        (["tcgens", "--n", "17"], "strand count n must be at most 16, got 17"),
-        (["todd-coxeter", "--n", "17", "--words", ""], "strand count n must be at most 16, got 17"),
-        (["verify-theorem-c", "--n", "17"], "strand count n must be at most 16, got 17"),
-        (["verify-theorem-c", "--n", "-1"], "branch point count must be nonnegative"),
-        (["verify-theorem-c", "--n", "0"], "branch point count must be at least 1"),
-    ],
-    ids=[
-        "omega-letter",
-        "omega-float",
-        "classify-negative-n",
-        "degree-past-bound",
-        "degree-1e9",
-        "target-degree-past-bound",
-        "classify-degree-past-bound",
-        "classify-degree-zero",
-        "target-n-past-bound",
-        "classify-n-past-bound",
-        "tcgens-n-past-bound",
-        "todd-coxeter-n-past-bound",
-        "verify-theorem-c-n-past-bound",
-        "verify-theorem-c-negative-n",
-        "verify-theorem-c-zero-n",
-    ],
-)
+#: Invocations whose report names their one bad value, by test id.
+BAD_ARGUMENTS = {
+    "omega-letter": (
+        ["target", "--degree", "3", "--n", "4", "--omega", "x"],
+        "cycle type must be comma-separated integers: 'x'",
+    ),
+    "omega-float": (
+        ["target", "--degree", "3", "--n", "4", "--omega", "3,,1.5"],
+        "cycle type must be comma-separated integers",
+    ),
+    "classify-negative-n": (
+        ["classify", "--degree", "3", "--n", "-2"],
+        "branch point count n must be nonnegative, got -2",
+    ),
+    "degree-past-bound": (
+        ["invariants", "--covering", '{"degree": 100001, "monodromy": [[1, 2]]}'],
+        "at most 100000, got 100001",
+    ),
+    "degree-1e9": (["canon", "--covering", '{"degree": 1000000000, "monodromy": [[1, 2]]}'], "at most 100000"),
+    "target-degree-past-bound": (
+        ["target", "--degree", "100001", "--n", "200000"],
+        "degree must be at most 100000, got 100001",
+    ),
+    "classify-degree-past-bound": (
+        ["classify", "--degree", "100001", "--n", "0"],
+        "degree must be at most 100000, got 100001",
+    ),
+    "classify-degree-zero": (["classify", "--degree", "0", "--n", "1"], "degree must be at least 1, got 0"),
+    "target-n-past-bound": (
+        ["target", "--degree", "3", "--n", "200001"],
+        "branch point count n must be at most 200000, got 200001",
+    ),
+    "classify-n-past-bound": (
+        ["classify", "--degree", "2", "--n", "200001"],
+        "branch point count n must be at most 200000, got 200001",
+    ),
+    "tcgens-n-past-bound": (["tcgens", "--n", "17"], "strand count n must be at most 16, got 17"),
+    "todd-coxeter-n-past-bound": (
+        ["todd-coxeter", "--n", "17", "--words", ""],
+        "strand count n must be at most 16, got 17",
+    ),
+    "verify-theorem-c-n-past-bound": (["verify-theorem-c", "--n", "17"], "strand count n must be at most 16, got 17"),
+    "verify-theorem-c-negative-n": (["verify-theorem-c", "--n", "-1"], "branch point count must be nonnegative"),
+    "verify-theorem-c-zero-n": (["verify-theorem-c", "--n", "0"], "branch point count must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
 def test_bad_argument_report_names_it(capsys, argv, message):
     code, out = run(capsys, *argv)
     assert code == 1
@@ -521,3 +535,143 @@ def test_long_inline_covering_is_read_inline(capsys):
     code, out = run(capsys, "act", "--covering", document, "--braid", "1 -1")
     assert code == 0
     assert payload(out) == {"covering": json.loads(document)}
+
+
+# --- the plain command line, read without argparse --------------------------
+
+#: Values each kind of flag is given: ones its parser accepts as they stand,
+#: then ones that it refuses, or that argparse reads only after a ``=``.
+INT_VALUES = (["3", "0", " 4 ", "+2", "1_0", "٣", "５"], ["-2", "x", "1.5", "", "0x1", "9" * 5000])
+TEXT_VALUES = ([P3, '{"base": 1, "word": [2]}', "1 -2", "1,3", "a=b", ""], ["-1 2", "-2", "-", "--", "-h", "--covering"])
+
+
+def flag_value(rng, opts):
+    """A value for a flag with options ``opts``; one in ten is odd."""
+    if "choices" in opts:
+        values = (list(opts["choices"]), ["middle", "START", "", "--"])
+    else:
+        values = INT_VALUES if "type" in opts else TEXT_VALUES
+    return rng.choice(values[rng.random() < 0.1])
+
+
+def plain_corpus(seed=3701, size=6000):
+    """Seeded command lines over every command: both flag forms, omitted
+    defaults, and one slip in some of them: a repeated, abbreviated or
+    unknown flag, help, a stray positional or ``--``, a flag with no value,
+    a missing required flag or an unknown command."""
+    rng = random.Random(seed)
+    corpus = []
+    for k in range(size):
+        command = COMMANDS[k % len(COMMANDS)]
+        flags = cli._flags(command)
+        chosen = [flag for flag, opts in flags.items() if rng.random() < (0.95 if opts.get("required") else 0.5)]
+        rng.shuffle(chosen)
+        argv = [command]
+        for flag in chosen:
+            value = flag_value(rng, flags[flag])
+            argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+        slip = rng.randrange(21)
+        at = rng.randrange(1, len(argv) + 1)
+        if slip == 0 and chosen:
+            flag = rng.choice(chosen)
+            argv += [flag, flag_value(rng, flags[flag])]
+        elif slip == 1 and chosen:
+            flag = rng.choice(chosen)
+            argv += [f"{flag[: rng.randrange(3, max(4, len(flag)))]}={flag_value(rng, flags[flag])}"]
+        elif slip == 2:
+            argv += rng.choice([["--nope", "1"], ["--nope=1"], ["-x"], ["--"]])
+        elif slip == 3:
+            argv.insert(at, rng.choice(["-h", "--help"]))
+        elif slip == 4:
+            argv.insert(at, rng.choice(["extra", "--", "3"]))
+        elif slip == 5:
+            argv.append(rng.choice(list(flags)))
+        elif slip == 6:
+            argv[0] = rng.choice(["inv", "frobnicate", "-h", "--format=json", "Invariants"])
+        corpus.append(argv)
+    return corpus
+
+
+def argparse_namespace(parser, argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where it refuses
+    the line or answers with help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except (cli.UsageError, SystemExit):
+        return None
+
+
+def test_plain_parse_builds_argparses_namespace_or_declines():
+    parser = build_parser()
+    accepted = {}
+    for argv in plain_corpus():
+        parsed = cli._parse(argv)
+        if parsed is not None:
+            assert vars(parsed) == argparse_namespace(parser, argv), argv
+            forms = accepted.setdefault(argv[0], set())
+            forms.update("=" if "=" in token else " " for token in argv[1:] if token.startswith("--"))
+    # Every command has lines read, with its flags spelled both ways.
+    assert {command: forms for command, forms in accepted.items() if forms != {"=", " "}} == {}
+    assert set(accepted) == set(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "--covering", P3, "--braid=-1 2"],
+        ["act", "--covering=--braid", "--braid=--covering"],
+        ["restrict", "--covering", P3, "--indices", "", "--base=end"],
+        ["target", "--degree", "٣", "--n=+4", "--omega="],
+        ["orbit", "--cap= 7", "--format", "text", "--covering", P3],
+        ["verify-theorem-c", "--n", "3"],
+        ["tcgens", "--n=-2"],
+    ],
+)
+def test_plain_parse_reads_these(argv):
+    parsed = cli._parse(argv)
+    assert parsed is not None and vars(parsed) == argparse_namespace(build_parser(), argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--covering=--"],
+        ["invariants", "--covering", "--"],
+        ["invariants", "--covering"],
+        ["invariants", "--covering", "-"],
+        ["classify", "--degree", "3", "--n", "-2"],
+        ["act", "--covering", P3, "--braid", "-1 2"],
+        ["invariants", "--cov", P3],
+        ["invariants", "--covering", P3, "--covering", P3],
+        ["restrict", "--covering", P3, "--indices", "1", "--base", "middle"],
+        ["tcgens", "--n", "x"],
+        ["tcgens"],
+        ["tcgens", "--n", "3", "-h"],
+        ["tcgens", "--n", "3", "extra"],
+        ["--help"],
+        [],
+    ],
+)
+def test_plain_parse_leaves_these_to_argparse(argv):
+    assert cli._parse(argv) is None
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))["cli"]
+
+
+@pytest.mark.parametrize(
+    "argvs",
+    [
+        [case["argv"] for case in GOLDEN],
+        PARSER_ONLY,
+        [argv for _, argv in fuzz_cases()],
+        [argv for _, argv in BOOLEAN_CASES],
+        [argv for argv, _ in BAD_ARGUMENTS.values()],
+    ],
+    ids=["golden", "parser-only", "fuzz", "boolean", "bad-argument"],
+)
+def test_main_answers_as_with_argparse_alone(monkeypatch, capsys, argvs):
+    answers = [parser_outcome(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", lambda argv: None)
+    assert [parser_outcome(capsys, argv) for argv in argvs] == answers

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from diskcovers import lift
 from diskcovers.core import MonodromySequence, Transposition, disk_covering
 from diskcovers.hurwitz import BraidWord, act
 from diskcovers.lift import (
@@ -120,8 +119,9 @@ def test_interval_symmetric_constructors():
 
 
 def reference_carried_interval(branch_points, i, j, power):
-    """``lift._carried_interval`` as it was written before its word was built
-    in closed form: ``x_i`` transported across each branch point in turn."""
+    """The twisted (``power`` 1) or index-0 (``power`` -1) interval as it was
+    built before its word was written in closed form: ``x_i`` transported
+    across each branch point in turn."""
     i, j = min(i, j), max(i, j)
     ref = standard_interval(branch_points, i)
     for m in range(i + 1, j):
@@ -149,12 +149,14 @@ def catalog_outcomes():
     return out
 
 
-def test_catalog_matches_the_transport_loop(monkeypatch):
+def test_catalog_matches_the_transport_loop():
     outcomes = catalog_outcomes()
     assert len(outcomes) == 4900
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == CATALOG_SHA256
-    monkeypatch.setattr(lift, "_carried_interval", reference_carried_interval)
-    assert catalog_outcomes() == outcomes
+    for n in range(2, 10):
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            assert outcome(twisted_interval, n, i, j) == outcome(reference_carried_interval, n, i, j, 1)
+            assert outcome(index0_interval, n, i, j) == outcome(reference_carried_interval, n, i, j, -1)
 
 
 @pytest.mark.parametrize("build", [twisted_interval, index0_interval])

@@ -1,9 +1,10 @@
 """The package's public names and the modules each process loads.
 
 ``import diskcovers`` loads ``core`` and ``restrict``; each of the other four
-compute modules loads on the first read of one of its names, and each CLI
-command loads only the modules it runs.  The import checks run in fresh interpreters
-and read ``sys.modules``, never timings.
+compute modules loads on the first read of one of its names.  Each CLI
+command loads only the modules it runs, and ``argparse`` only for help and
+usage errors.  The import checks run in fresh interpreters and read
+``sys.modules``, never timings.
 """
 
 import importlib
@@ -114,11 +115,15 @@ UNLOADED = ("dataclasses", "inspect")
 #: under ``python -S``: ``typing`` takes about 4 ms to import and ``pathlib``,
 #: with its own imports, about 7.
 UNIMPORTED = ("typing", "pathlib")
+#: Standard modules that only help and usage errors load: the CLI reads a
+#: plain command line itself, and ``argparse``, with the ``gettext`` and
+#: ``locale`` it loads, takes about 3.5 ms of a process.
+PARSER_MODULES = ("argparse", "gettext", "locale")
 P3 = '{"degree": 4, "monodromy": [[1, 2], [2, 3], [3, 4]]}'
 
 #: Runs the CLI as ``python -m diskcovers.cli`` would, then prints its exit
-#: code and the loaded modules, of diskcovers, of UNLOADED and of UNIMPORTED,
-#: as the last line of stdout.
+#: code and the loaded modules, of diskcovers, of UNLOADED, of UNIMPORTED and
+#: of PARSER_MODULES, as the last line of stdout.
 RUN_CLI = f"""
 import json, runpy, sys
 sys.argv = ["diskcovers", *json.loads(sys.argv[1])]
@@ -126,17 +131,21 @@ try:
     runpy.run_module("diskcovers.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("diskcovers") or m in {UNLOADED + UNIMPORTED!r})]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("diskcovers") or m in {UNLOADED + UNIMPORTED + PARSER_MODULES!r})]))
 """
+
+
+def fresh_process(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter started with ``flags``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
 
 
 def fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
     """The last line ``code`` prints in a fresh interpreter started with ``flags``."""
-    env = dict(os.environ, PYTHONPATH=str(Path(diskcovers.__file__).parents[1]))
-    child = subprocess.run(
-        [sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True, check=True
-    )
-    return child.stdout.splitlines()[-1]
+    return fresh_process(code, *args, flags=flags).stdout.splitlines()[-1]
 
 
 def test_all_lists_every_public_name():
@@ -235,4 +244,18 @@ def test_cli_command_imports_neither_typing_nor_pathlib(argv, exit_code, tmp_pat
         argv = ["canon", "--covering", str(path)]
     code, modules = json.loads(fresh(RUN_CLI, json.dumps(argv), flags=("-S",)))
     assert code == exit_code
-    assert not set(UNLOADED + UNIMPORTED) & set(modules)
+    assert not set(UNLOADED + UNIMPORTED + PARSER_MODULES) & set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stream", [(["invariants", "--help"], 0, "stdout"), (["invariants"], 1, "stderr")]
+)
+def test_cli_help_and_usage_error_load_the_parser(argv, exit_code, stream):
+    child = fresh_process(RUN_CLI, json.dumps(argv), flags=("-S",))
+    *printed, last = child.stdout.splitlines(keepends=True)
+    code, modules = json.loads(last)
+    assert code == exit_code
+    streams = {"stdout": "".join(printed), "stderr": child.stderr}
+    assert "usage: diskcovers invariants [-h]" in streams.pop(stream)
+    assert list(streams.values()) == [""]  # nothing on the other stream
+    assert set(PARSER_MODULES) <= set(modules)

@@ -1,4 +1,4 @@
-"""Time four layers of the package on fixed cases and check every answer.
+"""Time five layers of the package on fixed cases and check every answer.
 
 The layers, each written to its own file at the root of the checkout:
 
@@ -52,6 +52,18 @@ The layers, each written to its own file at the root of the checkout:
   first target of its (d, n) in the stream, 320 of them equivalent, through
   ``is_connected`` alone, all 200 connected, and through ``canonical_target``
   alone, from each covering's cycle type as a tuple of parts.
+- the CLI front end (``BENCH_cli.json``): ``cli.main`` in this process, its
+  stdout and stderr captured, on fixed command lines: the seven light
+  commands of the benchmark's ``cli`` mix (``invariants``, ``canon``,
+  ``restrict``, ``curve``, ``lift``, ``interval-type``, ``act``) on a
+  covering with 5 sheets and 6 branch points, or on the disk covering of 5
+  sheets for ``lift``, each with its flags spelled ``--flag value`` and
+  ``--flag=value``; ``act`` with a braid of negative letters after a ``=``;
+  and ``lift`` with no ``--braid``, a usage error.  Each round's exit code,
+  stdout and stderr are checked by their digest; each case records the exit
+  code and the median microseconds per call.  The case times parsing,
+  dispatch, the command's work and the report, but not the imports a
+  process pays, since this script has loaded ``argparse`` itself.
 
 Each case runs ``ROUNDS`` rounds, and records its median seconds per call to
 4 significant digits, so that a sub-millisecond case can show a change.  A
@@ -98,9 +110,12 @@ and of peak memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
+import importlib
 import importlib.util
+import io
 import itertools
 import json
 import platform
@@ -449,6 +464,80 @@ def orbit_answer(answer: int | list) -> dict:
     return {"index": (len(answer) - 1) // (answer[0].strands - 2), "words": len(answer)}
 
 
+#: A connected covering on 5 sheets with 6 branch points, and the disk
+#: covering on 5 sheets, as a command line spells them.
+CLI_COVERING = '{"degree": 5, "monodromy": [[1, 2], [2, 3], [3, 5], [1, 4], [4, 5], [2, 3]]}'
+CLI_DISK = '{"degree": 5, "monodromy": [[1, 2], [2, 3], [3, 4], [4, 5]]}'
+#: The light commands of the benchmark's ``cli`` mix: their flags, and the
+#: SHA-256 of the ``repr`` of the exit code, stdout and stderr, which the
+#: ``--flag value`` and ``--flag=value`` spellings share.
+CLI_FLAGS = {
+    "invariants": (
+        {"--covering": CLI_COVERING},
+        "d0d8cee97dad3d99c971a9e64a878ee868517ff77534e397ba28793d2a56a43d",
+    ),
+    "canon": (
+        {"--covering": CLI_COVERING},
+        "233d3abb3252f98db43ca7b49b19b74f6b6074f833da3ff5792624d28a58f35d",
+    ),
+    "restrict": (
+        {"--covering": CLI_COVERING, "--indices": "1,3,4", "--base": "end"},
+        "9d31231d68a33569371cc7122079d9504f2303fa50e79bacbfd08be6ec427e03",
+    ),
+    "curve": (
+        {"--covering": CLI_COVERING, "--curve": '{"base": 2, "word": [1, -3, 5]}'},
+        "4d0e73e87bfd341ce042d6ef213355e146f4c0e4860e5a18fcaf14ad66e8a062",
+    ),
+    "lift": (
+        {"--covering": CLI_DISK, "--braid": "2 1 1 -2"},
+        "4d5d4d1faca0ace9ee43f64aab596fb52d31be3e6fe189e558d66f0f98622743",
+    ),
+    "interval-type": (
+        {"--covering": CLI_COVERING, "--interval": '{"base": 1, "word": [2, -4]}'},
+        "6427f5a4a5baaedf8758b324ab865a9fe5f528e303814d802adbca1b3dce2f4b",
+    ),
+    "act": (
+        {"--covering": CLI_COVERING, "--braid": "1 -2 3 -4 5"},
+        "6f31fe81863be1973298b08ff6805e261235da3609efda535745f2b03a39fbcb",
+    ),
+}
+#: Name: (command line, digest of its answer): each light command in both
+#: spellings, a braid of negative letters after a ``=``, and a usage error.
+CLI_LINES = {
+    **{
+        f"{command}, --flag value": ([command, *(token for pair in flags.items() for token in pair)], expected)
+        for command, (flags, expected) in CLI_FLAGS.items()
+    },
+    **{
+        f"{command}, --flag=value": ([command, *(f"{flag}={value}" for flag, value in flags.items())], expected)
+        for command, (flags, expected) in CLI_FLAGS.items()
+    },
+    "act, --braid=-1 -2 3 -5": (
+        ["act", "--covering", CLI_COVERING, "--braid=-1 -2 3 -5"],
+        "767c71a68da70036ee92ab781d7615baddc428535a31be75ba7f450337c7526d",
+    ),
+    "usage error, lift without --braid": (
+        ["lift", "--covering", CLI_DISK],
+        "7215284ecfad4fe3eec5bc51801467e57a34212208fd17f53fe12c46e413adda",
+    ),
+}
+
+
+def run_main(main, argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_cases(dc: ModuleType) -> dict:
+    """Name: (a call of ``cli.main`` on a fixed command line, the digest of
+    its ``run_main`` answer)."""
+    main = importlib.import_module(f"{dc.__name__}.cli").main
+    return {name: (partial(run_main, main, argv), expected) for name, (argv, expected) in CLI_LINES.items()}
+
+
 #: Output file, calls per round (unless ``BATCHED`` names the case), cases,
 #: what a round's answer is checked by, and what a case records from its last
 #: answer and the median seconds per call of its rounds.
@@ -483,6 +572,13 @@ LAYERS = (
         classify_cases,
         digest,
         classify_record,
+    ),
+    (
+        "BENCH_cli.json",
+        NUMBER,
+        cli_cases,
+        digest,
+        lambda answer, median: {"exit": answer[0], "median_us_per_call": round(median * 1e6, 3)},
     ),
 )
 
