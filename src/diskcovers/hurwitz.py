@@ -37,8 +37,11 @@ of the unfinished prefix, from d down to 2, it
 
 Each block j then holds at least ``q_j`` entries, of the same parity, and the
 surplus pairs climb one block at a time.  The letters, freely reduced at the
-end, are the certificate's moves; time and memory are polynomial in the
-degree and the length.
+end, are the certificate; time and memory are polynomial in the degree and
+the length.  ``CanonicalizationResult`` stores them as they are, and its
+``moves`` are read off them, so the peel, the certificate and its replay
+share one move vocabulary, the braid letters: ``replay_certificate`` checks
+their range once and acts them on the renumbered input in one pass.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ from .core import (
     _product,
     _renumbered,
     _tables,
+    _target,
     _target_relabel,
     _unpack,
-    canonical_target,
 )
 
 FORWARD = "forward"
@@ -166,7 +169,12 @@ def elementary_move(seq: MonodromySequence, position: int, direction: str = FORW
 
 def apply_moves(seq: MonodromySequence, moves: MoveWord) -> MonodromySequence:
     """Apply elementary moves in order, each checked once, all before the first."""
-    length = seq.length
+    return act(seq, BraidWord._unchecked(seq.length, _move_letters(moves, seq.length)))
+
+
+def _move_letters(moves: MoveWord, length: int) -> tuple[int, ...]:
+    """The braid letters of elementary moves on ``length`` entries, each move
+    checked in turn; the forward move is the inverse generator."""
     letters = []
     for position, direction in moves:
         if direction not in (FORWARD, INVERSE):
@@ -174,7 +182,7 @@ def apply_moves(seq: MonodromySequence, moves: MoveWord) -> MonodromySequence:
         if not 1 <= position <= length - 1:
             raise ValueError(f"move position {position} out of range for {length} entries")
         letters.append(-position if direction == FORWARD else position)
-    return act(seq, BraidWord._unchecked(length, tuple(letters)))
+    return tuple(letters)
 
 
 class CanonicalizationResult(_Record):
@@ -182,18 +190,46 @@ class CanonicalizationResult(_Record):
 
     Renumbering the input's sheets by ``relabel`` and then applying ``moves``
     yields ``canonical``, which equals the canonical target for the input's
-    degree, length and cycle type.
+    degree, length and cycle type.  The certificate is stored as the braid
+    letters ``_letters`` of its moves, and ``moves`` is read off them, as
+    ``MonodromySequence.entries`` is off ``_packed``: the forward move at
+    position i is the letter ``-i``, the inverse move ``+i``.  The public
+    constructor checks each move as :func:`apply_moves` checks it on a
+    sequence of ``canonical``'s length; ``_unchecked`` takes the letters.
+
+    >>> canonicalize(MonodromySequence.from_pairs(4, [(2, 3), (1, 3), (3, 4)])).moves
+    ((1, 'forward'),)
     """
 
     relabel: Permutation
-    moves: MoveWord
+    _letters: tuple[int, ...]
     canonical: MonodromySequence
+    __match_args__ = ("relabel", "moves", "canonical")
+
+    def __post_init__(self, moves: MoveWord) -> None:
+        _set_letters(self, _move_letters(moves, self.canonical.length))
+
+    @property
+    def moves(self) -> MoveWord:
+        return tuple([(-e, FORWARD) if e < 0 else (e, INVERSE) for e in self._letters])
+
+
+# The slot setter that ``__post_init__`` stores the letters through.
+_set_letters = CanonicalizationResult.__dict__["_letters"].__set__
 
 
 def replay_certificate(seq: MonodromySequence, result: CanonicalizationResult) -> MonodromySequence:
     """Re-run a certificate against its input; the caller compares the outcome
-    with ``result.canonical``."""
-    return apply_moves(seq.renumber_sheets(result.relabel), result.moves)
+    with ``result.canonical``.  The letters act on one list, the renumbered
+    input, once their range is checked."""
+    relabel, letters, degree = result.relabel, result._letters, seq.degree
+    if relabel.degree != degree:
+        raise ValueError("relabelling permutation degree mismatch")
+    if letters and max(map(abs, letters)) >= seq.length:
+        _move_letters(result.moves, seq.length)  # raises, naming the first move out of range
+    entries = list(_renumbered(degree, seq._packed, relabel.images))
+    _act(_tables(degree).conj, entries, letters)
+    return _unpack(degree, tuple(entries))
 
 
 def _conjugator_path(conj, prefix: tuple[int, ...], source: int, target: int) -> list[int]:
@@ -346,8 +382,7 @@ def canonicalize(seq: MonodromySequence) -> CanonicalizationResult:
     if not seq.is_connected():
         raise DisconnectedCoveringError("canonicalization is only defined for connected coverings")
     omega, relabel = _target_relabel(_product(seq.degree, seq._packed))
-    target = canonical_target(seq.degree, seq.length, omega)
+    # The walk's parts come sorted, as canonical_target keys its memo.
+    target = _target(seq.degree, seq.length, omega.parts)
     letters = _peel(seq.degree, _renumbered(seq.degree, seq._packed, relabel.images), target._packed)
-    # The forward move is the inverse generator.
-    moves = tuple([(abs(e), INVERSE if e > 0 else FORWARD) for e in letters])
-    return CanonicalizationResult._unchecked(relabel, moves, target)
+    return CanonicalizationResult._unchecked(relabel, letters, target)

@@ -1,6 +1,8 @@
 """The braid action, elementary moves, and canonicalization certificates."""
 
+import copy
 import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -12,6 +14,7 @@ from diskcovers.core import (
     DisconnectedCoveringError,
     MonodromySequence,
     NotRealizable,
+    Permutation,
     _tables,
     canonical_target,
     disk_covering,
@@ -22,13 +25,14 @@ from diskcovers.hurwitz import (
     FORWARD,
     INVERSE,
     BraidWord,
+    CanonicalizationResult,
     act,
     apply_moves,
     canonicalize,
     elementary_move,
     replay_certificate,
 )
-from diskcovers.orbit import all_sequences, hurwitz_orbit
+from diskcovers.orbit import all_sequences, classify_all, hurwitz_orbit
 
 
 def seq(degree, *pairs):
@@ -237,12 +241,78 @@ def seeded_connected(degree, length, count, seed):
     return out
 
 
-@pytest.mark.parametrize("degree, length", [(5, 6), (6, 7), (5, 8), (8, 14)])
+SEEDED_SIZES = [(5, 6), (6, 7), (5, 8), (8, 14)]
+
+
+@pytest.mark.parametrize("degree, length", SEEDED_SIZES)
 def test_canonicalize_replays_seeded_samples(degree, length):
     for s in seeded_connected(degree, length, 50, seed=100 * degree + length):
         result = canonicalize(s)
         assert result.canonical == canonical_target(degree, length, omega_class(s))
         assert replay_certificate(s, result) == result.canonical, s.pairs()
+
+
+def certificate_corpus():
+    """The seeded samples above, then the connected representatives of
+    ``classify_all`` on a few small cells."""
+    corpus = [s for d, n in SEEDED_SIZES for s in seeded_connected(d, n, 50, seed=100 * d + n)]
+    cells = [(2, 3), (3, 4), (3, 5), (4, 4), (4, 5), (5, 4)]
+    return corpus + [c.representative for d, n in cells for c in classify_all(d, n) if c.connected]
+
+
+def test_moves_read_off_the_letters_replay_as_the_letters_do():
+    # Replay acts the stored letters and never reads ``moves``: the moves,
+    # replayed through apply_moves, must reach the same canonical form, and
+    # must build the same certificate through the public constructor.
+    corpus = certificate_corpus()
+    assert len(corpus) == 200 + 9  # 9 connected classes on those cells
+    for s in corpus:
+        r = canonicalize(s)
+        assert apply_moves(s.renumber_sheets(r.relabel), r.moves) == replay_certificate(s, r) == r.canonical
+        rebuilt = CanonicalizationResult(r.relabel, r.moves, r.canonical)
+        assert rebuilt == r and hash(rebuilt) == hash(r) and repr(rebuilt) == repr(r), s.pairs()
+        assert rebuilt._letters == r._letters and type(rebuilt._letters) is tuple
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert twin == r and hash(twin) == hash(r) and repr(twin) == repr(r) and twin.moves == r.moves
+    assert CanonicalizationResult.__slots__ == ("relabel", "_letters", "canonical")
+    assert CanonicalizationResult.__match_args__ == ("relabel", "moves", "canonical")
+
+
+def test_hand_built_certificates_fail_with_the_moves_messages():
+    canonical = seq(4, (1, 2), (2, 3), (3, 4), (1, 2), (1, 2))
+    identity = Permutation.identity(4)
+    # A bad direction or position fails when the certificate is built, not at
+    # replay, with apply_moves' message for a sequence of canonical's length.
+    for moves, message in [
+        (((1, FORWARD), (2, "sideways")), "unknown move direction 'sideways'"),
+        (((1, FORWARD), (0, INVERSE)), "move position 0 out of range for 5 entries"),
+        (((-1, FORWARD),), "move position -1 out of range for 5 entries"),
+        (((5, INVERSE),), "move position 5 out of range for 5 entries"),
+    ]:
+        with pytest.raises(ValueError) as built:
+            CanonicalizationResult(identity, moves, canonical)
+        with pytest.raises(ValueError) as applied:
+            apply_moves(canonical, moves)
+        assert str(built.value) == str(applied.value) == message
+    result = CanonicalizationResult(identity, ((1, FORWARD), (3, INVERSE), (4, FORWARD), (2, FORWARD)), canonical)
+    assert result._letters == (-1, 3, -4, -2)
+    # Replay on another degree: the relabel is refused first, as before.
+    for other in (seq(3, (1, 2), (2, 3), (1, 3), (1, 2), (2, 3)), seq(5, (1, 2))):
+        with pytest.raises(ValueError, match="^relabelling permutation degree mismatch$"):
+            replay_certificate(other, result)
+    # Replay on too few entries names the first move out of range, as
+    # apply_moves did: the largest position equal to the length, or past it.
+    for short, message in [
+        (seq(4, (1, 2), (2, 3), (3, 4), (1, 2)), "move position 4 out of range for 4 entries"),
+        (seq(4, (1, 2), (2, 3), (3, 4)), "move position 3 out of range for 3 entries"),
+        (seq(4, (1, 2)), "move position 1 out of range for 1 entries"),
+    ]:
+        with pytest.raises(ValueError) as replayed:
+            replay_certificate(short, result)
+        with pytest.raises(ValueError) as applied:
+            apply_moves(short, result.moves)
+        assert str(replayed.value) == str(applied.value) == message
+    assert replay_certificate(canonical, result) == apply_moves(canonical, result.moves)
 
 
 def cycle_types(degree):

@@ -24,6 +24,7 @@ from record_values import FIRST_USES, ORDERED, RECORDS, SEQ, SEQ_REPR, WORD, fir
 import diskcovers
 from diskcovers import (
     BraidWord,
+    CanonicalizationResult,
     CurveRef,
     CycleType,
     IntervalRef,
@@ -45,6 +46,7 @@ REJECTED = {
     MonodromySequence: (0, ()),
     RestrictionSpec: ((), "middle"),
     BraidWord: (2, (0, 5)),
+    CanonicalizationResult: (Permutation((1, 2, 3)), ((0, "forward"),), SEQ),
     CurveRef: (4, WORD),
     IntervalRef: (3, WORD),
 }
@@ -90,7 +92,7 @@ def test_types_with_the_same_fields_are_never_equal():
 @pytest.mark.parametrize("cls, values, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
 def test_unchecked_constructor_equals_the_public_one(cls, values, text):
     public = cls(*values)
-    stored = tuple(cls.__annotations__)  # every field, ``_packed`` included
+    stored = tuple(cls.__annotations__)  # every slot, ``_packed`` and ``_letters`` included
     unchecked = cls._unchecked(*(getattr(public, name) for name in stored))
     assert type(unchecked) is cls
     assert unchecked == public and hash(unchecked) == hash(public) and repr(unchecked) == text
@@ -155,7 +157,7 @@ def test_packed_form_is_the_only_one_stored():
 @pytest.mark.parametrize("cls, values, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
 def test_copies_and_pickles_are_equal_records(cls, values, text):
     record = cls(*values)
-    stored = tuple(cls.__annotations__)  # ``_packed`` included
+    stored = tuple(cls.__annotations__)  # ``_packed`` and ``_letters`` included
     for duplicate in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(duplicate) is cls and duplicate == record and repr(duplicate) == text
         assert tuple(getattr(duplicate, name) for name in stored) == tuple(getattr(record, name) for name in stored)
